@@ -7,11 +7,14 @@
 //!             [--threads N]
 //! ```
 //!
-//! `--threads N` pins the shard-worker budget of the parallel
-//! connectivity core (`par::set_thread_override`) and is recorded in
-//! every JSON line (`"threads"`, plus `"cores"` = what the machine
-//! actually offers). Output is bit-identical at any thread count, so
-//! thread sweeps only move the wall-clock columns.
+//! `--threads N` pins the `par` worker budget (`par::set_thread_override`)
+//! and is recorded in every JSON line (`"threads"`, plus `"cores"` = what
+//! the machine actually offers). The budget drives sweep-level fan-out —
+//! independent sweeps, Monte-Carlo trials, per-boundary SCC passes — while
+//! each sweep's reverse union-find pass runs serially. The attack sweeps
+//! timed here count no SCCs, so they fan nothing out: the setting should
+//! not move their wall clock, and their output must match the naive
+//! reference at any value.
 //!
 //! Without `--tier`, full mode builds a ~100k-node / ~1M-edge power-law
 //! follower graph through the worldgen pipeline and runs the Fig. 12
@@ -170,7 +173,10 @@ fn main() {
     par::set_thread_override(args.threads);
     let threads = par::thread_budget();
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    eprintln!("shard workers: {threads} (machine offers {cores})");
+    eprintln!(
+        "par budget: {threads} threads for sweep-level fan-out (machine offers {cores}); \
+         each reverse pass is serial"
+    );
     let mode = if args.quick { "quick" } else { "full" };
     let (steps, trials) = if args.quick { (25, 2) } else { (100, 3) };
 

@@ -3,7 +3,7 @@
 use crate::observatory::{Metric, Observatory};
 use fediscope_graph::par;
 use fediscope_graph::removal::{RankBy, RemovalSweep, SweepPoint};
-use fediscope_graph::{degree, parallel_wcc};
+use fediscope_graph::{degree, weakly_connected};
 use fediscope_model::scale::ScaleTier;
 use fediscope_stats::{Ecdf, PowerLawFit};
 
@@ -200,14 +200,14 @@ pub fn fig13_federation_removal(
 
     // intact stats: consider only populated instances when quoting the LCC
     // coverage (isolated zero-user instances are not in the graph's edges).
-    // The sharded pass yields the same numbers as the serial labelling
-    // (user weights are integer counts, so the weight mass is exact).
-    let wcc = parallel_wcc(fed, None, Some(&weights));
+    // User weights are integer counts, so the heaviest component's weight
+    // is exact whatever order the labelling sums it in.
+    let wcc = weakly_connected(fed, None);
     let total_users: f64 = weights.iter().sum();
     Fig13FederationRemoval {
-        initial_lcc_instances: wcc.largest as f64 / fed.node_count().max(1) as f64,
+        initial_lcc_instances: wcc.largest() as f64 / fed.node_count().max(1) as f64,
         initial_lcc_users: if total_users > 0.0 {
-            wcc.largest_weight / total_users
+            wcc.largest_weight(&weights) / total_users
         } else {
             0.0
         },

@@ -15,13 +15,6 @@
 //! sweeps themselves now evaluate all rounds in one reverse union-find
 //! pass — see `removal.rs` — and only reach for per-round passes when SCC
 //! counts are requested.)
-//!
-//! For headline numbers only (LCC size / count / heaviest weight) on big
-//! graphs, [`crate::par_unionfind::parallel_wcc`] computes the same
-//! metrics through the sharded edge scan — `O((N+E)/threads)` wall-clock
-//! — without materialising labels; this serial labelling path is kept
-//! untouched as the differential baseline the parallel engine is tested
-//! against.
 
 use crate::digraph::DiGraph;
 use crate::unionfind::UnionFind;

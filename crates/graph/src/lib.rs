@@ -16,10 +16,8 @@
 //!   removal sweeps (Fig. 13) — incremental, allocation-free engines with a
 //!   naive reference kept for differential testing (see `README.md` for the
 //!   complexity model),
-//! - [`par`]: deterministic parallel fan-out for independent sweeps,
-//! - [`par_unionfind`]: shard-and-merge union-find — parallelism *inside*
-//!   one connectivity evaluation, with bit-identical output at any thread
-//!   count,
+//! - [`par`]: deterministic parallel fan-out for independent sweeps (each
+//!   sweep's reverse union-find pass itself stays serial),
 //! - [`projection`]: quotient graphs (user graph → instance federation
 //!   graph → country graph; Figs. 6, 13).
 
@@ -30,7 +28,6 @@ pub mod components;
 pub mod degree;
 pub mod digraph;
 pub mod par;
-pub mod par_unionfind;
 pub mod projection;
 pub mod removal;
 pub mod unionfind;
@@ -39,6 +36,5 @@ pub use components::{
     strongly_connected, weakly_connected, ComponentInfo, ComponentScratch, WccSummary,
 };
 pub use digraph::{DiGraph, GraphBuilder};
-pub use par_unionfind::{parallel_wcc, EpochUnionFind, ParBatchUnion, ParWccSummary};
 pub use removal::{RemovalSweep, SweepPoint};
 pub use unionfind::{UnionFind, WeightedUnionFind};

@@ -19,7 +19,6 @@
 use crate::components::{strongly_connected, weakly_connected};
 use crate::digraph::DiGraph;
 use crate::par;
-use crate::par_unionfind::{EdgeScan, ParBatchUnion};
 use crate::unionfind::WeightedUnionFind;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -85,11 +84,6 @@ pub struct RemovalSweep<'g> {
     g: &'g DiGraph,
     weights: Option<&'g [f64]>,
     compute_scc: bool,
-    /// Worker threads for the sharded reverse pass (0 = follow
-    /// [`par::thread_budget`]; 1 = force the serial engine).
-    threads: usize,
-    /// Edge-work target per shard chunk (0 = library default).
-    chunk_edges: usize,
 }
 
 impl<'g> RemovalSweep<'g> {
@@ -99,30 +93,7 @@ impl<'g> RemovalSweep<'g> {
             g,
             weights: None,
             compute_scc: false,
-            threads: 0,
-            chunk_edges: 0,
         }
-    }
-
-    /// Pin the reverse pass to `threads` shard workers (0 restores the
-    /// machine default). The shard layout is derived from the batch,
-    /// never the thread count, so every setting `≥ 2` replays the same
-    /// union sequence and is bit-identical to every other; `1` routes
-    /// through the serial engine (zero parallel overhead), whose union
-    /// *sequence* differs from the sharded one — observable only through
-    /// float association in non-integer weight sums (integer-valued
-    /// weights, every paper figure's case, are exact at all settings).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Override the sharded pass's per-chunk edge-work target (testing /
-    /// bench knob: tiny targets force the shard-merge path even on small
-    /// graphs; 0 restores the default). Bit-identical at any value.
-    pub fn with_chunk_edges(mut self, chunk_edges: usize) -> Self {
-        self.chunk_edges = chunk_edges;
-        self
     }
 
     /// Attach per-node weights (users, toots, …) for weighted-LCC reporting.
@@ -194,8 +165,8 @@ impl<'g> RemovalSweep<'g> {
     /// SCC count at every boundary (removal-count prefix of `order`).
     ///
     /// Tarjan is inherently serial *within* one evaluation, but the
-    /// per-boundary evaluations are independent pure functions, so they are
-    /// sharded across OS threads via [`par::parallel_map`]: with `t`
+    /// per-boundary evaluations are independent pure functions, so they fan
+    /// out across OS threads via [`par::parallel_map`]: with `t`
     /// threads the wall-clock cost of the worst (SCC-enabled) path drops
     /// from `rounds·O(N+E)` serial to `O((N+E)/t)` per round. Results come
     /// back in boundary order, so output never depends on scheduling.
@@ -215,19 +186,21 @@ impl<'g> RemovalSweep<'g> {
     ///
     /// The engine is incremental and two-phase:
     ///
-    /// 1. **Victim selection** maintains survivor degrees by decrementing
-    ///    the CSR neighbours of each removed node (`O(k·d̄)` per round
-    ///    instead of an `O(E)` edge rescan) and picks the top-`k` with
-    ///    `select_nth_unstable` (`O(survivors)` instead of a full sort).
-    ///    The selection never depends on component metrics, so the whole
-    ///    removal schedule is known before anything is evaluated.
+    /// 1. **Victim selection.** [`RankBy::DegreeIterative`] maintains
+    ///    survivor degrees by decrementing the CSR neighbours of each
+    ///    removed node (`O(k·d̄)` per round instead of an `O(E)` edge
+    ///    rescan) and picks the top-`k` with `select_nth_unstable`
+    ///    (`O(survivors)` instead of a full sort). [`RankBy::Random`] reads
+    ///    no degrees, so it keeps none: it shuffles the survivor list and
+    ///    truncates. The selection never depends on component metrics, so
+    ///    the whole removal schedule is known before anything is evaluated.
     /// 2. **Evaluation**: all rounds — weighted or not — are evaluated in
-    ///    one reverse union-find pass costing `O((E+N)·α)` *total*; the
-    ///    per-root weight accumulators ride along inside
+    ///    one serial reverse union-find pass costing `O((E+N)·α)` *total*;
+    ///    the per-root weight accumulators ride along inside
     ///    [`WeightedUnionFind`], so the weighted Fig. 13-style metrics cost
     ///    the same near-linear pass as the unweighted ones. When SCC counts
-    ///    are requested, the independent per-round Tarjan evaluations are
-    ///    sharded across threads (see [`Self::scc_counts_at`]).
+    ///    are requested, the independent per-round Tarjan evaluations fan
+    ///    out across threads (see [`Self::scc_counts_at`]).
     ///
     /// Output is bit-identical to [`Self::iterative_fraction_naive`]: every
     /// unweighted metric is integer-derived, and the weighted metrics sum
@@ -248,8 +221,14 @@ impl<'g> RemovalSweep<'g> {
 
         // ---- phase 1: removal schedule via incremental degrees ----------
         // With every node alive, per-node total degree equals the edge-scan
-        // count the naive implementation starts from.
-        let mut deg: Vec<u32> = (0..n as u32).map(|v| self.g.degree(v)).collect();
+        // count the naive implementation starts from. Random ranking never
+        // reads degrees, so it skips their upkeep entirely.
+        let by_degree = rank == RankBy::DegreeIterative;
+        let mut deg: Vec<u32> = if by_degree {
+            (0..n as u32).map(|v| self.g.degree(v)).collect()
+        } else {
+            Vec::new()
+        };
         // Survivor ids, ascending, maintained incrementally: `retain`
         // after each round keeps exactly the nodes an `(0..n).filter`
         // rescan would produce (same order, same content), but costs
@@ -302,15 +281,17 @@ impl<'g> RemovalSweep<'g> {
             // Decrement surviving neighbours once per incident edge. Edges
             // between two victims touch no survivor and are skipped by the
             // alive check, matching the naive both-endpoints-alive count.
-            for &v in &cands {
-                for &w in self.g.out_neighbors(v) {
-                    if alive[w as usize] {
-                        deg[w as usize] -= 1;
+            if by_degree {
+                for &v in &cands {
+                    for &w in self.g.out_neighbors(v) {
+                        if alive[w as usize] {
+                            deg[w as usize] -= 1;
+                        }
                     }
-                }
-                for &w in self.g.in_neighbors(v) {
-                    if alive[w as usize] {
-                        deg[w as usize] -= 1;
+                    for &w in self.g.in_neighbors(v) {
+                        if alive[w as usize] {
+                            deg[w as usize] -= 1;
+                        }
                     }
                 }
             }
@@ -323,7 +304,7 @@ impl<'g> RemovalSweep<'g> {
         // ---- phase 2: evaluate every round ------------------------------
         // One near-linear reverse union-find pass over all boundaries; the
         // weighted metrics ride along in per-root accumulators and SCC
-        // counts (when enabled) are sharded across threads.
+        // counts (when enabled) fan out across threads.
         self.reverse_sweep(&order, &boundaries, None)
     }
 
@@ -393,7 +374,7 @@ impl<'g> RemovalSweep<'g> {
     /// after each prefix length in `checkpoints` (ascending; a checkpoint of
     /// 0 evaluates the intact graph). Uses reverse union-find, so the whole
     /// sweep is near-linear — unless SCC counting is enabled, in which case
-    /// each checkpoint additionally pays one Tarjan pass (sharded across
+    /// each checkpoint additionally pays one Tarjan pass (fanned out across
     /// threads, see [`Self::scc_counts_at`]).
     pub fn ranked(&self, order: &[u32], checkpoints: &[usize]) -> Vec<SweepPoint> {
         assert!(
@@ -426,14 +407,10 @@ impl<'g> RemovalSweep<'g> {
     /// possibly starting at 0. When `grouped` is set, `groups_removed` is
     /// the boundary's index.
     ///
-    /// With more than one worker thread available (see
-    /// [`Self::with_threads`]), the edge scans — the initial bulk union
-    /// over the surviving subgraph and each boundary's re-add batch — run
-    /// through the shard-and-merge [`ParBatchUnion`] engine:
-    /// `O((N+E)/threads)` scan wall-clock inside the single pass, with
-    /// the surviving merges applied in a deterministic chunk order so
-    /// output is bit-identical at every thread count. One worker routes
-    /// through the exact serial loops (no parallel overhead at all).
+    /// The pass is one serial union loop. Parallelism lives a level up,
+    /// where the work is independent: callers fan whole sweeps out over
+    /// [`par`] (Fig. 12's two graphs, Fig. 13's four orders, the random
+    /// baseline's trials), and SCC counts fan out per boundary.
     fn reverse_sweep(
         &self,
         order: &[u32],
@@ -470,34 +447,10 @@ impl<'g> RemovalSweep<'g> {
         let mut max_size = if alive_count > 0 { 1u32 } else { 0 };
         let mut max_weight: f64 = 0.0;
 
-        let threads = match self.threads {
-            0 => par::thread_budget(),
-            t => t,
-        };
-        let mut engine = (threads > 1).then(|| match self.chunk_edges {
-            0 => ParBatchUnion::new(n, threads),
-            c => ParBatchUnion::with_chunk_edges(n, threads, c),
-        });
-        let mut batch_buf: Vec<u32> = Vec::new();
-
-        // Add edges among initially-alive nodes. Every alive node is in
-        // this bulk batch, so scanning out-adjacency alone covers each
-        // edge exactly once — the same sequence `g.edges()` yields.
-        if let Some(eng) = engine.as_mut() {
-            batch_buf.extend((0..n as u32).filter(|&v| alive[v as usize]));
-            eng.union_batch(
-                self.g,
-                &alive,
-                &batch_buf,
-                EdgeScan::OutOnly,
-                &mut uf,
-                |uf, a, b| union_alive(uf, a, b, &mut merges, &mut max_size, &mut max_weight),
-            );
-        } else {
-            for (a, b) in self.g.edges() {
-                if alive[a as usize] && alive[b as usize] {
-                    union_alive(&mut uf, a, b, &mut merges, &mut max_size, &mut max_weight);
-                }
+        // Add edges among initially-alive nodes.
+        for (a, b) in self.g.edges() {
+            if alive[a as usize] && alive[b as usize] {
+                union_alive(&mut uf, a, b, &mut merges, &mut max_size, &mut max_weight);
             }
         }
         if uf.is_weighted() {
@@ -513,55 +466,23 @@ impl<'g> RemovalSweep<'g> {
         let mut cursor = max_removed;
         for (bi, &b) in boundaries.iter().enumerate().rev() {
             // Re-add nodes order[b..cursor].
-            if let Some(eng) = engine.as_mut() {
-                // Sharded path: mark the whole batch alive first, then
-                // union its incident edges in one shard-and-merge pass.
-                // An intra-batch edge is unioned from its out-endpoint
-                // (instead of whichever node re-adds second, as the
-                // serial loop does) — a different union *sequence* over
-                // the same edge set, observable only through float
-                // association in non-integer weight sums (exact for the
-                // integer counts every figure sweeps).
-                let start = cursor;
-                while cursor > b {
-                    cursor -= 1;
-                    let v = order[cursor];
-                    alive[v as usize] = true;
-                    alive_count += 1;
-                    max_size = max_size.max(1);
-                    if uf.is_weighted() {
-                        max_weight = max_weight.max(uf.weight_of(v));
+            while cursor > b {
+                cursor -= 1;
+                let v = order[cursor];
+                alive[v as usize] = true;
+                alive_count += 1;
+                max_size = max_size.max(1);
+                if uf.is_weighted() {
+                    max_weight = max_weight.max(uf.weight_of(v));
+                }
+                for &w in self.g.out_neighbors(v) {
+                    if alive[w as usize] {
+                        union_alive(&mut uf, v, w, &mut merges, &mut max_size, &mut max_weight);
                     }
                 }
-                batch_buf.clear();
-                batch_buf.extend(order[b..start].iter().rev());
-                eng.union_batch(
-                    self.g,
-                    &alive,
-                    &batch_buf,
-                    EdgeScan::Incident,
-                    &mut uf,
-                    |uf, a, w| union_alive(uf, a, w, &mut merges, &mut max_size, &mut max_weight),
-                );
-            } else {
-                while cursor > b {
-                    cursor -= 1;
-                    let v = order[cursor];
-                    alive[v as usize] = true;
-                    alive_count += 1;
-                    max_size = max_size.max(1);
-                    if uf.is_weighted() {
-                        max_weight = max_weight.max(uf.weight_of(v));
-                    }
-                    for &w in self.g.out_neighbors(v) {
-                        if alive[w as usize] {
-                            union_alive(&mut uf, v, w, &mut merges, &mut max_size, &mut max_weight);
-                        }
-                    }
-                    for &w in self.g.in_neighbors(v) {
-                        if alive[w as usize] {
-                            union_alive(&mut uf, v, w, &mut merges, &mut max_size, &mut max_weight);
-                        }
+                for &w in self.g.in_neighbors(v) {
+                    if alive[w as usize] {
+                        union_alive(&mut uf, v, w, &mut merges, &mut max_size, &mut max_weight);
                     }
                 }
             }
@@ -833,7 +754,9 @@ mod prop_tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// The fast reverse sweep agrees with direct per-checkpoint masking.
+        /// The fast reverse sweep agrees with direct per-checkpoint masking
+        /// (weights exactly: they are integers, so summation order is
+        /// unobservable).
         #[test]
         fn reverse_equals_direct(
             edges in proptest::collection::vec((0u32..20, 0u32..20), 0..80),
@@ -861,8 +784,7 @@ mod prop_tests {
                 let direct = weakly_connected(&g, Some(&alive));
                 prop_assert_eq!(pt.lcc_nodes, direct.largest(), "k = {}", k);
                 prop_assert_eq!(pt.wcc_count, direct.count(), "k = {}", k);
-                let dw = direct.largest_weight(&weights);
-                prop_assert!((pt.lcc_weight - dw).abs() < 1e-9, "k = {} weight", k);
+                prop_assert_eq!(pt.lcc_weight, direct.largest_weight(&weights), "k = {}", k);
             }
         }
 
@@ -959,73 +881,6 @@ mod prop_tests {
                         prop_assert_eq!(deg[v], expect[v], "node {}", v);
                     }
                 }
-            }
-        }
-
-        /// The sharded reverse pass is bit-identical to the naive engine
-        /// at every thread count × chunk granularity, weighted and not,
-        /// for both ranking modes. Tiny chunk targets force multi-chunk
-        /// shard merges even on these 22-node graphs, so the
-        /// survivor-list protocol (not just the serial fallback) is what
-        /// is being pinned.
-        #[test]
-        fn sharded_reverse_pass_equals_naive(
-            edges in proptest::collection::vec((0u32..22, 0u32..22), 0..110),
-            raw_weights in proptest::collection::vec(0u32..5000, 22),
-            threads in 2usize..6,
-            chunk_edges in 1usize..24,
-            seed in 0u64..200,
-        ) {
-            let g = DiGraph::from_edges(22, edges);
-            let weights: Vec<f64> = raw_weights.iter().map(|&w| w as f64).collect();
-            for weighted in [false, true] {
-                let base = RemovalSweep::new(&g);
-                let base = if weighted { base.with_weights(&weights) } else { base };
-                let naive = base.iterative_fraction_naive(0.12, 5, RankBy::DegreeIterative);
-                let sharded = RemovalSweep::new(&g)
-                    .with_threads(threads)
-                    .with_chunk_edges(chunk_edges);
-                let sharded = if weighted { sharded.with_weights(&weights) } else { sharded };
-                let fast = sharded.iterative_fraction(0.12, 5, RankBy::DegreeIterative);
-                prop_assert_eq!(&fast, &naive, "weighted {} threads {}", weighted, threads);
-                let rnd_fast = sharded.iterative_fraction(0.12, 4, RankBy::Random { seed });
-                let rnd_naive = base.iterative_fraction_naive(0.12, 4, RankBy::Random { seed });
-                prop_assert_eq!(&rnd_fast, &rnd_naive, "random mode, weighted {}", weighted);
-            }
-        }
-
-        /// `ranked` checkpoints through the sharded pass agree with
-        /// direct per-checkpoint masking at forced multi-chunk layouts.
-        #[test]
-        fn sharded_ranked_equals_direct(
-            edges in proptest::collection::vec((0u32..18, 0u32..18), 0..80),
-            perm_seed in 0u64..500,
-            chunk_edges in 1usize..16,
-        ) {
-            let g = DiGraph::from_edges(18, edges);
-            let mut order: Vec<u32> = (0..18).collect();
-            let mut s = perm_seed;
-            for i in (1..order.len()).rev() {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let j = (s >> 33) as usize % (i + 1);
-                order.swap(i, j);
-            }
-            let weights: Vec<f64> = (0..18).map(|i| ((i * 3) % 7) as f64).collect();
-            let checkpoints: Vec<usize> = vec![0, 2, 5, 9, 18];
-            let pts = RemovalSweep::new(&g)
-                .with_weights(&weights)
-                .with_threads(4)
-                .with_chunk_edges(chunk_edges)
-                .ranked(&order, &checkpoints);
-            for (pt, &k) in pts.iter().zip(&checkpoints) {
-                let mut alive = vec![true; 18];
-                for &v in &order[..k.min(order.len())] {
-                    alive[v as usize] = false;
-                }
-                let direct = weakly_connected(&g, Some(&alive));
-                prop_assert_eq!(pt.lcc_nodes, direct.largest(), "k = {}", k);
-                prop_assert_eq!(pt.wcc_count, direct.count(), "k = {}", k);
-                prop_assert_eq!(pt.lcc_weight, direct.largest_weight(&weights), "k = {}", k);
             }
         }
 

@@ -49,19 +49,6 @@ impl UnionFind {
         x
     }
 
-    /// Representative of `x`'s set **without** path compression — usable
-    /// through a shared reference, so read-only consumers (the sharded
-    /// edge-scan workers of `par_unionfind`) can query a forest that
-    /// another phase owns mutably. The walk is `O(depth)`; depth stays
-    /// near-constant in practice because every mutating operation halves
-    /// paths as it goes.
-    pub fn find_root(&self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x
-    }
-
     /// Merge the sets of `a` and `b`; returns `true` if they were distinct.
     pub fn union(&mut self, a: u32, b: u32) -> bool {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
@@ -156,12 +143,6 @@ impl WeightedUnionFind {
         self.uf.find(x)
     }
 
-    /// Read-only representative lookup (no path compression); see
-    /// [`UnionFind::find_root`].
-    pub fn find_root(&self, x: u32) -> u32 {
-        self.uf.find_root(x)
-    }
-
     /// Merge the sets of `a` and `b`. Returns `Some((root, merged_weight))`
     /// when they were distinct (`merged_weight` is 0 when unweighted).
     pub fn union(&mut self, a: u32, b: u32) -> Option<(u32, f64)> {
@@ -251,21 +232,6 @@ mod tests {
         assert!(uf.connected(0, 1));
         assert_eq!(uf.component_count(), 3);
         assert_eq!(uf.size_of(0), 2);
-    }
-
-    #[test]
-    fn find_root_agrees_with_find() {
-        let mut uf = UnionFind::new(8);
-        for (a, b) in [(0u32, 1), (1, 2), (3, 4), (2, 4), (6, 7)] {
-            uf.union(a, b);
-        }
-        for x in 0..8u32 {
-            assert_eq!(uf.find_root(x), uf.find(x), "node {x}");
-        }
-        let mut wuf = WeightedUnionFind::new(&[1.0; 6]);
-        wuf.union(0, 5);
-        wuf.union(5, 3);
-        assert_eq!(wuf.find_root(0), wuf.find(3));
     }
 
     #[test]
