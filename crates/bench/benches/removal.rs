@@ -1,8 +1,7 @@
 //! Criterion benches for the §5.1 removal-sweep engine: incremental vs.
 //! naive iterative attack, the ranked reverse sweep, and the parallel
-//! figure fan-out. `crates/bench/src/bin/bench_graph.rs` runs the same
-//! comparison at full scale and records the speedup trajectory in
-//! `BENCH_graph.json`.
+//! figure fan-out. `bench graph` runs the same comparison on tier worlds
+//! and records the speedup trajectory in `BENCH_graph.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fediscope_bench::{bench_observatory, bench_user_graph};

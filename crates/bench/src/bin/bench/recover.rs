@@ -1,19 +1,17 @@
-//! `bench_recover` — price the checkpoint layer and gate the resume
-//! contract, recording one line in `BENCH_recover.json`.
+//! `bench recover` — §3's simulator under checkpoints: price the
+//! checkpoint layer and gate the resume contract, recorded as `recover`
+//! in `BENCH_recover.json`.
 //!
-//! ```text
-//! bench_recover [--quick] [--seed N] [--out PATH]
-//! ```
+//! Three gates, all over the federation simulator (the tier's knobs with
+//! a top-3-AS outage overlay) driven through
+//! [`fediscope_recover::run_checkpointed`] with on-disk [`DirStore`]
+//! snapshots:
 //!
-//! Three gates ride every run, all over the federation simulator driven
-//! through [`fediscope_recover::run_checkpointed`] with on-disk
-//! [`DirStore`] snapshots:
-//!
-//! 1. **`overhead_ok`** — checkpointing at the deployment cadence (one
-//!    frame per simulated day, written through temp-then-rename) must
+//! 1. **`overhead_under_5pct`** — checkpointing at the deployment cadence
+//!    (one frame per simulated day, written through temp-then-rename) must
 //!    cost **< 5% wall** against the same run with checkpointing off.
 //!    Both sides take the best of three repetitions so scheduler noise
-//!    doesn't fail CI.
+//!    doesn't fail CI. Full mode only (`overhead_gated`).
 //! 2. **`resume_identical`** — kill the run cleanly mid-flight
 //!    ([`CrashPlan`]), resume from the newest snapshot on a fresh
 //!    simulator, and the finished [`SimRun`] — report, series,
@@ -23,75 +21,26 @@
 //!    the final frame mid-write; recovery must detect the torn frame,
 //!    fall back one checkpoint, and still finish bit-identical.
 
+use crate::{generate, BenchArgs, Run};
 use fediscope_recover::{run_checkpointed, CrashPlan, DirStore, RunOutcome, SnapshotStore};
 use fediscope_simnet::fedsim::{
     overlay, resume_or_restart, FanoutArena, FedSim, FedSimConfig, SimRun,
 };
 use fediscope_simnet::OverlaySpec;
-use fediscope_worldgen::{toots, Generator, ScaleTier, WorldConfig};
+use fediscope_worldgen::toots;
+use serde_json::json;
 use std::time::Instant;
 
-struct Args {
-    quick: bool,
-    seed: u64,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut a = Args {
-        quick: false,
-        seed: 42,
-        out: "BENCH_recover.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => a.quick = true,
-            "--seed" => {
-                a.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number")
-            }
-            "--out" => a.out = it.next().expect("--out needs a path"),
-            "--help" | "-h" => {
-                println!("usage: bench_recover [--quick] [--seed N] [--out PATH]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    a
-}
-
-fn main() {
-    let args = parse_args();
-    let mode = if args.quick { "quick" } else { "full" };
-
-    // The full run prices checkpointing against the paper-2019 tier —
-    // a quick tiny-world run finishes in microseconds, far too short to
-    // amortise (or meaningfully measure) a per-frame cost.
-    let (wcfg, horizon, rate_scale, mut cfg) = if args.quick {
-        let mut cfg = FedSimConfig::new(args.seed);
-        cfg.drain_epochs = 96;
-        (WorldConfig::tiny(args.seed), 48u32, 8.0, cfg)
-    } else {
-        let tier = ScaleTier::Paper2019;
-        (
-            WorldConfig::for_tier(tier, args.seed),
-            tier.fedsim_horizon_epochs(),
-            tier.fedsim_rate_scale(),
-            FedSimConfig::for_tier(tier, args.seed),
-        )
-    };
+pub(crate) fn run(args: &BenchArgs) -> Run {
+    let tier = args.tier;
+    let horizon = tier.fedsim_horizon_epochs();
+    let mut cfg = FedSimConfig::for_tier(tier, args.seed);
     cfg.overlay = OverlaySpec::TopAsOutage(3, horizon / 4, horizon / 2);
 
-    let world = Generator::generate_world(wcfg.clone());
+    let (world, _) = generate(args);
     let fanout = FanoutArena::from_world(&world);
-    let toot_arena = toots::generate(&wcfg, &world.users, horizon, rate_scale);
+    let rate = tier.fedsim_rate_scale();
+    let toot_arena = toots::generate(&args.world(), &world.users, horizon, rate);
     let dest_users: Vec<u32> = world.instances.iter().map(|i| i.user_count).collect();
     let total = toot_arena.horizon() + cfg.drain_epochs;
     eprintln!(
@@ -136,7 +85,11 @@ fn main() {
     // checkpoints once per simulated day. The crash-resume gates below
     // use a much denser interval — they test correctness, not cost.
     let day = u64::from(fediscope_model::time::EPOCHS_PER_DAY);
-    let overhead_interval = if ticks_run > day { day } else { (ticks_run / 2).max(1) };
+    let overhead_interval = if ticks_run > day {
+        day
+    } else {
+        (ticks_run / 2).max(1)
+    };
     let interval = (ticks_run / 8).max(1);
 
     let mut ckpt_s = f64::MAX;
@@ -151,7 +104,11 @@ fn main() {
         assert_eq!(out, RunOutcome::Completed);
         eprintln!("  ckpt rep: {:.4}s", t0.elapsed().as_secs_f64());
         ckpt_s = ckpt_s.min(t0.elapsed().as_secs_f64());
-        assert_eq!(sim.finish(), clean, "checkpointing altered the computed stream");
+        assert_eq!(
+            sim.finish(),
+            clean,
+            "checkpointing altered the computed stream"
+        );
         let ticks = store.ticks();
         n_frames = ticks.len();
         max_frame_bytes = ticks
@@ -162,15 +119,19 @@ fn main() {
     }
     let overhead = (ckpt_s - clean_s).max(0.0) / clean_s;
     let overhead_ok = overhead < 0.05;
-    // A --quick run finishes in well under a millisecond, so a wall-clock
-    // *fraction* is pure scheduler noise there: record it, but only the
-    // full run enforces the 5% budget.
+    // A quick run is too short for a wall-clock *fraction* to be more
+    // than scheduler noise: record it, but only full mode enforces the
+    // 5% budget.
     let overhead_gated = !args.quick;
     eprintln!(
         "overhead: clean {clean_s:.4}s, checkpointed {ckpt_s:.4}s \
          ({:+.2}% — {n_frames} frames, largest {max_frame_bytes} bytes{})",
         overhead * 100.0,
-        if overhead_gated { "" } else { "; not gated under --quick" }
+        if overhead_gated {
+            ""
+        } else {
+            "; not gated under --quick"
+        }
     );
 
     // --- Gates 2 & 3: crash → resume ≡ uninterrupted.
@@ -179,15 +140,28 @@ fn main() {
         let mut store = open_store();
         let mut sim = fresh();
         let out = run_checkpointed(&mut sim, &mut store, interval, Some(plan)).unwrap();
-        assert!(matches!(out, RunOutcome::Crashed { .. }), "crash plan never fired");
+        assert!(
+            matches!(out, RunOutcome::Crashed { .. }),
+            "crash plan never fired"
+        );
         drop(sim); // the process died: nothing in-memory survives
 
         let arena = overlay::build(&cfg.overlay, &world.instances, total);
-        let (mut resumed, info) =
-            resume_or_restart(&store, cfg.clone(), &fanout, &toot_arena, &dest_users, arena);
+        let (mut resumed, info) = resume_or_restart(
+            &store,
+            cfg.clone(),
+            &fanout,
+            &toot_arena,
+            &dest_users,
+            arena,
+        );
         let fin = run_checkpointed(&mut resumed, &mut store, interval, None).unwrap();
         assert_eq!(fin, RunOutcome::Completed);
-        (resumed.finish() == clean, info.resumed_from, info.torn_skipped)
+        (
+            resumed.finish() == clean,
+            info.resumed_from,
+            info.torn_skipped,
+        )
     };
 
     let crash_tick = (ticks_run * 3 / 5).max(1);
@@ -212,39 +186,35 @@ fn main() {
     assert!(torn_skipped >= 1, "the torn final frame went undetected");
     wipe_store();
 
-    fediscope_bench::record_line(
-        &args.out,
-        &format!(
-            "{{\"bench\":\"recover\",\"mode\":\"{mode}\",\"seed\":{seed},\
-             \"instances\":{inst},\"users\":{users},\"ticks\":{ticks_run},\
-             \"overhead_interval\":{overhead_interval},\
-             \"interval\":{interval},\"frames\":{n_frames},\
-             \"max_frame_bytes\":{max_frame_bytes},\
-             \"clean_seconds\":{clean_s:.4},\"checkpointed_seconds\":{ckpt_s:.4},\
-             \"overhead_frac\":{overhead:.4},\"crash_tick\":{crash_tick},\
-             \"torn_crash_tick\":{torn_crash_tick},\"torn_skipped\":{torn_skipped},\
-             \"event_hash\":{hash},\"overhead_gated\":{overhead_gated},\
-             \"overhead_ok\":{overhead_ok},\
-             \"torn_fallback_identical\":{torn_fallback_identical},\
-             \"resume_identical\":{both_identical}}}",
-            seed = args.seed,
-            inst = world.instances.len(),
-            users = world.users.len(),
-            hash = clean.report.event_hash,
-            both_identical = resume_identical && torn_fallback_identical,
-        ),
-    );
-
-    let mut fail = false;
-    if overhead_gated && !overhead_ok {
-        eprintln!("FAIL: checkpointing cost {:.2}% wall (budget 5%)", overhead * 100.0);
-        fail = true;
+    let record = json!({
+        "bench": "recover",
+        "mode": args.mode(),
+        "seed": args.seed,
+        "instances": world.instances.len(),
+        "users": world.users.len(),
+        "ticks": ticks_run,
+        "overhead_interval": overhead_interval,
+        "interval": interval,
+        "frames": n_frames,
+        "max_frame_bytes": max_frame_bytes,
+        "clean_seconds": clean_s,
+        "checkpointed_seconds": ckpt_s,
+        "overhead_frac": overhead,
+        "crash_tick": crash_tick,
+        "torn_crash_tick": torn_crash_tick,
+        "torn_skipped": torn_skipped,
+        "event_hash": clean.report.event_hash,
+        "overhead_gated": overhead_gated,
+        "overhead_ok": overhead_ok,
+        "torn_fallback_identical": torn_fallback_identical,
+        "resume_identical": resume_identical && torn_fallback_identical,
+    });
+    let mut gates = vec![
+        ("resume_identical", resume_identical),
+        ("torn_fallback_identical", torn_fallback_identical),
+    ];
+    if overhead_gated {
+        gates.push(("overhead_under_5pct", overhead_ok));
     }
-    if !(resume_identical && torn_fallback_identical) {
-        eprintln!("FAIL: a resumed run diverged from the uninterrupted run");
-        fail = true;
-    }
-    if fail {
-        std::process::exit(1);
-    }
+    (record, gates)
 }

@@ -9,29 +9,38 @@ use fediscope_core::report;
 use fediscope_core::{availability, content, graphs, population, verdicts, Observatory};
 use fediscope_worldgen::{Generator, WorldConfig};
 
+const USAGE: &str = "usage: repro [--seed N] [--scale tiny|small|paper|full] [--fast]";
+
+/// Print a command-line error with the usage line and exit 2.
+fn usage_error(why: &str) -> ! {
+    eprintln!("repro: {why}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut seed = 42u64;
     let mut scale = "small".to_string();
     let mut fast = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs a value")))
+        };
         match arg.as_str() {
             "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number");
+                let v = value();
+                seed = v
+                    .parse()
+                    .unwrap_or_else(|_| usage_error(&format!("--seed needs a number, got {v:?}")));
             }
-            "--scale" => scale = args.next().expect("--scale needs a value"),
+            "--scale" => scale = value(),
             "--fast" => fast = true,
             "--help" | "-h" => {
-                println!("usage: repro [--seed N] [--scale tiny|small|paper|full] [--fast]");
+                println!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     let cfg = match scale.as_str() {
@@ -39,10 +48,7 @@ fn main() {
         "small" => WorldConfig::small(seed),
         "paper" => WorldConfig::paper_scaled(seed),
         "full" => WorldConfig::paper_full(seed),
-        other => {
-            eprintln!("unknown scale: {other}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown scale {other:?}")),
     };
     let n_instances = cfg.n_instances;
     // thresholds scale with world size

@@ -1,9 +1,13 @@
 //! # fediscope-bench
 //!
 //! The benchmark harness: the [`repro`](../repro/index.html) binary prints
-//! every table and figure; the Criterion benches (`benches/figures.rs`,
-//! `benches/ablations.rs`) time each analysis so regressions in the
-//! substrate (graph algorithms, evaluators, generators) are caught.
+//! every table and figure; the `bench` binary pins each fast engine
+//! against its naive reference (`bench <graph|worldgen|avail|monitor|
+//! scenario|fedsim|recover|wire>`, one record per run appended to
+//! `BENCH_<name>.json`); the Criterion benches (`benches/figures.rs`,
+//! `benches/ablations.rs`, `benches/removal.rs`) time each analysis so
+//! regressions in the substrate (graph algorithms, evaluators,
+//! generators) are caught.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,7 +15,7 @@
 use fediscope_core::Observatory;
 use fediscope_graph::DiGraph;
 use fediscope_recover::write_atomic;
-use fediscope_worldgen::{Generator, ScaleTier, WorldConfig};
+use fediscope_worldgen::{Generator, WorldConfig};
 use std::path::Path;
 
 /// Append one JSON line to a `BENCH_*.json` trajectory file (and echo it
@@ -42,7 +46,7 @@ pub fn bench_observatory(seed: u64) -> Observatory {
 /// availability/growth/Twitter stages) feed
 /// [`DiGraph::from_sorted_blocks`], which skips `GraphBuilder`'s global
 /// edge sort — the cheapest way to stand up a million-user graph.
-fn streamed_user_graph(cfg: &WorldConfig) -> DiGraph {
+pub fn streamed_user_graph(cfg: &WorldConfig) -> DiGraph {
     let cursor = Generator::social_cursor(cfg);
     let n = cursor.n_users() as u32;
     debug_assert_eq!(n as usize, cfg.n_users);
@@ -66,13 +70,6 @@ pub fn bench_user_graph(n_users: usize, mean_out_degree: f64, seed: u64) -> DiGr
     // keep the ancillary baseline small; only the Mastodon graph is used
     cfg.twitter_users = 1_000;
     streamed_user_graph(&cfg)
-}
-
-/// The follower graph of a named [`ScaleTier`] world (paper-2019 / mid /
-/// modern), streamed into CSR form. The modern tier stands up ~30K
-/// instances and a million accounts.
-pub fn tier_user_graph(tier: ScaleTier, seed: u64) -> DiGraph {
-    streamed_user_graph(&WorldConfig::for_tier(tier, seed))
 }
 
 #[cfg(test)]
@@ -121,9 +118,8 @@ mod tests {
     #[test]
     fn bench_user_graph_hits_requested_scale() {
         // Realised mean degree lands well below the configured target after
-        // parallel-edge dedup and small-world clamps; the bench bin
-        // compensates by over-requesting. Here we only pin node count,
-        // connectivity, and that density scales with the knob.
+        // parallel-edge dedup and small-world clamps. Here we only pin node
+        // count, connectivity, and that density scales with the knob.
         let sparse = bench_user_graph(5_000, 10.0, 3);
         assert_eq!(sparse.node_count(), 5_000);
         assert!(sparse.edge_count() > 2 * sparse.node_count());

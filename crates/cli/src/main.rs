@@ -37,10 +37,14 @@ use fediscope_worldgen::{Generator, WorldConfig};
 #[cfg(feature = "net")]
 use std::sync::Arc;
 
+const USAGE: &str = "usage: fediscope <gen|serve|crawl|analyze> [--seed N] \
+     [--scale tiny|small|paper] [--out PATH] [--ticks N] [--tick-ms N] [--fast] \
+     [--checkpoint-dir DIR] [--resume]";
+
 #[cfg_attr(not(feature = "net"), allow(dead_code))]
 struct Opts {
     seed: u64,
-    scale: String,
+    scale: fn(u64) -> WorldConfig,
     out: Option<String>,
     ticks: u32,
     tick_ms: u64,
@@ -49,10 +53,22 @@ struct Opts {
     resume: bool,
 }
 
-fn parse_opts(args: &[String]) -> Opts {
+/// Print a command-line error with the usage line and exit 2.
+fn usage_error(why: &str) -> ! {
+    eprintln!("fediscope: {why}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// A flag's numeric value.
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} needs a number, got {v:?}"))
+}
+
+fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
         seed: 42,
-        scale: "small".into(),
+        scale: WorldConfig::small,
         out: None,
         ticks: 200,
         tick_ms: 10,
@@ -62,60 +78,48 @@ fn parse_opts(args: &[String]) -> Opts {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
-            "--seed" => o.seed = it.next().and_then(|v| v.parse().ok()).expect("--seed N"),
-            "--scale" => o.scale = it.next().expect("--scale value").clone(),
-            "--out" => o.out = Some(it.next().expect("--out path").clone()),
-            "--ticks" => o.ticks = it.next().and_then(|v| v.parse().ok()).expect("--ticks N"),
-            "--tick-ms" => {
-                o.tick_ms = it.next().and_then(|v| v.parse().ok()).expect("--tick-ms N")
+            "--seed" => o.seed = number(a, value()?)?,
+            "--scale" => {
+                o.scale = match value()?.as_str() {
+                    "tiny" => WorldConfig::tiny,
+                    "small" => WorldConfig::small,
+                    "paper" => WorldConfig::paper_scaled,
+                    other => return Err(format!("unknown scale {other:?}")),
+                }
             }
+            "--out" => o.out = Some(value()?.clone()),
+            "--ticks" => o.ticks = number(a, value()?)?,
+            "--tick-ms" => o.tick_ms = number(a, value()?)?,
             "--fast" => o.fast = true,
-            "--checkpoint-dir" => {
-                o.checkpoint_dir = Some(it.next().expect("--checkpoint-dir path").clone())
-            }
+            "--checkpoint-dir" => o.checkpoint_dir = Some(value()?.clone()),
             "--resume" => o.resume = true,
-            other => {
-                eprintln!("unknown option {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown option {other:?}")),
         }
     }
     if o.resume && o.checkpoint_dir.is_none() {
-        eprintln!("--resume needs --checkpoint-dir");
-        std::process::exit(2);
+        return Err("--resume needs --checkpoint-dir".into());
     }
-    o
+    Ok(o)
 }
 
 fn config_for(o: &Opts) -> WorldConfig {
-    match o.scale.as_str() {
-        "tiny" => WorldConfig::tiny(o.seed),
-        "small" => WorldConfig::small(o.seed),
-        "paper" => WorldConfig::paper_scaled(o.seed),
-        other => {
-            eprintln!("unknown scale {other}");
-            std::process::exit(2);
-        }
-    }
+    (o.scale)(o.seed)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("usage: fediscope <gen|serve|crawl|analyze> [options]");
-        std::process::exit(2);
+        usage_error("missing command");
     };
-    let opts = parse_opts(rest);
+    let opts = parse_opts(rest).unwrap_or_else(|why| usage_error(&why));
     match cmd.as_str() {
         "gen" => cmd_gen(&opts),
         "serve" => cmd_serve(&opts),
         "crawl" => cmd_crawl(&opts),
         "analyze" => cmd_analyze(&opts),
-        other => {
-            eprintln!("unknown command {other}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown command {other:?}")),
     }
 }
 

@@ -349,7 +349,13 @@ pub fn fig05_hosting(obs: &Observatory) -> Fig05Hosting {
             toot_share: t as f64 / total_toots.max(1) as f64,
         })
         .collect();
-    countries.sort_by(|a, b| b.instance_share.partial_cmp(&a.instance_share).unwrap());
+    // Share descending, ties by name: the rows come out of a HashMap, so
+    // the tie-break is what makes the top five reproducible.
+    countries.sort_by(|a, b| {
+        b.instance_share
+            .total_cmp(&a.instance_share)
+            .then_with(|| a.name.cmp(&b.name))
+    });
     countries.truncate(5);
 
     // ASes
@@ -361,18 +367,22 @@ pub fn fig05_hosting(obs: &Observatory) -> Fig05Hosting {
         e.2 += obs.toots_per_instance[i];
     }
     let distinct_ases = per_as.len();
-    let mut ases: Vec<HostingRow> = per_as
+    let mut ases: Vec<(u32, HostingRow)> = per_as
         .iter()
-        .map(|(&p, &(i, u, t))| HostingRow {
-            name: obs.world.providers.get(p as usize).name.clone(),
-            instance_share: i as f64 / total_inst,
-            user_share: u as f64 / total_users.max(1) as f64,
-            toot_share: t as f64 / total_toots.max(1) as f64,
+        .map(|(&p, &(i, u, t))| {
+            let row = HostingRow {
+                name: obs.world.providers.get(p as usize).name.clone(),
+                instance_share: i as f64 / total_inst,
+                user_share: u as f64 / total_users.max(1) as f64,
+                toot_share: t as f64 / total_toots.max(1) as f64,
+            };
+            (p, row)
         })
         .collect();
-    ases.sort_by(|a, b| b.user_share.partial_cmp(&a.user_share).unwrap());
-    let top3_as_user_share = ases.iter().take(3).map(|r| r.user_share).sum();
-    ases.truncate(5);
+    // Share descending, ties by provider index (same reason as above).
+    ases.sort_by(|(pa, a), (pb, b)| b.user_share.total_cmp(&a.user_share).then(pa.cmp(pb)));
+    let top3_as_user_share = ases.iter().take(3).map(|(_, r)| r.user_share).sum();
+    let ases: Vec<HostingRow> = ases.into_iter().take(5).map(|(_, r)| r).collect();
 
     Fig05Hosting {
         countries,
@@ -519,6 +529,40 @@ mod tests {
         for r in f.countries.iter().chain(&f.ases) {
             assert!((0.0..=1.0).contains(&r.instance_share));
             assert!((0.0..=1.0).contains(&r.user_share));
+        }
+    }
+
+    #[test]
+    fn fig05_rows_are_reproducible_and_ties_break_by_key() {
+        // The rows are aggregated in a HashMap, whose iteration order
+        // changes from call to call; these tiny worlds have tied shares in
+        // their top five.
+        for seed in [5, 8, 10] {
+            let o = Observatory::new(Generator::generate_world(WorldConfig::tiny(seed)));
+            let first = fig05_hosting(&o);
+            for _ in 1..16 {
+                let again = fig05_hosting(&o);
+                assert_eq!(again.countries, first.countries, "seed {seed}");
+                assert_eq!(again.ases, first.ases, "seed {seed}");
+            }
+            for w in first.countries.windows(2) {
+                let (a, b) = (&w[0], &w[1]);
+                assert!(
+                    a.instance_share > b.instance_share
+                        || (a.instance_share == b.instance_share && a.name < b.name),
+                    "seed {seed}: {a:?} before {b:?}"
+                );
+            }
+            let providers = o.world.providers.providers();
+            let index = |name: &str| providers.iter().position(|p| p.name == name).unwrap();
+            for w in first.ases.windows(2) {
+                let (a, b) = (&w[0], &w[1]);
+                assert!(
+                    a.user_share > b.user_share
+                        || (a.user_share == b.user_share && index(&a.name) < index(&b.name)),
+                    "seed {seed}: {a:?} before {b:?}"
+                );
+            }
         }
     }
 

@@ -15,8 +15,8 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Explicit thread-count override (0 = follow the machine), set by
-/// [`set_thread_override`]. Bench bins use this to pin `--threads N`
-/// runs; library code never writes it.
+/// [`set_thread_override`]. The `bench` binary uses this to pin
+/// `--threads N` runs; library code never writes it.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Override the worker-thread budget process-wide (`None` restores the
@@ -49,9 +49,8 @@ where
     })
 }
 
-/// Number of worker threads used by [`parallel_map`] and
-/// [`parallel_map_with`]: the machine's available parallelism, unless
-/// pinned via [`set_thread_override`].
+/// Number of worker threads used by [`parallel_map`]: the machine's
+/// available parallelism, unless pinned via [`set_thread_override`].
 pub fn thread_budget() -> usize {
     match THREAD_OVERRIDE.load(Ordering::Relaxed) {
         0 => std::thread::available_parallelism()
@@ -87,62 +86,6 @@ where
                         .skip(w)
                         .step_by(workers)
                         .map(|(i, item)| (i, f(item)))
-                        .collect::<Vec<(usize, R)>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for slots in &mut per_worker {
-        for (i, r) in slots.drain(..) {
-            out[i] = Some(r);
-        }
-    }
-    out.into_iter()
-        .map(|r| r.expect("every index produced"))
-        .collect()
-}
-
-/// [`parallel_map`] with one caller-owned scratch per worker: worker `w`
-/// gets exclusive `&mut` access to `scratches[w]` for the whole call, so
-/// expensive working memory (e.g. a graph-sized union-find arena) is
-/// allocated once and reused across every item that worker processes —
-/// and across repeated calls.
-///
-/// At most `scratches.len()` workers run. Results are returned **in input
-/// order**; each item's result must not depend on *which* scratch
-/// processed it (the contract is that `f` fully re-initialises whatever
-/// scratch state it reads), so output never depends on scheduling.
-pub fn parallel_map_with<S, T, R, F>(scratches: &mut [S], items: &[T], f: F) -> Vec<R>
-where
-    S: Send,
-    T: Sync,
-    R: Send,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    assert!(!scratches.is_empty(), "need at least one scratch");
-    let workers = scratches.len().min(items.len()).max(1);
-    if workers <= 1 || items.len() <= 1 {
-        let s = &mut scratches[0];
-        return items.iter().map(|item| f(s, item)).collect();
-    }
-    let mut per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = scratches[..workers]
-            .iter_mut()
-            .enumerate()
-            .map(|(w, scratch)| {
-                s.spawn(move || {
-                    items
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|(i, item)| (i, f(scratch, item)))
                         .collect::<Vec<(usize, R)>>()
                 })
             })
@@ -205,30 +148,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(parallel_map(&empty, |&x| x).is_empty());
         assert_eq!(parallel_map(&[7u32], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn parallel_map_with_reuses_scratches_in_order() {
-        // Each worker's scratch accumulates privately; results come back
-        // in input order regardless of the worker interleave.
-        let items: Vec<u64> = (0..101).collect();
-        for workers in [1usize, 2, 5] {
-            let mut scratches = vec![0u64; workers];
-            let out = parallel_map_with(&mut scratches, &items, |acc, &x| {
-                *acc += 1;
-                x * 2
-            });
-            assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
-            // every item was processed exactly once, across all scratches
-            assert_eq!(scratches.iter().sum::<u64>(), items.len() as u64);
-        }
-    }
-
-    #[test]
-    fn parallel_map_with_empty_items() {
-        let mut scratches = vec![(); 3];
-        let out: Vec<u32> = parallel_map_with(&mut scratches, &[] as &[u32], |_, &x| x);
-        assert!(out.is_empty());
     }
 
     #[test]

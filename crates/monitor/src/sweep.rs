@@ -24,7 +24,7 @@
 //! naive comparison — including its pinned first-worst-day tie-break.
 //!
 //! [`naive_section4`] keeps the per-schedule composition as the reference
-//! the differential tests and `bench_monitor` compare against.
+//! the differential tests and `bench monitor` compare against.
 
 use crate::asn::{as_failure_table, as_failure_table_arena, AsFailureRow};
 use crate::daily::{daily_downtime, daily_runs, size_downtime_correlation, DailyDowntime, SizeBin};
@@ -339,7 +339,7 @@ impl<'a> MonitorSweep<'a> {
 
 /// The kept naive §4 reference: the per-schedule module functions composed
 /// exactly as the pre-arena pipeline ran them, bundled into the same
-/// [`SweepOutput`] so differential tests and `bench_monitor` can compare
+/// [`SweepOutput`] so differential tests and `bench monitor` can compare
 /// the engines with one `==`.
 pub fn naive_section4(
     instances: &[Instance],

@@ -31,7 +31,7 @@
 //! The headline guarantee — crash-then-resume ≡ uninterrupted, bit for bit
 //! — is proptested per engine (`crates/simnet/tests/recover.rs`,
 //! `crates/crawler/tests/crawl_resume.rs`, `crates/replication` unit
-//! tests) and CI-gated via `bench_recover`.
+//! tests) and CI-gated via `bench recover`.
 
 pub mod crash;
 pub mod drive;

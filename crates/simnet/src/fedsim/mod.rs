@@ -27,7 +27,7 @@
 //! **Determinism contract**: same seed, same world, same config ⇒
 //! bit-identical per-tick series, report, and `event_hash` at any shard
 //! or thread count. Enforced by `tests/fedsim.rs` proptests and the
-//! `bench_fedsim` `identical_output` gate.
+//! `bench fedsim` `identical` gate.
 
 pub mod engine;
 pub mod events;

@@ -16,7 +16,7 @@
 //! ones) or honestly restart from scratch when nothing survived.
 //!
 //! **Resume identity** (proptested in `tests/recover.rs`, CI-gated via
-//! `bench_recover`): crash at any tick, resume from any checkpoint ≤ the
+//! `bench recover`): crash at any tick, resume from any checkpoint ≤ the
 //! crash, and the finished run — report, series, per-instance loads,
 //! `event_hash` — is bit-identical to the run that never crashed.
 
