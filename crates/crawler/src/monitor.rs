@@ -206,4 +206,14 @@ mod tests {
         assert!(parse_instance_info(r#"{"uri": 5}"#).is_none());
         assert!(parse_instance_info(r#"{"uri":"x","version":"v","stats":{}}"#).is_none());
     }
+
+    #[test]
+    fn deeply_nested_payload_is_rejected() {
+        for open in ["[", r#"{"a":"#] {
+            assert!(
+                parse_instance_info(&open.repeat(100_000)).is_none(),
+                "{open}"
+            );
+        }
+    }
 }

@@ -185,4 +185,11 @@ mod tests {
     fn empty_page_is_empty_vec() {
         assert_eq!(parse_timeline("[]"), Some(vec![]));
     }
+
+    #[test]
+    fn deeply_nested_page_is_rejected() {
+        for open in ["[", r#"{"a":"#] {
+            assert_eq!(parse_timeline(&open.repeat(100_000)), None, "{open}");
+        }
+    }
 }

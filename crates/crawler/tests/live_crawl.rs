@@ -89,9 +89,10 @@ async fn toot_crawl_recovers_public_toot_counts_exactly() {
     let seeds = SeedList::for_simnet(&world, net.addr());
     let dataset = toots::crawl_toots(&seeds, &Politeness::fast(), &Client::default()).await;
 
+    let timelines = TimelineIndex::build_all(&world);
     for record in &dataset.records {
         let inst = &world.instances[record.instance.index()];
-        let tl = TimelineIndex::build(&world, record.instance);
+        let tl = &timelines[record.instance.index()];
         if inst.crawl_allowed {
             assert!(record.crawled, "instance {} should crawl", inst.domain);
             assert_eq!(
@@ -136,10 +137,11 @@ async fn toot_crawl_survives_fault_injection() {
     };
     let dataset = toots::crawl_toots(&seeds, &politeness, &Client::default()).await;
     // With retries, counts still exact despite injected 500s.
+    let timelines = TimelineIndex::build_all(&world);
     for record in &dataset.records {
         let inst = &world.instances[record.instance.index()];
         if inst.crawl_allowed {
-            let tl = TimelineIndex::build(&world, record.instance);
+            let tl = &timelines[record.instance.index()];
             assert_eq!(
                 record.home_toots, tl.total_public,
                 "faults corrupted crawl of {}",
@@ -205,8 +207,9 @@ async fn full_survey_bundles_all_three_datasets() {
         .iter()
         .all(|s| s.polls.len() == 3));
     // toots: crawlable instances covered exactly
+    let timelines = TimelineIndex::build_all(&world);
     for record in survey.toots.records.iter().filter(|r| r.crawled) {
-        let tl = TimelineIndex::build(&world, record.instance);
+        let tl = &timelines[record.instance.index()];
         assert_eq!(record.home_toots, tl.total_public);
     }
     // graphs: every scraped edge exists in ground truth

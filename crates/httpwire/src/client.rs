@@ -1,9 +1,14 @@
 //! Async HTTP client.
 //!
 //! One connection per request (`connection: close`), bounded by a connect
-//! timeout and an overall request deadline. Deliberately simple: the
-//! crawler's politeness delays dominate, so connection pooling would buy
-//! nothing and cost cancellation-safety complexity.
+//! timeout and an overall request deadline. Deliberately simple: offline,
+//! politeness delays and backoff pass on the executor's virtual clock, and
+//! a crawl's wall time is CPU per request (the crate README has
+//! `crawl-flaky`'s per-layer numbers: about 23 µs per instance poll, and
+//! 0.53 s for 2,075 timeline pages, down from 9.40 s before the JSON string
+//! decoder became linear). No measurement yet shows connection set-up is a
+//! large share of that, and pooling would cost cancellation-safety
+//! complexity.
 
 use crate::codec::{encode_request, parse_response, ParseError};
 use crate::types::{Request, Response};

@@ -122,19 +122,11 @@ impl AvailabilitySchedule {
             end: Epoch(hi),
             cause,
         };
-        // Find insertion window of overlapping-or-adjacent outages.
-        let mut i = 0;
-        let mut j = 0;
-        for (k, o) in self.outages.iter().enumerate() {
-            if o.end.0 < new.start.0 {
-                i = k + 1;
-                j = k + 1;
-            } else if o.start.0 <= new.end.0 {
-                j = k + 1;
-            } else {
-                break;
-            }
-        }
+        // Find the window of overlapping-or-adjacent outages. Outages are
+        // sorted and separated by gaps, so starts and ends both increase
+        // and two binary searches bound the window.
+        let i = self.outages.partition_point(|o| o.end.0 < new.start.0);
+        let j = i + self.outages[i..].partition_point(|o| o.start.0 <= new.end.0);
         for o in &self.outages[i..j] {
             if o.start.0 < new.start.0 {
                 new.cause = o.cause;
@@ -889,7 +881,50 @@ mod prop_tests {
         (0..n).map(|e| s.is_up(Epoch(e))).collect()
     }
 
+    /// The linear-scan window search `add_outage` used before its binary
+    /// searches, kept as the reference they must reproduce.
+    fn add_outage_by_scan(outages: &mut Vec<Outage>, mut new: Outage) {
+        let (mut i, mut j) = (0, 0);
+        for (k, o) in outages.iter().enumerate() {
+            if o.end.0 < new.start.0 {
+                i = k + 1;
+                j = k + 1;
+            } else if o.start.0 <= new.end.0 {
+                j = k + 1;
+            } else {
+                break;
+            }
+        }
+        for o in &outages[i..j] {
+            if o.start.0 < new.start.0 {
+                new.cause = o.cause;
+                new.start = o.start;
+            }
+            if o.end.0 > new.end.0 {
+                new.end = o.end;
+            }
+        }
+        outages.splice(i..j, std::iter::once(new));
+    }
+
     proptest! {
+        /// `add_outage` builds the same list, causes included, as the
+        /// linear-scan window search.
+        #[test]
+        fn add_outage_matches_linear_scan(
+            ivs in proptest::collection::vec((0u32..3000, 1u32..200, 0u8..3), 0..60)
+        ) {
+            let causes = [OutageCause::Organic, OutageCause::CertExpiry, OutageCause::AsFailure];
+            let mut s = AvailabilitySchedule::new(Day(0), None);
+            let mut reference = Vec::new();
+            for &(start, len, c) in &ivs {
+                let (start, end, cause) = (Epoch(start), Epoch(start + len), causes[c as usize]);
+                s.add_outage(start, end, cause);
+                add_outage_by_scan(&mut reference, Outage { start, end, cause });
+            }
+            prop_assert_eq!(s.outages(), &reference[..]);
+        }
+
         /// After arbitrary outage insertion the interval list is sorted,
         /// non-overlapping, non-adjacent, and agrees with a dense rebuild.
         #[test]

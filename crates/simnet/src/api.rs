@@ -119,14 +119,7 @@ fn instance_info(state: &SimState, instance: InstanceId, host: &str) -> Response
     let inst = &state.world.instances[instance.index()];
     let subs = state.subscription_counts()[instance.index()];
     let remote = state.remote_toot_counts()[instance.index()];
-    // expected weekly logins from member propensities
-    let logins: f64 = state
-        .world
-        .users
-        .iter()
-        .filter(|u| u.instance == instance)
-        .map(|u| u.weekly_login_prob as f64)
-        .sum();
+    let logins = state.weekly_login_sums()[instance.index()];
     let body = json!({
         "uri": host,
         "title": host,

@@ -20,9 +20,10 @@ pub struct SimState {
     /// Fault injection.
     pub faults: FaultInjector,
     domains: HashMap<String, InstanceId>,
-    timelines: Vec<OnceLock<TimelineIndex>>,
+    timelines: OnceLock<Vec<TimelineIndex>>,
     followers_of: OnceLock<Vec<Vec<u32>>>,
     subscriptions_out: OnceLock<Vec<u32>>,
+    weekly_logins: OnceLock<Vec<f64>>,
     remote_toots: OnceLock<Vec<u64>>,
     inboxes: Vec<Mutex<Vec<Activity>>>,
 }
@@ -43,9 +44,10 @@ impl SimState {
             faults: FaultInjector::new(plan, seed).with_clock(clock.clone()),
             clock,
             domains,
-            timelines: (0..n).map(|_| OnceLock::new()).collect(),
+            timelines: OnceLock::new(),
             followers_of: OnceLock::new(),
             subscriptions_out: OnceLock::new(),
+            weekly_logins: OnceLock::new(),
             remote_toots: OnceLock::new(),
             inboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
             world,
@@ -62,10 +64,12 @@ impl SimState {
         self.world.schedules[id.index()].is_up(self.clock.now())
     }
 
-    /// Lazily built timeline index for an instance.
+    /// Timeline index for an instance; the first call builds every
+    /// instance's index in one pass over the users.
     pub fn timeline(&self, id: InstanceId) -> &TimelineIndex {
-        self.timelines[id.index()]
-            .get_or_init(|| TimelineIndex::build(&self.world, id))
+        &self
+            .timelines
+            .get_or_init(|| TimelineIndex::build_all(&self.world))[id.index()]
     }
 
     /// Lazily built reverse follower index: `followers_of()[u]` lists the
@@ -92,6 +96,18 @@ impl SimState {
                 out[a.index()] += 1;
             }
             out
+        })
+    }
+
+    /// Expected weekly logins per instance: the sum of its members'
+    /// `weekly_login_prob`, added in user-id order.
+    pub fn weekly_login_sums(&self) -> &Vec<f64> {
+        self.weekly_logins.get_or_init(|| {
+            let mut sums = vec![0.0f64; self.world.instances.len()];
+            for u in &self.world.users {
+                sums[u.instance.index()] += u.weekly_login_prob as f64;
+            }
+            sums
         })
     }
 
@@ -205,6 +221,31 @@ mod tests {
         let counts = s.subscription_counts();
         let total: u32 = counts.iter().sum();
         assert_eq!(total as usize, s.world.federation_edges().len());
+    }
+
+    #[test]
+    fn weekly_login_sums_match_per_instance_scans() {
+        for seed in [21, 22, 23] {
+            let mut cfg = WorldConfig::tiny(seed);
+            cfg.n_instances = 25;
+            cfg.n_users = 400;
+            let s = SimState::new(
+                Arc::new(Generator::generate_world(cfg)),
+                FaultPlan::default(),
+                1,
+            );
+            let sums = s.weekly_login_sums();
+            for inst in &s.world.instances {
+                let scan: f64 = s
+                    .world
+                    .users
+                    .iter()
+                    .filter(|u| u.instance == inst.id)
+                    .map(|u| u.weekly_login_prob as f64)
+                    .sum();
+                assert_eq!(sums[inst.id.index()], scan, "seed {seed} {}", inst.id);
+            }
+        }
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! standard Mastodon `max_id` pagination works: a page returns ids strictly
 //! below `max_id`, newest (highest) first.
 
-use fediscope_model::ids::InstanceId;
 use fediscope_model::world::World;
 
 /// Pageable index over one instance's public toots.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimelineIndex {
     /// Local users with at least one public toot, ascending by id.
     pub user_ids: Vec<u32>,
@@ -30,27 +29,20 @@ pub fn public_toots_of(world: &World, user_idx: usize) -> u64 {
 }
 
 impl TimelineIndex {
-    /// Build the index for `instance`.
-    pub fn build(world: &World, instance: InstanceId) -> Self {
-        let mut user_ids = Vec::new();
-        let mut cum = Vec::new();
-        let mut total = 0u64;
+    /// Build every instance's index (indexed by instance) in one pass
+    /// over the users.
+    pub fn build_all(world: &World) -> Vec<Self> {
+        let mut all = vec![Self::default(); world.instances.len()];
         for u in &world.users {
-            if u.instance != instance {
-                continue;
-            }
             let public = public_toots_of(world, u.id.index());
             if public > 0 {
-                total += public;
-                user_ids.push(u.id.0);
-                cum.push(total);
+                let tl = &mut all[u.instance.index()];
+                tl.total_public += public;
+                tl.user_ids.push(u.id.0);
+                tl.cum.push(tl.total_public);
             }
         }
-        Self {
-            user_ids,
-            cum,
-            total_public: total,
-        }
+        all
     }
 
     /// Map a 0-based enumeration index to `(user, per-user toot number)`.
@@ -88,6 +80,7 @@ impl TimelineIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fediscope_model::ids::InstanceId;
     use fediscope_worldgen::{Generator, WorldConfig};
 
     fn world() -> World {
@@ -97,11 +90,56 @@ mod tests {
         Generator::generate_world(cfg)
     }
 
+    /// One instance's index from a scan over every user: the reference
+    /// `build_all` must reproduce.
+    fn build_by_scan(world: &World, instance: InstanceId) -> TimelineIndex {
+        let mut user_ids = Vec::new();
+        let mut cum = Vec::new();
+        let mut total = 0u64;
+        for u in &world.users {
+            if u.instance != instance {
+                continue;
+            }
+            let public = public_toots_of(world, u.id.index());
+            if public > 0 {
+                total += public;
+                user_ids.push(u.id.0);
+                cum.push(total);
+            }
+        }
+        TimelineIndex {
+            user_ids,
+            cum,
+            total_public: total,
+        }
+    }
+
+    #[test]
+    fn one_pass_matches_per_instance_scans() {
+        for seed in [11, 12, 13] {
+            let mut cfg = WorldConfig::tiny(seed);
+            cfg.n_instances = 25;
+            cfg.n_users = 400;
+            let w = Generator::generate_world(cfg);
+            let all = TimelineIndex::build_all(&w);
+            assert_eq!(all.len(), w.instances.len());
+            for inst in &w.instances {
+                assert_eq!(
+                    all[inst.id.index()],
+                    build_by_scan(&w, inst.id),
+                    "seed {seed} {}",
+                    inst.id
+                );
+            }
+        }
+    }
+
     #[test]
     fn totals_match_per_user_publics() {
         let w = world();
+        let all = TimelineIndex::build_all(&w);
         for inst in &w.instances {
-            let idx = TimelineIndex::build(&w, inst.id);
+            let idx = &all[inst.id.index()];
             let expect: u64 = w
                 .users
                 .iter()
@@ -116,7 +154,7 @@ mod tests {
     fn locate_covers_every_index_exactly_once() {
         let w = world();
         let inst = w.instances.iter().find(|i| i.user_count > 3).unwrap();
-        let idx = TimelineIndex::build(&w, inst.id);
+        let idx = &TimelineIndex::build_all(&w)[inst.id.index()];
         let mut per_user: std::collections::HashMap<u32, u64> = Default::default();
         for i in 0..idx.total_public {
             let (user, k) = idx.locate(i).unwrap();
@@ -134,7 +172,7 @@ mod tests {
     fn paging_walks_all_ids_without_overlap() {
         let w = world();
         let inst = w.instances.iter().find(|i| i.user_count > 3).unwrap();
-        let idx = TimelineIndex::build(&w, inst.id);
+        let idx = &TimelineIndex::build_all(&w)[inst.id.index()];
         let mut seen = Vec::new();
         let mut max_id = u64::MAX;
         loop {
@@ -158,7 +196,7 @@ mod tests {
     fn author_of_bounds() {
         let w = world();
         let inst = w.instances.iter().find(|i| i.user_count > 0).unwrap();
-        let idx = TimelineIndex::build(&w, inst.id);
+        let idx = &TimelineIndex::build_all(&w)[inst.id.index()];
         assert_eq!(idx.author_of(0), None);
         assert_eq!(idx.author_of(idx.total_public + 1), None);
         if idx.total_public > 0 {
@@ -171,7 +209,7 @@ mod tests {
     fn empty_instance_has_empty_timeline() {
         let w = world();
         if let Some(inst) = w.instances.iter().find(|i| i.user_count == 0) {
-            let idx = TimelineIndex::build(&w, inst.id);
+            let idx = &TimelineIndex::build_all(&w)[inst.id.index()];
             assert_eq!(idx.total_public, 0);
             assert!(idx.page(u64::MAX, 40).is_empty());
         }

@@ -52,8 +52,9 @@ async fn crawled_dataset_matches_direct_analysis() {
 
     // Every successfully crawled instance's count matches the ground-truth
     // public timeline *exactly*.
+    let timelines = TimelineIndex::build_all(&world);
     for record in dataset.records.iter().filter(|r| r.crawled) {
-        let tl = TimelineIndex::build(&world, record.instance);
+        let tl = &timelines[record.instance.index()];
         assert_eq!(record.home_toots, tl.total_public);
     }
     // Coverage is partial but substantial (the paper's 62% phenomenon:
