@@ -36,7 +36,7 @@ pub fn fig14_remote_ratio(obs: &Observatory) -> Fig14RemoteRatio {
             home_share.push(home / total);
         }
     }
-    home_share.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    home_share.sort_by(f64::total_cmp);
     let n = home_share.len().max(1) as f64;
     let below_10 = home_share.iter().filter(|&&s| s < 0.10).count() as f64 / n;
     let zero = home_share.iter().filter(|&&s| s == 0.0).count() as f64 / n;

@@ -141,8 +141,7 @@ impl Observatory {
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_by(|&a, &b| {
             self.instance_metric(metric, b as usize)
-                .partial_cmp(&self.instance_metric(metric, a as usize))
-                .unwrap()
+                .total_cmp(&self.instance_metric(metric, a as usize))
                 .then(a.cmp(&b))
         });
         order
@@ -163,7 +162,7 @@ impl Observatory {
                 (score, members.iter().map(|id| id.0).collect())
             })
             .collect();
-        groups.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+        groups.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         groups.into_iter().map(|(_, m)| m).collect()
     }
 

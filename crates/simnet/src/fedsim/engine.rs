@@ -1,23 +1,46 @@
-//! The deterministic discrete-event core: a tick-synchronous BSP loop.
+//! The deterministic discrete-event core: a tick-synchronous BSP loop
+//! that visits only active instances.
 //!
-//! Each tick runs four phases, every one either serial or sharded over
-//! *disjoint* per-instance state with outputs re-concatenated in instance
-//! order — so the transcript is bit-identical at any shard count:
+//! Activity concentrates (the paper's §3): on a modern-tier tick a few
+//! hundred of 30,000 sources have mail to send or retry, and a few dozen
+//! inboxes are non-empty. So no phase walks every instance; each walks
+//! the tick's ascending *active list*:
+//!
+//! - a **source** is active when it has new mail this tick, a non-empty
+//!   retry queue, or a non-empty suspension table;
+//! - a **destination** is active when it receives attempts this tick or
+//!   holds a non-empty inbox.
+//!
+//! An instance that holds queued state stays on its list between ticks,
+//! including ticks its outage skips it. Skipping an idle instance is
+//! exact: it would emit nothing, admit nothing, service an empty inbox and
+//! change no state.
+//!
+//! Each tick runs four phases, every one over *disjoint* per-instance
+//! state with outputs concatenated in instance order — so the transcript
+//! is bit-identical at any shard count:
 //!
 //! 1. **Fan-out** (serial): toots posted this tick become messages, one
 //!    per (home → follower-instance) pair, `seq` assigned in canonical
 //!    author order.
-//! 2. **Phase S** (sharded by source): each live source emits attempts in
-//!    fixed order — redelivery due, then probes (ascending destination),
-//!    then new messages; anything aimed at a suspended destination parks.
-//! 3. **Phase D** (sharded by destination): the outage overlay and the
-//!    bounded inbox judge every attempt (stable-grouped by destination);
-//!    live inboxes then service up to their rate.
-//! 4. **Phase R** (sharded by source): verdicts (stable-grouped back by
-//!    source) drive the retry/backoff/suspension state machines.
+//! 2. **Phase S** (by source): each live source emits attempts in fixed
+//!    order — redelivery due, then probes (ascending destination), then
+//!    new messages; anything aimed at a suspended destination parks.
+//! 3. **Phase D** (by destination): the outage overlay and the bounded
+//!    inbox judge every attempt; live inboxes then service up to their
+//!    rate.
+//! 4. **Phase R** (by source): verdicts drive the retry/backoff/suspension
+//!    state machines.
 //!
-//! Between phases, stable counting sorts regroup events; within a group
-//! events keep the order the previous phase emitted them in.
+//! Between phases a stable sort of the tick's own events regroups them by
+//! the next phase's instance; within a group events keep the order the
+//! previous phase emitted them in. [`shard_map`] splits an active list
+//! into `shards` contiguous runs, so one code path serves every shard
+//! count. `engine/dense.rs` (test build only) holds the dense reference
+//! tick — every instance, every phase — that a differential proptest
+//! compares this loop against after every tick.
+
+use std::ops::Range;
 
 use fediscope_model::schedule::OutageArena;
 use fediscope_model::time::Epoch;
@@ -32,75 +55,115 @@ use super::snapshot::{DestSnap, FedSimState, SourceSnap, SuspensionSnap};
 use super::suspension::{SourceState, Suspension};
 use super::FedSimConfig;
 
-/// Run `f` over every state, split into `shards` contiguous chunks on
-/// scoped threads; results come back in state order for *any* shard
-/// count (chunks are contiguous and outputs are stitched chunk-major).
-fn shard_map<S, R, F>(shards: usize, states: &mut [S], f: F) -> Vec<R>
+#[cfg(test)]
+mod dense;
+
+/// Run `f(k, id, state)` for the `k`-th id of the strictly ascending list
+/// `ids`, split into `shards` contiguous runs: the first run on the
+/// calling thread, the others on scoped threads. Each run owns the slice
+/// of `states` from its first id up to the next run's first id, so runs
+/// never share a state, and results come back in `ids` order at any shard
+/// count.
+fn shard_map<S, R, F>(shards: usize, ids: &[u32], states: &mut [S], f: F) -> Vec<R>
 where
     S: Send,
     R: Send,
-    F: Fn(usize, &mut S) -> R + Sync,
+    F: Fn(usize, u32, &mut S) -> R + Sync,
 {
-    let n = states.len();
-    if shards <= 1 || n <= 1 {
-        return states.iter_mut().enumerate().map(|(i, s)| f(i, s)).collect();
+    let Some(&first) = ids.first() else {
+        return Vec::new();
+    };
+    let per_run = ids.len().div_ceil(shards.max(1));
+    let mut runs = Vec::with_capacity(ids.len().div_ceil(per_run));
+    let mut rest = &mut states[first as usize..];
+    let mut lo = first as usize;
+    for (r, run) in ids.chunks(per_run).enumerate() {
+        let hi = ids
+            .get((r + 1) * per_run)
+            .map_or(lo + rest.len(), |&id| id as usize);
+        let (owned, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+        runs.push((r * per_run, run, lo, owned));
+        rest = tail;
+        lo = hi;
     }
-    let chunk = n.div_ceil(shards.min(n));
-    let mut per_chunk: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = states
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, slice)| {
-                scope.spawn(move || {
-                    slice
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(i, s)| f(c * chunk + i, s))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-    let mut flat = Vec::with_capacity(n);
-    for v in &mut per_chunk {
-        flat.append(v);
-    }
-    flat
+    let work = |(k0, run, lo, owned): (usize, &[u32], usize, &mut [S])| -> Vec<R> {
+        let mut out = Vec::with_capacity(run.len());
+        for (k, &id) in run.iter().enumerate() {
+            out.push(f(k0 + k, id, &mut owned[id as usize - lo]));
+        }
+        out
+    };
+    std::thread::scope(|scope| {
+        let work = &work;
+        let mut runs = runs.into_iter();
+        let head = runs.next().expect("ids is not empty");
+        let handles: Vec<_> = runs.map(|run| scope.spawn(move || work(run))).collect();
+        let mut out = work(head);
+        for h in handles {
+            out.append(&mut h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        out
+    })
 }
 
-/// Stable counting sort of `items` into a CSR grouped by `key` (< `n`):
-/// returns `(offsets, grouped)` with `offsets.len() == n + 1`; within a
-/// group, items keep their input order.
-fn csr_group<T: Copy, K: Fn(&T) -> u32>(n: usize, items: &[T], key: K) -> (Vec<u32>, Vec<T>) {
-    let mut counts = vec![0u32; n];
-    for it in items {
-        counts[key(it) as usize] += 1;
-    }
-    let mut offsets = vec![0u32; n + 1];
-    let mut acc = 0u32;
-    for i in 0..n {
-        offsets[i] = acc;
-        acc += counts[i];
-    }
-    offsets[n] = acc;
-    let Some(&first) = items.first() else {
-        return (offsets, Vec::new());
+/// Stable LSD radix sort of `items` by an instance id below `bound`, one
+/// byte of the id per pass: O(items) per pass whatever the instance count,
+/// and two passes below 65,536 instances.
+fn sort_by_instance<T: Copy>(items: &mut Vec<T>, bound: usize, key: impl Fn(&T) -> u32) {
+    let Some(&fill) = items.first() else {
+        return;
     };
-    // Scatter without uninitialised memory: fill with a copy of the first
-    // item, then overwrite every slot via the cursor walk.
-    let mut grouped = vec![first; items.len()];
-    let mut cursor: Vec<u32> = offsets[..n].to_vec();
-    for &it in items {
-        let at = &mut cursor[key(&it) as usize];
-        grouped[*at as usize] = it;
-        *at += 1;
+    let mut from = std::mem::take(items);
+    let mut to = vec![fill; from.len()];
+    let mut shift = 0;
+    while shift < u32::BITS && bound.saturating_sub(1) >> shift > 0 {
+        let digit = |it: &T| (key(it) >> shift) as usize & 0xFF;
+        let mut next = [0usize; 256];
+        for it in &from {
+            next[digit(it)] += 1;
+        }
+        let mut at = 0;
+        for slot in &mut next {
+            (*slot, at) = (at, at + *slot);
+        }
+        for &it in &from {
+            let d = digit(&it);
+            to[next[d]] = it;
+            next[d] += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+        shift += 8;
     }
-    (offsets, grouped)
+    *items = from;
+}
+
+/// Merge the ascending ids in `held` with the keys of `items` (sorted by
+/// `key`) into one ascending active list, paired with each active id's
+/// range of `items` (empty for an id that only holds state).
+fn activate<T>(
+    held: &[u32],
+    items: &[T],
+    key: impl Fn(&T) -> u32,
+) -> (Vec<u32>, Vec<Range<usize>>) {
+    let mut ids = Vec::with_capacity(held.len());
+    let mut ranges = Vec::with_capacity(held.len());
+    let (mut h, mut c) = (0, 0);
+    while let Some(id) = [held.get(h).copied(), items.get(c).map(&key)]
+        .into_iter()
+        .flatten()
+        .min()
+    {
+        let start = c;
+        while c < items.len() && key(&items[c]) == id {
+            c += 1;
+        }
+        if held.get(h) == Some(&id) {
+            h += 1;
+        }
+        ids.push(id);
+        ranges.push(start..c);
+    }
+    (ids, ranges)
 }
 
 /// The federation delivery simulator. Construct with [`FedSim::new`],
@@ -112,6 +175,10 @@ pub struct FedSim<'a> {
     outages: OutageArena,
     sources: Vec<SourceState>,
     dests: Vec<DestState>,
+    /// Ascending ids of the sources holding retry or suspension state.
+    held_sources: Vec<u32>,
+    /// Ascending ids of the destinations holding a non-empty inbox.
+    held_dests: Vec<u32>,
     tick: u32,
     horizon: u32,
     total_ticks: u32,
@@ -150,6 +217,8 @@ impl<'a> FedSim<'a> {
         FedSim {
             sources: (0..n).map(|_| SourceState::default()).collect(),
             dests,
+            held_sources: Vec::new(),
+            held_dests: Vec::new(),
             tick: 0,
             horizon,
             total_ticks,
@@ -192,7 +261,8 @@ impl<'a> FedSim<'a> {
         self.step();
     }
 
-    /// Advance one tick through all four phases.
+    /// Advance one tick through all four phases, visiting active
+    /// instances only.
     fn step(&mut self) {
         let t = self.tick;
         let n = self.fanout.n_instances();
@@ -213,14 +283,15 @@ impl<'a> FedSim<'a> {
         }
         stat.fanned = fresh.len() as u32;
         self.fanned_out += fresh.len() as u64;
-        let (new_off, new_by_src) = csr_group(n, &fresh, |&(src, _)| src);
+        sort_by_instance(&mut fresh, n, |&(src, _)| src);
+        let (senders, new_mail) = activate(&self.held_sources, &fresh, |&(src, _)| src);
 
-        // Phase S — sharded by source: emit attempts in canonical order.
+        // Phase S — by source: emit attempts in canonical order.
         let outages = &self.outages;
         let cfg = &self.cfg;
-        let emitted: Vec<Vec<Attempt>> = shard_map(shards, &mut self.sources, |i, s| {
+        let emitted = shard_map(shards, &senders, &mut self.sources, |k, i, s| {
             let mut out: Vec<Attempt> = Vec::new();
-            if !outages.view(i).is_up(Epoch(t)) {
+            if !outages.view(i as usize).is_up(Epoch(t)) {
                 return out; // a down instance's delivery workers are paused
             }
             while let Some(msg) = s.retry.pop_due(t) {
@@ -228,52 +299,54 @@ impl<'a> FedSim<'a> {
                     s.park(msg);
                 } else {
                     s.redelivery_attempts += 1;
-                    out.push(Attempt { src: i as u32, msg, probe: false });
+                    out.push(Attempt { src: i, msg, probe: false });
                 }
             }
             for (&dst, susp) in s.suspended.iter_mut() {
                 if susp.probe_due <= t {
                     susp.probe_due = t + cfg.probe_interval;
                     let msg = Msg { seq: PROBE_SEQ, dst, created: t, attempts: 0 };
-                    out.push(Attempt { src: i as u32, msg, probe: true });
+                    out.push(Attempt { src: i, msg, probe: true });
                 }
             }
-            for &(_, msg) in
-                &new_by_src[new_off[i] as usize..new_off[i + 1] as usize]
-            {
+            for &(_, msg) in &fresh[new_mail[k].clone()] {
                 if s.is_suspended(msg.dst) {
                     s.park(msg);
                 } else {
-                    out.push(Attempt { src: i as u32, msg, probe: false });
+                    out.push(Attempt { src: i, msg, probe: false });
                 }
             }
             out
         });
-        let attempts: Vec<Attempt> = emitted.into_iter().flatten().collect();
+        let mut attempts: Vec<Attempt> = emitted.into_iter().flatten().collect();
         let probes = attempts.iter().filter(|a| a.probe).count() as u32;
         stat.probes = probes;
         stat.attempts = attempts.len() as u32 - probes;
         self.probes_total += probes as u64;
         self.attempts_total += stat.attempts as u64;
 
-        // Phase D — sharded by destination: admit + service.
-        let (att_off, att_by_dst) = csr_group(n, &attempts, |a| a.msg.dst);
-        let dest_out: Vec<(Vec<Outcome>, u32)> =
-            shard_map(shards, &mut self.dests, |j, d| {
-                let down = !outages.view(j).is_up(Epoch(t));
-                let slice = &att_by_dst[att_off[j] as usize..att_off[j + 1] as usize];
-                let mut outs = Vec::with_capacity(slice.len());
-                for &attempt in slice {
-                    let verdict = d.admit(t, attempt.msg, attempt.probe, down);
-                    outs.push(Outcome { attempt, verdict });
-                }
-                let (delivered, _) = if down { (0, 0) } else { d.service(t) };
-                (outs, delivered)
-            });
+        // Phase D — by destination: admit + service.
+        sort_by_instance(&mut attempts, n, |a| a.msg.dst);
+        let (targets, inbound) = activate(&self.held_dests, &attempts, |a| a.msg.dst);
+        let dest_out = shard_map(shards, &targets, &mut self.dests, |k, j, d| {
+            let down = !outages.view(j as usize).is_up(Epoch(t));
+            let slice = &attempts[inbound[k].clone()];
+            let mut outs = Vec::with_capacity(slice.len());
+            for &attempt in slice {
+                let verdict = d.admit(t, attempt.msg, attempt.probe, down);
+                outs.push(Outcome { attempt, verdict });
+            }
+            let (delivered, _) = if down { (0, 0) } else { d.service(t) };
+            (outs, delivered, d.backlog() > 0)
+        });
         let mut outcomes: Vec<Outcome> = Vec::with_capacity(attempts.len());
-        for (outs, delivered) in dest_out {
+        self.held_dests.clear();
+        for (&j, (outs, delivered, queued)) in targets.iter().zip(dest_out) {
             stat.delivered += delivered;
             outcomes.extend(outs);
+            if queued {
+                self.held_dests.push(j);
+            }
         }
         self.delivered_total += stat.delivered as u64;
         for o in &outcomes {
@@ -286,12 +359,13 @@ impl<'a> FedSim<'a> {
         self.rejected_full_total += stat.rejected_full as u64;
         self.rejected_down_total += stat.rejected_down as u64;
 
-        // Phase R — sharded by source: verdicts drive retry/suspension.
-        let (out_off, out_by_src) = csr_group(n, &outcomes, |o| o.attempt.src);
-        let dropped: Vec<u32> = shard_map(shards, &mut self.sources, |i, s| {
-            let slice = &out_by_src[out_off[i] as usize..out_off[i + 1] as usize];
+        // Phase R — by source: verdicts drive retry/suspension. Every
+        // outcome's source sent this tick, so `senders` is the active list.
+        sort_by_instance(&mut outcomes, n, |o| o.attempt.src);
+        let (senders, verdicts) = activate(&senders, &outcomes, |o| o.attempt.src);
+        let source_out = shard_map(shards, &senders, &mut self.sources, |k, _, s| {
             let mut dropped_now = 0u32;
-            for &Outcome { attempt, verdict } in slice {
+            for &Outcome { attempt, verdict } in &outcomes[verdicts[k].clone()] {
                 let dst = attempt.msg.dst;
                 s.digest.fold_all(&[
                     t as u64,
@@ -334,9 +408,15 @@ impl<'a> FedSim<'a> {
                     }
                 }
             }
-            dropped_now
+            (dropped_now, !s.is_idle())
         });
-        stat.dropped = dropped.iter().sum();
+        self.held_sources.clear();
+        for (&i, (dropped_now, busy)) in senders.iter().zip(source_out) {
+            stat.dropped += dropped_now;
+            if busy {
+                self.held_sources.push(i);
+            }
+        }
         self.dropped_total += stat.dropped as u64;
         stat.backlog = self.backlog();
         self.series.push(stat);
@@ -411,8 +491,11 @@ impl<'a> FedSim<'a> {
     /// fresh process/executor. Takes the same immutable context `new`
     /// does (config, topology, toots, user counts, and the outage overlay
     /// — all deterministically reconstructible from the config) plus the
-    /// snapshot; derived fields (inbox capacity/service rates, horizon)
-    /// are recomputed, so the snapshot carries only true state.
+    /// snapshot; derived fields (inbox capacity/service rates, horizon,
+    /// the active lists) are recomputed, so the snapshot carries only true
+    /// state. A state that does not fit this world — another instance
+    /// count, a tick past the budget, mail for an instance the world
+    /// lacks — is an error, not a panic.
     pub fn resume(
         cfg: FedSimConfig,
         fanout: &'a FanoutArena,
@@ -420,24 +503,55 @@ impl<'a> FedSim<'a> {
         dest_users: &[u32],
         outages: OutageArena,
         state: &FedSimState,
-    ) -> Self {
+    ) -> Result<Self, serde::Error> {
         let mut sim = FedSim::new(cfg, fanout, toots, dest_users, outages);
-        let n = sim.fanout.n_instances();
-        assert_eq!(state.sources.len(), n, "snapshot is for a different world");
-        assert_eq!(state.dests.len(), n, "snapshot is for a different world");
-        assert!(state.tick <= sim.total_ticks, "snapshot past the tick budget");
+        sim.restore(state)?;
+        Ok(sim)
+    }
 
-        sim.tick = state.tick;
-        sim.next_seq = state.next_seq;
-        sim.fanned_out = state.fanned_out;
-        sim.delivered_total = state.delivered_total;
-        sim.dropped_total = state.dropped_total;
-        sim.probes_total = state.probes_total;
-        sim.attempts_total = state.attempts_total;
-        sim.rejected_full_total = state.rejected_full_total;
-        sim.rejected_down_total = state.rejected_down_total;
-        sim.series = state.series.clone();
-        for (s, snap) in sim.sources.iter_mut().zip(&state.sources) {
+    /// Load `state` into a fresh simulator. Checks that the state fits
+    /// before changing anything, so on an error the simulator is still
+    /// fresh.
+    pub(super) fn restore(&mut self, state: &FedSimState) -> Result<(), serde::Error> {
+        let n = self.fanout.n_instances();
+        if state.sources.len() != n || state.dests.len() != n {
+            return Err(serde::Error::custom(format!(
+                "snapshot is for a different world: {} sources and {} inboxes, \
+                 the world has {n} instances",
+                state.sources.len(),
+                state.dests.len()
+            )));
+        }
+        if state.tick > self.total_ticks {
+            return Err(serde::Error::custom(format!(
+                "snapshot tick {} is past the tick budget {}",
+                state.tick, self.total_ticks
+            )));
+        }
+        let in_world = |dst: u32| (dst as usize) < n;
+        let fits = state.sources.iter().all(|s| {
+            s.retry.iter().all(|(_, m)| in_world(m.dst))
+                && s.suspended
+                    .iter()
+                    .all(|(&dst, ss)| in_world(dst) && ss.parked.iter().all(|m| in_world(m.dst)))
+        });
+        if !fits {
+            return Err(serde::Error::custom(
+                "snapshot holds mail for an instance outside the world",
+            ));
+        }
+
+        self.tick = state.tick;
+        self.next_seq = state.next_seq;
+        self.fanned_out = state.fanned_out;
+        self.delivered_total = state.delivered_total;
+        self.dropped_total = state.dropped_total;
+        self.probes_total = state.probes_total;
+        self.attempts_total = state.attempts_total;
+        self.rejected_full_total = state.rejected_full_total;
+        self.rejected_down_total = state.rejected_down_total;
+        self.series = state.series.clone();
+        for (s, snap) in self.sources.iter_mut().zip(&state.sources) {
             s.retry = RetryQueue::from_entries(snap.retry.iter().copied());
             s.suspended = snap
                 .suspended
@@ -453,7 +567,7 @@ impl<'a> FedSim<'a> {
             s.recovered = snap.recovered;
             s.digest = EventDigest::restore(snap.digest);
         }
-        for (d, snap) in sim.dests.iter_mut().zip(&state.dests) {
+        for (d, snap) in self.dests.iter_mut().zip(&state.dests) {
             d.inbox = snap.inbox.clone();
             d.peak_depth = snap.peak_depth;
             d.first_saturated = snap.first_saturated;
@@ -462,11 +576,24 @@ impl<'a> FedSim<'a> {
             d.latency_sum = snap.latency_sum;
             d.digest = EventDigest::restore(snap.digest);
         }
-        sim
+        self.rebuild_held();
+        Ok(())
+    }
+
+    /// Recompute both active lists from the per-instance state.
+    fn rebuild_held(&mut self) {
+        self.held_sources = (0..self.sources.len() as u32)
+            .filter(|&i| !self.sources[i as usize].is_idle())
+            .collect();
+        self.held_dests = (0..self.dests.len() as u32)
+            .filter(|&j| self.dests[j as usize].backlog() > 0)
+            .collect();
     }
 
     /// Finalize into the report + series (the tail of [`run`](Self::run);
-    /// public so a checkpoint-driven run can finish the same way).
+    /// public so a checkpoint-driven run can finish the same way). Panics
+    /// if the report breaks conservation: a bookkeeping slip must not
+    /// return a report that loses mail.
     pub fn finish(self) -> SimRun {
         let drained = self.backlog() == 0;
         let time_to_drain = if drained {
@@ -561,7 +688,7 @@ impl<'a> FedSim<'a> {
             drained,
             event_hash: hash.value(),
         };
-        debug_assert!(report.conserved(), "conservation violated: {report:?}");
+        assert!(report.conserved(), "conservation violated: {report:?}");
         SimRun { report, series: self.series, delivered_per_instance }
     }
 }
@@ -690,11 +817,61 @@ mod tests {
     #[test]
     fn csr_group_is_stable() {
         let items = [(2u32, 'a'), (0, 'b'), (2, 'c'), (1, 'd')];
-        let (off, grouped) = csr_group(3, &items, |&(k, _)| k);
+        let (off, grouped) = dense::csr_group(3, &items, |&(k, _)| k);
         assert_eq!(off, vec![0, 1, 2, 4]);
         assert_eq!(grouped, vec![(0, 'b'), (1, 'd'), (2, 'a'), (2, 'c')]);
-        let (off_e, grouped_e) = csr_group::<(u32, char), _>(3, &[], |&(k, _)| k);
+        let (off_e, grouped_e) = dense::csr_group::<(u32, char), _>(3, &[], |&(k, _)| k);
         assert_eq!(off_e, vec![0, 0, 0, 0]);
         assert!(grouped_e.is_empty());
+    }
+
+    proptest::proptest! {
+        /// The radix sort is a stable sort by instance: it equals
+        /// `sort_by_key` for worlds that need one, two or three byte
+        /// passes (and none for a single instance).
+        #[test]
+        fn sort_by_instance_is_a_stable_sort(
+            draws in proptest::collection::vec(0u32..u32::MAX, 0..300),
+            bits in 0u32..19,
+        ) {
+            let bound = 1usize << bits;
+            let mut items: Vec<(u32, usize)> =
+                draws.iter().enumerate().map(|(at, &d)| (d % bound as u32, at)).collect();
+            let mut want = items.clone();
+            want.sort_by_key(|&(id, _)| id);
+            sort_by_instance(&mut items, bound, |&(id, _)| id);
+            proptest::prop_assert_eq!(items, want);
+        }
+    }
+
+    #[test]
+    fn activate_merges_held_ids_with_item_keys() {
+        let items = [(1u32, 'a'), (1, 'b'), (4, 'c'), (6, 'd')];
+        let (ids, ranges) = activate(&[0, 4, 5], &items, |&(k, _)| k);
+        assert_eq!(ids, vec![0, 1, 4, 5, 6]);
+        assert_eq!(ranges, vec![0..0, 0..2, 2..3, 3..3, 3..4]);
+        let (ids, ranges) = activate::<(u32, char)>(&[], &[], |&(k, _)| k);
+        assert!(ids.is_empty() && ranges.is_empty());
+    }
+
+    #[test]
+    fn shard_map_runs_cover_the_ids_in_order() {
+        let ids = [1u32, 2, 5, 6, 7, 9];
+        for shards in 1..=8 {
+            let mut states: Vec<u32> = (0..10).collect();
+            let out = shard_map(shards, &ids, &mut states, |k, id, s| {
+                *s += 100;
+                (k, id, *s)
+            });
+            let want: Vec<_> = ids
+                .iter()
+                .enumerate()
+                .map(|(k, &id)| (k, id, id + 100))
+                .collect();
+            assert_eq!(out, want, "{shards} shards");
+            let touched: Vec<u32> = (0..10).filter(|&i| states[i as usize] >= 100).collect();
+            assert_eq!(touched, ids, "{shards} shards");
+        }
+        assert!(shard_map(3, &[], &mut [0u32; 4], |_, _, _| ()).is_empty());
     }
 }

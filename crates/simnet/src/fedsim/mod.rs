@@ -20,7 +20,7 @@
 //! - [`suspension`]: the circuit breaker and parked mail,
 //! - [`metrics`]: per-tick series and the conservation-checked report,
 //! - [`overlay`]: §4/§5 schedules rebased onto the simulation clock,
-//! - [`engine`]: the tick-synchronous sharded BSP loop,
+//! - [`engine`]: the tick-synchronous BSP loop over active instances,
 //! - [`snapshot`]: checkpoint/resume state (see `crates/recover`) with
 //!   the crash-then-resume ≡ uninterrupted bit-identity guarantee.
 //!

@@ -13,7 +13,7 @@
 //! [`fediscope_recover::run_checkpointed`]: `Steppable` exposes the tick
 //! loop, `Snapshot` captures state, and [`resume_or_restart`] is the
 //! read side — take the newest good snapshot from a store (skipping torn
-//! ones) or honestly restart from scratch when nothing survived.
+//! ones) or honestly restart from scratch when nothing usable survived.
 //!
 //! **Resume identity** (proptested in `tests/recover.rs`, CI-gated via
 //! `bench recover`): crash at any tick, resume from any checkpoint ≤ the
@@ -296,17 +296,22 @@ impl Snapshot for FedSim<'_> {
 /// What recovery found in the checkpoint store.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryInfo {
-    /// Tick of the snapshot resumed from; `None` means every snapshot was
-    /// torn (or none existed) and the run restarted from scratch — the
-    /// honest degradation, reported rather than hidden.
+    /// Tick of the snapshot resumed from; `None` means no snapshot was
+    /// usable (none existed, every one was torn, or the newest good one
+    /// did not fit) and the run restarted from scratch — the honest
+    /// degradation, reported rather than hidden.
     pub resumed_from: Option<u64>,
-    /// Snapshots skipped as torn/corrupt during the scan.
+    /// Snapshots skipped as torn or corrupt, including a checksummed
+    /// frame whose state fails to decode or does not fit the world.
     pub torn_skipped: u32,
 }
 
 /// Rebuild a simulator from the newest good snapshot in `store`, or from
-/// scratch when no snapshot survives. Never panics on torn frames — they
-/// are skipped and counted in the returned [`RecoveryInfo`].
+/// scratch when no snapshot survives. Never panics on a bad frame: a torn
+/// frame, or a checksummed one whose state fails to decode or does not
+/// fit this world (see [`FedSim::resume`]), is skipped and counted in the
+/// returned [`RecoveryInfo`]; a newest good frame that does not fit means
+/// a restart from scratch.
 pub fn resume_or_restart<'a, S: SnapshotStore>(
     store: &S,
     cfg: FedSimConfig,
@@ -316,17 +321,13 @@ pub fn resume_or_restart<'a, S: SnapshotStore>(
     outages: OutageArena,
 ) -> (FedSim<'a>, RecoveryInfo) {
     let rec = recover_latest(store, FEDSIM_KIND, FEDSIM_STATE_VERSION);
-    let info = RecoveryInfo {
-        resumed_from: rec.good.as_ref().map(|(meta, _)| meta.tick),
-        torn_skipped: rec.torn_skipped,
-    };
-    let sim = match &rec.good {
-        Some((_, value)) => {
-            let state = FedSimState::from_json_value(value)
-                .expect("checksummed snapshot failed to decode");
-            FedSim::resume(cfg, fanout, toots, dest_users, outages, &state)
+    let mut info = RecoveryInfo { resumed_from: None, torn_skipped: rec.torn_skipped };
+    let mut sim = FedSim::new(cfg, fanout, toots, dest_users, outages);
+    if let Some((meta, value)) = &rec.good {
+        match FedSimState::from_json_value(value).and_then(|state| sim.restore(&state)) {
+            Ok(()) => info.resumed_from = Some(meta.tick),
+            Err(_) => info.torn_skipped += 1,
         }
-        None => FedSim::new(cfg, fanout, toots, dest_users, outages),
-    };
+    }
     (sim, info)
 }

@@ -34,8 +34,9 @@ pub struct SourceState {
     /// Suspended destinations, keyed by instance id (BTreeMap: probes are
     /// emitted in ascending-destination order, deterministically).
     pub suspended: BTreeMap<u32, Suspension>,
-    /// Consecutive-failure counts per destination (lookup only — never
-    /// iterated, so the hash map cannot leak nondeterminism).
+    /// Consecutive-failure counts per destination. The tick loop only
+    /// looks entries up; `FedSim::capture` iterates the map into a
+    /// `BTreeMap`, so its order never reaches the output.
     pub breaker: HashMap<u32, u32>,
     /// Messages abandoned after exhausting their delivery attempts.
     pub dropped: u64,
@@ -107,6 +108,12 @@ impl SourceState {
     /// All sender-held messages (retry + parked).
     pub fn backlog(&self) -> usize {
         self.retry.len() + self.parked_len()
+    }
+
+    /// True when no retry is scheduled and no destination is suspended:
+    /// with no new mail, a tick would not touch this source.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.retry.is_empty() && self.suspended.is_empty()
     }
 }
 

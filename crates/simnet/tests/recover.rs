@@ -14,15 +14,16 @@ use std::sync::OnceLock;
 use fediscope_model::schedule::OutageArena;
 use fediscope_model::{TootArena, World};
 use fediscope_recover::{
-    recover_latest, run_checkpointed, CrashPlan, MemStore, RunOutcome, SnapshotStore,
+    encode_frame, recover_latest, run_checkpointed, CrashPlan, MemStore, RunOutcome, SnapshotStore,
 };
 use fediscope_simnet::fedsim::snapshot::{FEDSIM_KIND, FEDSIM_STATE_VERSION};
 use fediscope_simnet::fedsim::{
-    overlay, resume_or_restart, FanoutArena, FedSim, FedSimConfig, OverlaySpec, SimRun,
+    overlay, resume_or_restart, FanoutArena, FedSim, FedSimConfig, OverlaySpec, RecoveryInfo,
+    SimRun,
 };
 use fediscope_worldgen::{toots, Generator, WorldConfig};
 use proptest::prelude::*;
-use serde::Deserialize as _;
+use serde::{Deserialize as _, Serialize as _};
 
 const HORIZON: u32 = 32;
 
@@ -33,20 +34,25 @@ struct Fixture {
     dest_users: Vec<u32>,
 }
 
+fn fixture(cfg: WorldConfig) -> Fixture {
+    let world = Generator::generate_world(cfg.clone());
+    let fanout = FanoutArena::from_world(&world);
+    let toot_arena = toots::generate(&cfg, &world.users, HORIZON, 8.0);
+    let dest_users: Vec<u32> = world.instances.iter().map(|i| i.user_count).collect();
+    Fixture {
+        world,
+        fanout,
+        toots: toot_arena,
+        dest_users,
+    }
+}
+
 fn fixtures() -> &'static Vec<Fixture> {
     static FIXTURES: OnceLock<Vec<Fixture>> = OnceLock::new();
     FIXTURES.get_or_init(|| {
         [404u64, 505]
             .into_iter()
-            .map(|seed| {
-                let cfg = WorldConfig::tiny(seed);
-                let world = Generator::generate_world(cfg.clone());
-                let fanout = FanoutArena::from_world(&world);
-                let toot_arena = toots::generate(&cfg, &world.users, HORIZON, 8.0);
-                let dest_users: Vec<u32> =
-                    world.instances.iter().map(|i| i.user_count).collect();
-                Fixture { world, fanout, toots: toot_arena, dest_users }
-            })
+            .map(|seed| fixture(WorldConfig::tiny(seed)))
             .collect()
     })
 }
@@ -89,7 +95,7 @@ fn crash_then_resume(
     cfg: &FedSimConfig,
     interval: u64,
     plan: CrashPlan,
-) -> (SimRun, RunOutcome, fediscope_simnet::fedsim::RecoveryInfo) {
+) -> (SimRun, RunOutcome, RecoveryInfo) {
     let mut store = MemStore::new();
     let mut sim = fresh_sim(fx, cfg);
     let outcome = run_checkpointed(&mut sim, &mut store, interval, Some(plan)).unwrap();
@@ -251,7 +257,8 @@ fn timers_and_counters_do_not_reset_on_resume() {
 
     let resumed = FedSim::resume(
         cfg.clone(), &fx.fanout, &fx.toots, &fx.dest_users, build_arena(fx, &cfg), &state,
-    );
+    )
+    .expect("a state resumes in its own world");
     let state2 = resumed.capture();
     // capture(resume(capture(x))) == capture(x): every deadline, count,
     // parked message, and digest word identical — nothing reset
@@ -291,4 +298,91 @@ fn fedsim_state_round_trips_through_the_frame() {
     let rec = recover_latest(&store, FEDSIM_KIND, FEDSIM_STATE_VERSION + 1);
     assert!(rec.must_restart());
     assert_eq!(rec.torn_skipped, 1);
+}
+
+/// A checksummed frame whose state does not fit is skipped like a torn
+/// one: a frame from a different tiny world (40 instances, not 60) and a
+/// fedsim frame whose state is `null` each restart the run from scratch,
+/// counted in `torn_skipped`, without a panic, and the restarted run
+/// still finishes bit-identical.
+#[test]
+fn unfit_snapshot_restarts_from_scratch() {
+    let fx = &fixtures()[0];
+    let cfg = config(5, overlay_for(1), true);
+    let baseline = fresh_sim(fx, &cfg).run();
+
+    let other = fixture(WorldConfig {
+        n_instances: 40,
+        ..WorldConfig::tiny(606)
+    });
+    assert_ne!(other.dest_users.len(), fx.dest_users.len());
+    let mut foreign = fresh_sim(&other, &cfg);
+    for _ in 0..10 {
+        foreign.step_tick();
+    }
+    let states = [foreign.capture().to_json_value(), serde::Value::Null];
+    for state in &states {
+        let mut store = MemStore::new();
+        let frame = encode_frame(FEDSIM_KIND, FEDSIM_STATE_VERSION, 10, state);
+        store.put(10, &frame).unwrap();
+        let (mut sim, info) = resume_or_restart(
+            &store,
+            cfg.clone(),
+            &fx.fanout,
+            &fx.toots,
+            &fx.dest_users,
+            build_arena(fx, &cfg),
+        );
+        assert_eq!((info.resumed_from, info.torn_skipped), (None, 1));
+        assert_eq!(sim.tick(), 0, "restarted from scratch");
+        while !sim.is_done() {
+            sim.step_tick();
+        }
+        assert_eq!(sim.finish(), baseline);
+    }
+}
+
+/// `FedSim::resume` returns an error, never panics, for a state that does
+/// not fit the world: another instance count, a tick past the budget, or
+/// queued mail for an instance the world lacks.
+#[test]
+fn resume_rejects_a_state_that_does_not_fit() {
+    let fx = &fixtures()[0];
+    let cfg = config(11, overlay_for(1), true);
+    let mut sim = fresh_sim(fx, &cfg);
+    for _ in 0..16 {
+        sim.step_tick();
+    }
+    let state = sim.capture();
+    let resume = |state: &fediscope_simnet::fedsim::FedSimState| {
+        FedSim::resume(
+            cfg.clone(),
+            &fx.fanout,
+            &fx.toots,
+            &fx.dest_users,
+            build_arena(fx, &cfg),
+            state,
+        )
+        .map(|sim| sim.tick())
+    };
+    let error = |state| resume(state).unwrap_err().to_string();
+    assert_eq!(resume(&state).unwrap(), 16);
+
+    let mut fewer = state.clone();
+    fewer.dests.pop();
+    assert!(error(&fewer).contains("different world"));
+
+    let mut late = state.clone();
+    late.tick = HORIZON + cfg.drain_epochs + 1;
+    assert!(error(&late).contains("tick budget"));
+
+    let mut stray = state.clone();
+    let retry = &mut stray
+        .sources
+        .iter_mut()
+        .find(|s| !s.retry.is_empty())
+        .unwrap()
+        .retry;
+    retry[0].1.dst = fx.dest_users.len() as u32;
+    assert!(error(&stray).contains("outside the world"));
 }

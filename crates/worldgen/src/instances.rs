@@ -475,7 +475,7 @@ pub fn generate<R: Rng>(
 
     // Label the top-10 by popularity with the paper's Table 2 domains.
     let mut by_pop: Vec<usize> = (0..n).collect();
-    by_pop.sort_by(|&a, &b| popularity[b].partial_cmp(&popularity[a]).unwrap());
+    by_pop.sort_by(|&a, &b| popularity[b].total_cmp(&popularity[a]));
     for (slot, &idx) in by_pop.iter().take(TOP_DOMAINS.len().min(n)).enumerate() {
         instances[idx].domain = TOP_DOMAINS[slot].0.to_string();
         instances[idx].operator = TOP_DOMAINS[slot].1;
@@ -656,7 +656,7 @@ mod tests {
         let s = stage(1000, 29);
         assert!(s.popularity.iter().all(|&w| w > 0.0));
         let mut sorted = s.popularity.clone();
-        sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        sorted.sort_by(|a, b| b.total_cmp(a));
         let total: f64 = sorted.iter().sum();
         let top5: f64 = sorted[..50].iter().sum();
         assert!(top5 / total > 0.5, "top-5% weight share {}", top5 / total);

@@ -306,7 +306,7 @@ mod tests {
                 .filter(|i| i.is_open() == open && i.user_count > 0)
                 .map(|i| i.active_user_pct)
                 .collect();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            v.sort_by(f64::total_cmp);
             v[v.len() / 2]
         };
         let (mo, mc) = (median_activity(true), median_activity(false));
