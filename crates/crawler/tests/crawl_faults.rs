@@ -9,6 +9,8 @@
 use fediscope_crawler::discovery::SeedList;
 use fediscope_crawler::monitor::InstanceMonitor;
 use fediscope_crawler::politeness::Politeness;
+use fediscope_crawler::toots::crawl_toots;
+use fediscope_httpwire::Client;
 use fediscope_model::datasets::InstancesDataset;
 use fediscope_model::time::Epoch;
 use fediscope_model::world::World;
@@ -19,9 +21,14 @@ use std::sync::Arc;
 
 /// A world small enough to crawl hundreds of times in one test run.
 fn tiny_world(seed: u64) -> Arc<World> {
+    sized_world(seed, 6, 80)
+}
+
+/// The tiny world's config at another size.
+fn sized_world(seed: u64, n_instances: usize, n_users: usize) -> Arc<World> {
     let mut cfg = WorldConfig::tiny(seed);
-    cfg.n_instances = 6;
-    cfg.n_users = 80;
+    cfg.n_instances = n_instances;
+    cfg.n_users = n_users;
     cfg.toots_per_user_open = 4.0;
     cfg.toots_per_user_closed = 6.0;
     Arc::new(Generator::generate_world(cfg))
@@ -88,4 +95,52 @@ proptest! {
         let b = crawl(world, FaultPlan::harsh(), injector_seed);
         prop_assert_eq!(&a, &b, "harsh crawl diverged across fresh executors");
     }
+}
+
+/// 64-bit FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the executor's schedule, not just its self-consistency: one fixed
+/// flaky campaign plus a timeline crawl must end at the recorded virtual
+/// instant, after the recorded number of fault decisions, with the recorded
+/// datasets. Every other determinism test compares a build with itself, so
+/// a change that reorders wakes (and so which request draws which fault)
+/// would pass them all. The world has 40 instances, more than the 16 polls
+/// the hostile politeness admits at once: on the six-instance world every
+/// poll is in flight together, and reversed wake, spawn or same-deadline
+/// timer order left all three constants unchanged, while here each of
+/// them moves the clock.
+#[test]
+fn flaky_campaign_schedule_is_pinned() {
+    let world = sized_world(3, 40, 300);
+    let rt = tokio::runtime::Runtime::new().unwrap();
+    let (now, decisions, text) = rt.block_on(async move {
+        let net = launch(world, FaultPlan::flaky(), 11).await.unwrap();
+        let seeds = SeedList::for_simnet(&net.state.world, net.addr());
+        let politeness = Politeness::hostile();
+        let mut monitor = InstanceMonitor::new(seeds.clone(), politeness.clone());
+        let mut epoch = 0u32;
+        while epoch < 6 * 288 {
+            net.state.clock.set(Epoch(epoch));
+            monitor.poll_all(Epoch(epoch)).await;
+            epoch += 96;
+        }
+        let toots = crawl_toots(&seeds, &politeness, &Client::default()).await;
+        let now = tokio::time::now_nanos();
+        let decisions = net.state.faults.export_state().counter;
+        let text = format!("{:?}", (monitor.into_dataset(), toots));
+        net.shutdown().await;
+        (now, decisions, text)
+    });
+    assert_eq!(now, 7_171_000_547, "virtual clock at the end of the crawl");
+    assert_eq!(decisions, 808, "fault decisions drawn");
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        0x588f_39ed_be98_253b,
+        "dataset digest"
+    );
 }

@@ -1,8 +1,10 @@
 //! Async byte-stream traits plus the extension methods `httpwire` uses
-//! (`read`, `read_to_end`, `write_all`, `shutdown`). Poll signatures follow
-//! the futures-rs shape (`&mut [u8]` buffers); the tokio facade re-exports
-//! these under `tokio::io`.
+//! (`read`, `read_buf`, `read_to_end`, `write_all`, `shutdown`). Poll
+//! signatures follow the futures-rs shape (`&mut [u8]` buffers), plus a
+//! tokio-shaped `read_buf` that appends to a [`BytesMut`]; the tokio facade
+//! re-exports these under `tokio::io`.
 
+use bytes::BytesMut;
 use std::future::Future;
 use std::io;
 use std::pin::Pin;
@@ -15,6 +17,14 @@ pub trait AsyncRead {
         self: Pin<&mut Self>,
         cx: &mut Context<'_>,
         buf: &mut [u8],
+    ) -> Poll<io::Result<usize>>;
+
+    /// Append the bytes that are ready to the end of `buf`, returning how
+    /// many were added (0 = EOF).
+    fn poll_read_buf(
+        self: Pin<&mut Self>,
+        cx: &mut Context<'_>,
+        buf: &mut BytesMut,
     ) -> Poll<io::Result<usize>>;
 }
 
@@ -46,6 +56,21 @@ impl<T: AsyncRead + Unpin + ?Sized> Future for Read<'_, T> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         Pin::new(&mut *this.io).poll_read(cx, this.buf)
+    }
+}
+
+/// Future returned by [`AsyncReadExt::read_buf`].
+pub struct ReadBuf<'a, T: ?Sized> {
+    io: &'a mut T,
+    buf: &'a mut BytesMut,
+}
+
+impl<T: AsyncRead + Unpin + ?Sized> Future for ReadBuf<'_, T> {
+    type Output = io::Result<usize>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        Pin::new(&mut *this.io).poll_read_buf(cx, this.buf)
     }
 }
 
@@ -138,6 +163,16 @@ pub trait AsyncReadExt: AsyncRead {
         Self: Unpin,
     {
         Read { io: self, buf }
+    }
+
+    /// Read some bytes and append them to `buf`; resolves to the count
+    /// added (0 = EOF). Unlike [`read`](AsyncReadExt::read), the caller
+    /// needs no scratch slice.
+    fn read_buf<'a>(&'a mut self, buf: &'a mut BytesMut) -> ReadBuf<'a, Self>
+    where
+        Self: Unpin,
+    {
+        ReadBuf { io: self, buf }
     }
 
     /// Read until EOF, appending to `out`; resolves to the bytes added.

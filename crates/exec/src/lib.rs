@@ -11,6 +11,7 @@
 //!
 //! - **Scheduling** is a FIFO ready queue polled by one thread. A task woken
 //!   twice is polled twice; wake order is program order, never OS order.
+//!   Each task's waker is built once at spawn and lent to every poll.
 //! - **Time** is virtual. `sleep`/`timeout`/`interval` register deadlines in
 //!   a binary heap keyed by `(deadline, sequence)`. When the ready queue
 //!   drains, the executor jumps the clock to the earliest deadline — a
@@ -19,7 +20,10 @@
 //!   in-memory byte pipes. `TcpListener::bind("127.0.0.1:0")` allocates
 //!   ports from a counter, so addresses are identical across runs. Streams
 //!   support orderly shutdown *and* hard resets (`ECONNRESET`), which the
-//!   fault injector uses to model instances dying mid-request.
+//!   fault injector uses to model instances dying mid-request. Reads copy
+//!   straight out of the pipe: `read` fills a slice, and tokio's
+//!   `AsyncReadExt::read_buf` appends everything buffered to a `BytesMut`,
+//!   so a caller needs no scratch chunk.
 //!
 //! If nothing is ready and no timer is pending, the executor panics with a
 //! deadlock report rather than hanging — a stuck crawl is a bug, not a wait.

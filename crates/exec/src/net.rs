@@ -16,6 +16,7 @@
 //!   traffic, wrong for congestion experiments. Documented trade-off.
 
 use crate::runtime::with_current;
+use bytes::BytesMut;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
@@ -272,11 +273,15 @@ impl Drop for TcpStream {
     }
 }
 
-impl crate::io::AsyncRead for TcpStream {
-    fn poll_read(
-        self: Pin<&mut Self>,
+impl TcpStream {
+    /// The read side shared by `poll_read` and `poll_read_buf`: fail after a
+    /// reset, hand `take` the buffered bytes (as the deque's two slices) and
+    /// drop the `n` it consumed, report EOF once closed and drained, else
+    /// park the reader.
+    fn poll_pipe(
+        &self,
         cx: &mut Context<'_>,
-        buf: &mut [u8],
+        take: impl FnOnce(&[u8], &[u8]) -> usize,
     ) -> Poll<io::Result<usize>> {
         let mut p = self.rx.inner.lock();
         if p.reset {
@@ -286,10 +291,9 @@ impl crate::io::AsyncRead for TcpStream {
             )));
         }
         if !p.buf.is_empty() {
-            let n = buf.len().min(p.buf.len());
-            for slot in buf.iter_mut().take(n) {
-                *slot = p.buf.pop_front().expect("len checked");
-            }
+            let (front, back) = p.buf.as_slices();
+            let n = take(front, back);
+            p.buf.drain(..n);
             return Poll::Ready(Ok(n));
         }
         if p.closed {
@@ -297,6 +301,35 @@ impl crate::io::AsyncRead for TcpStream {
         }
         p.reader = Some(cx.waker().clone());
         Poll::Pending
+    }
+}
+
+impl crate::io::AsyncRead for TcpStream {
+    fn poll_read(
+        self: Pin<&mut Self>,
+        cx: &mut Context<'_>,
+        buf: &mut [u8],
+    ) -> Poll<io::Result<usize>> {
+        self.poll_pipe(cx, |front, back| {
+            let n = buf.len().min(front.len() + back.len());
+            let from_front = n.min(front.len());
+            buf[..from_front].copy_from_slice(&front[..from_front]);
+            buf[from_front..n].copy_from_slice(&back[..n - from_front]);
+            n
+        })
+    }
+
+    fn poll_read_buf(
+        self: Pin<&mut Self>,
+        cx: &mut Context<'_>,
+        buf: &mut BytesMut,
+    ) -> Poll<io::Result<usize>> {
+        self.poll_pipe(cx, |front, back| {
+            buf.reserve(front.len() + back.len());
+            buf.extend_from_slice(front);
+            buf.extend_from_slice(back);
+            front.len() + back.len()
+        })
     }
 }
 
@@ -415,6 +448,88 @@ mod tests {
             let mut out = Vec::new();
             client.read_to_end(&mut out).await.unwrap();
             assert_eq!(out, b"bye");
+        });
+    }
+
+    /// Writes outpace reads so the pipe's ring buffer wraps, then `read`
+    /// and `read_buf` take bytes from both of its slices: the stream must
+    /// still come out whole and in order.
+    #[test]
+    fn reads_straddling_the_ring_wrap_keep_order() {
+        let rt = Runtime::new().unwrap();
+        rt.block_on(async {
+            let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
+            let mut client = TcpStream::connect(listener.local_addr().unwrap())
+                .await
+                .unwrap();
+            let (mut conn, _) = listener.accept().await.unwrap();
+            let stream: Vec<u8> = (0..=250u8).cycle().take(20_000).collect();
+            let (mut sent, mut step) = (0usize, 0usize);
+            let mut got = BytesMut::new();
+            let (mut straddled_read, mut straddled_read_buf) = (false, false);
+            while got.len() < stream.len() {
+                let w = (40 + step * 37 % 90).min(stream.len() - sent);
+                conn.write_all(&stream[sent..sent + w]).await.unwrap();
+                sent += w;
+                let (front, back) = {
+                    let p = client.rx.inner.lock();
+                    let (f, b) = p.buf.as_slices();
+                    (f.len(), b.len())
+                };
+                if step % 5 == 4 {
+                    let n = client.read_buf(&mut got).await.unwrap();
+                    assert_eq!(n, front + back, "read_buf takes everything buffered");
+                    straddled_read_buf |= back > 0;
+                } else {
+                    let mut chunk = [0u8; 256];
+                    let want = 1 + step * 97 % chunk.len();
+                    let n = client.read(&mut chunk[..want]).await.unwrap();
+                    got.extend_from_slice(&chunk[..n]);
+                    straddled_read |= back > 0 && n > front;
+                }
+                step += 1;
+            }
+            assert!(
+                straddled_read && straddled_read_buf,
+                "the ring never wrapped"
+            );
+            assert_eq!(&got[..], &stream[..]);
+        });
+    }
+
+    #[test]
+    fn read_buf_drains_before_eof() {
+        let rt = Runtime::new().unwrap();
+        rt.block_on(async {
+            let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
+            let mut client = TcpStream::connect(listener.local_addr().unwrap())
+                .await
+                .unwrap();
+            let (mut conn, _) = listener.accept().await.unwrap();
+            conn.write_all(b"bye").await.unwrap();
+            drop(conn);
+            let mut buf = BytesMut::from(&b">"[..]);
+            assert_eq!(client.read_buf(&mut buf).await.unwrap(), 3);
+            assert_eq!(client.read_buf(&mut buf).await.unwrap(), 0);
+            assert_eq!(&buf[..], b">bye", "appends, never overwrites");
+        });
+    }
+
+    #[test]
+    fn read_buf_after_reset_errors() {
+        let rt = Runtime::new().unwrap();
+        rt.block_on(async {
+            let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
+            let mut client = TcpStream::connect(listener.local_addr().unwrap())
+                .await
+                .unwrap();
+            let (mut conn, _) = listener.accept().await.unwrap();
+            conn.write_all(b"doomed").await.unwrap();
+            conn.reset();
+            let mut buf = BytesMut::new();
+            let err = client.read_buf(&mut buf).await.unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
+            assert!(buf.is_empty(), "reset discards buffered bytes");
         });
     }
 

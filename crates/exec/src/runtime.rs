@@ -15,6 +15,13 @@ const ROOT: u64 = 0;
 
 type BoxedTask = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
+/// A spawned task: its future and the waker every poll lends it. The waker
+/// is built once at spawn, so a poll allocates nothing of its own.
+struct Task {
+    future: BoxedTask,
+    waker: Waker,
+}
+
 /// One pending virtual-time deadline. Ordered by `(deadline, seq)` so that
 /// timers registered earlier fire earlier on ties — total order, no races.
 struct TimerEntry {
@@ -46,7 +53,7 @@ pub(crate) struct Shared {
     /// FIFO queue of woken task ids.
     queue: Mutex<VecDeque<u64>>,
     /// Live spawned tasks (the root future lives on `block_on`'s stack).
-    tasks: Mutex<HashMap<u64, BoxedTask>>,
+    tasks: Mutex<HashMap<u64, Task>>,
     /// Pending virtual-time deadlines.
     timers: Mutex<BinaryHeap<TimerEntry>>,
     timer_seq: AtomicU64,
@@ -114,7 +121,11 @@ impl Shared {
                 w.wake();
             }
         };
-        self.tasks.lock().insert(id, Box::pin(wrapped));
+        let task = Task {
+            future: Box::pin(wrapped),
+            waker: self.waker_for(id),
+        };
+        self.tasks.lock().insert(id, task);
         self.queue.lock().push_back(id);
         JoinHandle {
             id,
@@ -129,9 +140,8 @@ impl Shared {
         let Some(mut task) = self.tasks.lock().remove(&id) else {
             return; // completed or aborted; stale queue entry
         };
-        let waker = self.waker_for(id);
-        let mut cx = Context::from_waker(&waker);
-        if task.as_mut().poll(&mut cx).is_pending() {
+        let mut cx = Context::from_waker(&task.waker);
+        if task.future.as_mut().poll(&mut cx).is_pending() {
             self.tasks.lock().insert(id, task);
         }
     }

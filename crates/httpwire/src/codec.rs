@@ -6,7 +6,7 @@
 //! cancellation-safety guidance: buffer ownership lives outside the future).
 
 use crate::types::{split_target, Method, Request, Response, StatusCode};
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 
 /// Maximum accepted head (request/status line + headers) size.
 pub const MAX_HEAD: usize = 16 * 1024;
@@ -103,7 +103,7 @@ pub fn parse_request(buf: &mut BytesMut) -> Result<Option<Request>, ParseError> 
     if buf.len() < head_end + body_len {
         return Ok(None);
     }
-    let _ = buf.split_to(head_end);
+    buf.advance(head_end);
     let body = buf.split_to(body_len).freeze();
     Ok(Some(Request {
         method,
@@ -144,7 +144,7 @@ pub fn parse_response(buf: &mut BytesMut) -> Result<Option<Response>, ParseError
     if buf.len() < head_end + body_len {
         return Ok(None);
     }
-    let _ = buf.split_to(head_end);
+    buf.advance(head_end);
     let body = buf.split_to(body_len).freeze();
     Ok(Some(Response {
         status: StatusCode(code),
@@ -154,53 +154,140 @@ pub fn parse_response(buf: &mut BytesMut) -> Result<Option<Response>, ParseError
     }))
 }
 
-/// Serialise a request (adds `content-length`; never duplicates it).
-pub fn encode_request(req: &Request) -> Bytes {
-    let mut target = req.path.clone();
-    if !req.query.is_empty() {
-        target.push('?');
-        for (i, (k, v)) in req.query.iter().enumerate() {
-            if i > 0 {
-                target.push('&');
-            }
-            target.push_str(k);
-            target.push('=');
-            target.push_str(v);
+/// Append `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    let mut out = format!("{} {} HTTP/1.1\r\n", req.method.as_str(), target);
-    for (n, v) in &req.headers {
-        if n != "content-length" {
-            out.push_str(&format!("{n}: {v}\r\n"));
-        }
-    }
-    out.push_str(&format!("content-length: {}\r\n\r\n", req.body.len()));
-    let mut bytes = BytesMut::from(out.as_bytes());
-    bytes.extend_from_slice(&req.body);
-    bytes.freeze()
+    out.extend_from_slice(&digits[i..]);
 }
 
-/// Serialise a response (adds `content-length`).
-pub fn encode_response(resp: &Response) -> Bytes {
-    let mut out = format!(
-        "HTTP/1.1 {} {}\r\n",
-        resp.status.0,
-        resp.status.reason()
-    );
-    for (n, v) in &resp.headers {
+/// Size of a head whose start line takes `start_line` bytes: that line,
+/// the header fields `encode_tail` writes and the longest possible
+/// `content-length` field.
+fn head_len(start_line: usize, headers: &[(String, String)]) -> usize {
+    let fields: usize = headers
+        .iter()
+        .filter(|(n, _)| n != "content-length")
+        .map(|(n, v)| n.len() + v.len() + 4)
+        .sum();
+    // "content-length: " + up to 20 digits + "\r\n\r\n"
+    start_line + fields + 16 + 20 + 4
+}
+
+/// Write every header except a caller-supplied `content-length`, then the
+/// real one, the blank line and the body.
+fn encode_tail(out: &mut Vec<u8>, headers: &[(String, String)], body: &[u8]) {
+    for (n, v) in headers {
         if n != "content-length" {
-            out.push_str(&format!("{n}: {v}\r\n"));
+            out.extend_from_slice(n.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(v.as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
     }
-    out.push_str(&format!("content-length: {}\r\n\r\n", resp.body.len()));
-    let mut bytes = BytesMut::from(out.as_bytes());
-    bytes.extend_from_slice(&resp.body);
-    bytes.freeze()
+    out.extend_from_slice(b"content-length: ");
+    push_decimal(out, body.len());
+    out.extend_from_slice(b"\r\n\r\n");
+    out.extend_from_slice(body);
+}
+
+/// Serialise a request (adds `content-length`; never duplicates it) into
+/// one buffer sized up front.
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    let method = req.method.as_str();
+    let query: usize = req.query.iter().map(|(k, v)| k.len() + v.len() + 2).sum();
+    let start_line = method.len() + 1 + req.path.len() + query + " HTTP/1.1\r\n".len();
+    let mut out = Vec::with_capacity(head_len(start_line, &req.headers) + req.body.len());
+    out.extend_from_slice(method.as_bytes());
+    out.push(b' ');
+    out.extend_from_slice(req.path.as_bytes());
+    for (i, (k, v)) in req.query.iter().enumerate() {
+        out.push(if i == 0 { b'?' } else { b'&' });
+        out.extend_from_slice(k.as_bytes());
+        out.push(b'=');
+        out.extend_from_slice(v.as_bytes());
+    }
+    out.extend_from_slice(b" HTTP/1.1\r\n");
+    encode_tail(&mut out, &req.headers, &req.body);
+    out
+}
+
+/// Serialise a response (adds `content-length`) into one buffer sized up
+/// front.
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    let reason = resp.status.reason();
+    // "HTTP/1.1 " + up to five digits + " " + reason + "\r\n"
+    let start_line = 9 + 5 + 1 + reason.len() + 2;
+    let mut out = Vec::with_capacity(head_len(start_line, &resp.headers) + resp.body.len());
+    out.extend_from_slice(b"HTTP/1.1 ");
+    push_decimal(&mut out, usize::from(resp.status.0));
+    out.push(b' ');
+    out.extend_from_slice(reason.as_bytes());
+    out.extend_from_slice(b"\r\n");
+    encode_tail(&mut out, &resp.headers, &resp.body);
+    out
+}
+
+/// The `format!` encoders the ones above replaced, kept as the oracle of
+/// the differential proptest in `prop_tests`.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::types::{Request, Response};
+    use bytes::{Bytes, BytesMut};
+
+    /// Serialise a request (adds `content-length`; never duplicates it).
+    pub fn encode_request(req: &Request) -> Bytes {
+        let mut target = req.path.clone();
+        if !req.query.is_empty() {
+            target.push('?');
+            for (i, (k, v)) in req.query.iter().enumerate() {
+                if i > 0 {
+                    target.push('&');
+                }
+                target.push_str(k);
+                target.push('=');
+                target.push_str(v);
+            }
+        }
+        let mut out = format!("{} {} HTTP/1.1\r\n", req.method.as_str(), target);
+        for (n, v) in &req.headers {
+            if n != "content-length" {
+                out.push_str(&format!("{n}: {v}\r\n"));
+            }
+        }
+        out.push_str(&format!("content-length: {}\r\n\r\n", req.body.len()));
+        let mut bytes = BytesMut::from(out.as_bytes());
+        bytes.extend_from_slice(&req.body);
+        bytes.freeze()
+    }
+
+    /// Serialise a response (adds `content-length`).
+    pub fn encode_response(resp: &Response) -> Bytes {
+        let mut out = format!("HTTP/1.1 {} {}\r\n", resp.status.0, resp.status.reason());
+        for (n, v) in &resp.headers {
+            if n != "content-length" {
+                out.push_str(&format!("{n}: {v}\r\n"));
+            }
+        }
+        out.push_str(&format!("content-length: {}\r\n\r\n", resp.body.len()));
+        let mut bytes = BytesMut::from(out.as_bytes());
+        bytes.extend_from_slice(&resp.body);
+        bytes.freeze()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     #[test]
     fn request_round_trip() {
@@ -313,10 +400,36 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
+    use bytes::Bytes;
+    use proptest::collection::vec;
     use proptest::prelude::*;
 
     fn arb_token() -> impl Strategy<Value = String> {
         "[a-z][a-z0-9-]{0,12}".prop_map(|s| s)
+    }
+
+    /// Any Unicode text, so multi-byte characters test the encoders'
+    /// byte-length arithmetic.
+    fn arb_text() -> impl Strategy<Value = String> {
+        vec(any::<u32>(), 0..12).prop_map(|cs| {
+            cs.into_iter()
+                .filter_map(|c| char::from_u32(c % 0x11_0000))
+                .collect()
+        })
+    }
+
+    /// Header lists where about one field in four is a caller-supplied
+    /// `content-length`, which both encoders must drop.
+    fn arb_headers() -> impl Strategy<Value = Vec<(String, String)>> {
+        vec((0u8..4, arb_token(), arb_text()), 0..6).prop_map(|fields| {
+            fields
+                .into_iter()
+                .map(|(k, name, value)| match k {
+                    0 => ("content-length".to_string(), value),
+                    _ => (name, value),
+                })
+                .collect()
+        })
     }
 
     proptest! {
@@ -339,6 +452,33 @@ mod prop_tests {
             let parsed = parse_request(&mut buf).unwrap().unwrap();
             prop_assert_eq!(parsed, req);
             prop_assert!(buf.is_empty());
+        }
+
+        /// The pre-sized encoders write exactly the bytes of the `format!`
+        /// encoders they replaced.
+        #[test]
+        fn encoders_match_format_oracle(
+            method in (0usize..3).prop_map(|i| [Method::Get, Method::Post, Method::Head][i]),
+            (path, query) in (arb_text(), vec((arb_text(), arb_text()), 0..4)),
+            headers in arb_headers(),
+            body in vec(any::<u8>(), 0..600),
+            code in any::<u16>(),
+        ) {
+            let req = Request {
+                method,
+                path,
+                query,
+                headers: headers.clone(),
+                body: Bytes::from(body.clone()),
+            };
+            prop_assert_eq!(&encode_request(&req)[..], &oracle::encode_request(&req)[..]);
+            let resp = Response {
+                status: StatusCode(code),
+                headers,
+                body: Bytes::from(body),
+                hangup: false,
+            };
+            prop_assert_eq!(&encode_response(&resp)[..], &oracle::encode_response(&resp)[..]);
         }
 
         /// The parser never panics on arbitrary byte soup.

@@ -104,19 +104,17 @@ impl ServerHandle {
 }
 
 async fn serve_connection(mut stream: TcpStream, handler: Handler, read_timeout: Duration) {
-    let mut buf = BytesMut::with_capacity(4096);
+    let mut buf = BytesMut::new();
     loop {
         // Parse as many pipelined requests as the buffer holds.
         let req = loop {
             match parse_request(&mut buf) {
                 Ok(Some(req)) => break Some(req),
                 Ok(None) => {
-                    let mut chunk = [0u8; 4096];
-                    let read =
-                        tokio::time::timeout(read_timeout, stream.read(&mut chunk)).await;
+                    let read = tokio::time::timeout(read_timeout, stream.read_buf(&mut buf)).await;
                     match read {
-                        Ok(Ok(0)) => break None,          // peer closed
-                        Ok(Ok(n)) => buf.extend_from_slice(&chunk[..n]),
+                        Ok(Ok(0)) => break None,           // peer closed
+                        Ok(Ok(_)) => {}                    // appended to buf
                         Ok(Err(_)) | Err(_) => break None, // io error / idle
                     }
                 }

@@ -107,11 +107,7 @@ impl Request {
 
     /// First value of a (case-insensitive) header.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// The `Host` header (virtual-host routing key).
@@ -197,19 +193,24 @@ impl Response {
         self
     }
 
-    /// First value of a header.
+    /// First value of a (case-insensitive) header.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// Body as UTF-8 (lossy).
     pub fn text(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()
     }
+}
+
+/// First value of the header `name`, compared without regard to ASCII case
+/// (and without allocating a lower-cased copy of `name`).
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
 }
 
 /// Split a request target into path and parsed query parameters.

@@ -86,7 +86,9 @@ async fn route(
 ) -> Response {
     let path = req.path.trim_end_matches('/');
     match (req.method, path) {
-        (Method::Get, "/api/v1/instance") => instance_info(&state, instance, host),
+        (Method::Get, "/api/v1/instance") => {
+            Response::json(state.instance_documents()[instance.index()].clone())
+        }
         (Method::Get, "/api/v1/timelines/public") => timeline(&state, instance, &req),
         (Method::Get, "/.well-known/webfinger") => webfinger(&state, instance, host, &req),
         (Method::Get, p) => {
@@ -113,28 +115,6 @@ fn resolve_user(state: &SimState, instance: InstanceId, name: &str) -> Option<us
     let idx: usize = name.strip_prefix('u')?.parse().ok()?;
     let user = state.world.users.get(idx)?;
     (user.instance == instance).then_some(idx)
-}
-
-fn instance_info(state: &SimState, instance: InstanceId, host: &str) -> Response {
-    let inst = &state.world.instances[instance.index()];
-    let subs = state.subscription_counts()[instance.index()];
-    let remote = state.remote_toot_counts()[instance.index()];
-    let logins = state.weekly_login_sums()[instance.index()];
-    let body = json!({
-        "uri": host,
-        "title": host,
-        "version": inst.software.version_string(),
-        "registrations": inst.is_open(),
-        "stats": {
-            "user_count": inst.user_count,
-            "status_count": inst.toot_count,
-            "domain_count": subs,
-        },
-        "logins_week": logins.round() as u64,
-        "fediscope_remote_toots": remote,
-        "fediscope_boosted_toots": inst.boosted_toots,
-    });
-    Response::json(body.to_string())
 }
 
 fn timeline(state: &SimState, instance: InstanceId, req: &Request) -> Response {
@@ -315,6 +295,34 @@ mod tests {
         assert_eq!(v["stats"]["user_count"].as_u64().unwrap(), inst.user_count as u64);
         assert_eq!(v["stats"]["status_count"].as_u64().unwrap(), inst.toot_count);
         assert_eq!(v["registrations"].as_bool().unwrap(), inst.is_open());
+    }
+
+    #[test]
+    fn served_instance_documents_equal_fresh_renders() {
+        let s = state();
+        for inst in &s.world.instances {
+            let resp = get(&s, &inst.domain, "/api/v1/instance");
+            assert_eq!(resp.status, StatusCode::OK);
+            assert_eq!(
+                resp.body,
+                s.render_instance_document(inst.id),
+                "{}",
+                inst.domain
+            );
+        }
+    }
+
+    #[test]
+    fn up_instance_serves_identical_bytes_across_epochs() {
+        let s = state();
+        let domain = s.world.instances[3].domain.clone();
+        s.clock.set(fediscope_model::time::Epoch(0));
+        let early = get(&s, &domain, "/api/v1/instance");
+        s.clock.set(fediscope_model::time::Epoch(100_000));
+        let late = get(&s, &domain, "/api/v1/instance");
+        assert_eq!(early.status, StatusCode::OK);
+        assert_eq!(late.status, StatusCode::OK);
+        assert_eq!(early.body, late.body);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 use crate::clock::SimClock;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::timelines::TimelineIndex;
+use bytes::Bytes;
 use fediscope_activitypub::Activity;
 use fediscope_model::ids::InstanceId;
 use fediscope_model::world::World;
 use parking_lot::Mutex;
+use serde_json::json;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -25,6 +27,7 @@ pub struct SimState {
     subscriptions_out: OnceLock<Vec<u32>>,
     weekly_logins: OnceLock<Vec<f64>>,
     remote_toots: OnceLock<Vec<u64>>,
+    instance_documents: OnceLock<Vec<Bytes>>,
     inboxes: Vec<Mutex<Vec<Activity>>>,
 }
 
@@ -49,6 +52,7 @@ impl SimState {
             subscriptions_out: OnceLock::new(),
             weekly_logins: OnceLock::new(),
             remote_toots: OnceLock::new(),
+            instance_documents: OnceLock::new(),
             inboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
             world,
         })
@@ -137,6 +141,45 @@ impl SimState {
             }
             out
         })
+    }
+
+    /// The `/api/v1/instance` body of every instance, rendered on first use
+    /// and then served as shared bytes. The document reads only the
+    /// immutable world (the clock, faults and budgets are all decided
+    /// before routing), so an instance's bytes never change between polls.
+    pub fn instance_documents(&self) -> &Vec<Bytes> {
+        self.instance_documents.get_or_init(|| {
+            self.world
+                .instances
+                .iter()
+                .map(|inst| self.render_instance_document(inst.id))
+                .collect()
+        })
+    }
+
+    /// Render one instance's `/api/v1/instance` document: the metadata
+    /// mnm.social polled (§3). `uri` and `title` are the domain, which is
+    /// also the `Host` the request was routed by.
+    pub fn render_instance_document(&self, id: InstanceId) -> Bytes {
+        let inst = &self.world.instances[id.index()];
+        let subs = self.subscription_counts()[id.index()];
+        let remote = self.remote_toot_counts()[id.index()];
+        let logins = self.weekly_login_sums()[id.index()];
+        let body = json!({
+            "uri": inst.domain.as_str(),
+            "title": inst.domain.as_str(),
+            "version": inst.software.version_string(),
+            "registrations": inst.is_open(),
+            "stats": {
+                "user_count": inst.user_count,
+                "status_count": inst.toot_count,
+                "domain_count": subs,
+            },
+            "logins_week": logins.round() as u64,
+            "fediscope_remote_toots": remote,
+            "fediscope_boosted_toots": inst.boosted_toots,
+        });
+        Bytes::from(body.to_string())
     }
 
     /// Enforce the per-epoch request budget for an instance. Returns `false`
