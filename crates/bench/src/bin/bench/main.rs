@@ -12,7 +12,7 @@
 //! user removal), `worldgen` (the generator behind every section),
 //! `avail` and `scenario` (§5.2 replication), `monitor` (§4
 //! availability), `fedsim` and `recover` (§3 federation delivery and its
-//! checkpoints), `wire` (the crawler's net stack; needs `--features net`).
+//! checkpoints), `wire` (§3's crawler over HTTP).
 //!
 //! Every subcommand shares one flag set, one world and one gate check:
 //!
@@ -33,7 +33,6 @@ mod graph;
 mod monitor;
 mod recover;
 mod scenario;
-#[cfg(feature = "net")]
 mod wire;
 mod worldgen;
 
@@ -63,7 +62,6 @@ const COMMANDS: &[(&str, Entry)] = &[
     ("scenario", scenario::run),
     ("fedsim", fedsim::run),
     ("recover", recover::run),
-    #[cfg(feature = "net")]
     ("wire", wire::run),
 ];
 
@@ -88,11 +86,10 @@ impl BenchArgs {
     /// Parse `<name> [flags]`; `Err` says what was wrong.
     fn parse(argv: &[String]) -> Result<BenchArgs, String> {
         let (name, flags) = argv.split_first().ok_or("missing subcommand")?;
-        let command = match COMMANDS.iter().find(|(n, _)| n == name) {
-            Some(&(n, _)) => n,
-            None if name == "wire" => return Err("wire needs a build with --features net".into()),
-            None => return Err(format!("unknown subcommand {name:?}")),
-        };
+        let &(command, _) = COMMANDS
+            .iter()
+            .find(|(n, _)| n == name)
+            .ok_or_else(|| format!("unknown subcommand {name:?}"))?;
         let mut args = BenchArgs {
             command,
             quick: false,
@@ -313,13 +310,14 @@ mod tests {
             ("graph --tier", "--tier needs a value"),
             ("worldgen --trials 3", "unknown flag \"--trials\""),
             ("recover --scale tiny", "unknown flag \"--scale\""),
+            (
+                "wire --tier mid",
+                "wire runs its own 10/40-instance fixture and takes no --tier",
+            ),
+            ("wire --sweeps 5", "unknown flag \"--sweeps\""),
         ] {
             assert_eq!(parse(line), Err(why.to_string()), "{line:?}");
         }
-        // Without the net feature `wire` is not built at all; with it, the
-        // fixture refuses a tier. Either way the line is rejected.
-        assert!(parse("wire --tier mid").is_err());
-        assert!(parse("wire --sweeps 5").is_err());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! A bad command line exits 2 with a usage line, never a panic.
+//! A bad command line exits 2 with a usage line, never a panic; `bench
+//! wire` runs in the default build.
 
 use std::process::Command;
 
@@ -37,4 +38,18 @@ fn repro_rejects_bad_flags() {
     ] {
         assert_usage_error(env!("CARGO_BIN_EXE_repro"), args);
     }
+}
+
+#[test]
+fn bench_wire_runs() {
+    let out_path = format!("{}/bench_wire_usage.json", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_file(&out_path);
+    let out = Command::new(env!("CARGO_BIN_EXE_bench"))
+        .args(["wire", "--quick", "--out", &out_path])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let record = std::fs::read_to_string(&out_path).expect("record written");
+    assert!(record.contains(r#""identical_output":true"#), "{record}");
 }

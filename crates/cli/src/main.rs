@@ -21,27 +21,19 @@
 //! bit-identical to one that never died.
 
 use fediscope_core::{report, verdicts, Observatory};
-#[cfg(feature = "net")]
 use fediscope_crawler::discovery::SeedList;
-#[cfg(feature = "net")]
 use fediscope_crawler::monitor::InstanceMonitor;
-#[cfg(feature = "net")]
 use fediscope_crawler::politeness::Politeness;
-#[cfg(feature = "net")]
 use fediscope_crawler::toots;
-#[cfg(feature = "net")]
 use fediscope_model::time::Epoch;
-#[cfg(feature = "net")]
 use fediscope_simnet::{launch, FaultPlan};
 use fediscope_worldgen::{Generator, WorldConfig};
-#[cfg(feature = "net")]
 use std::sync::Arc;
 
 const USAGE: &str = "usage: fediscope <gen|serve|crawl|analyze> [--seed N] \
      [--scale tiny|small|paper] [--out PATH] [--ticks N] [--tick-ms N] [--fast] \
      [--checkpoint-dir DIR] [--resume]";
 
-#[cfg_attr(not(feature = "net"), allow(dead_code))]
 struct Opts {
     seed: u64,
     scale: fn(u64) -> WorldConfig,
@@ -139,25 +131,6 @@ fn cmd_gen(o: &Opts) {
     }
 }
 
-#[cfg(not(feature = "net"))]
-fn cmd_serve(_o: &Opts) {
-    eprintln!(
-        "`serve` needs the networked build: recompile with `--features net` \
-         (requires the real tokio; see vendor/tokio)"
-    );
-    std::process::exit(2);
-}
-
-#[cfg(not(feature = "net"))]
-fn cmd_crawl(_o: &Opts) {
-    eprintln!(
-        "`crawl` needs the networked build: recompile with `--features net` \
-         (requires the real tokio; see vendor/tokio)"
-    );
-    std::process::exit(2);
-}
-
-#[cfg(feature = "net")]
 fn cmd_serve(o: &Opts) {
     let rt = tokio::runtime::Runtime::new().expect("tokio runtime");
     rt.block_on(async {
@@ -189,16 +162,13 @@ fn cmd_serve(o: &Opts) {
 }
 
 /// Frame kind tag for `crawl --checkpoint-dir` snapshots.
-#[cfg(feature = "net")]
 const CRAWL_KIND: &str = "cli-crawl";
 
 /// Schema version of [`CrawlCheckpoint`]. Bump on any shape change.
-#[cfg(feature = "net")]
 const CRAWL_STATE_VERSION: u32 = 1;
 
 /// What `crawl --checkpoint-dir` persists after each monitor sweep:
 /// enough to continue the campaign bit-identically on a fresh process.
-#[cfg(feature = "net")]
 #[derive(serde::Serialize, serde::Deserialize)]
 struct CrawlCheckpoint {
     /// Monitor sweeps completed.
@@ -212,14 +182,10 @@ struct CrawlCheckpoint {
 }
 
 /// Epochs between monitor sweeps, and sweeps in the campaign.
-#[cfg(feature = "net")]
 const SWEEP_STRIDE: u32 = 96;
-#[cfg(feature = "net")]
 const SWEEPS: u32 = 18;
-#[cfg(feature = "net")]
 const BASE_EPOCH: u32 = 40_000;
 
-#[cfg(feature = "net")]
 fn cmd_crawl(o: &Opts) {
     use fediscope_recover::{encode_frame, recover_latest, DirStore, SnapshotStore};
 

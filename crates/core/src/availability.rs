@@ -208,31 +208,6 @@ pub fn section4_tier(obs: &Observatory, tier: ScaleTier) -> Section4 {
     section4_sweep(obs, cfg.min_as_instances, cfg.day_stride)
 }
 
-/// Fig. 7 at tier scale, through the sweep. When more than one §4 figure
-/// is needed, call [`section4_tier`] once instead — the sweep computes
-/// them all in the same pass.
-pub fn fig07_downtime_tier(obs: &Observatory, tier: ScaleTier) -> Fig07Downtime {
-    section4_tier(obs, tier).fig07
-}
-
-/// Fig. 8 at tier scale, through the sweep (see [`fig07_downtime_tier`]'s
-/// amortisation note).
-pub fn fig08_daily_downtime_tier(obs: &Observatory, tier: ScaleTier) -> Fig08DailyDowntime {
-    section4_tier(obs, tier).fig08
-}
-
-/// Fig. 10 at tier scale, through the sweep (see [`fig07_downtime_tier`]'s
-/// amortisation note).
-pub fn fig10_outages_tier(obs: &Observatory, tier: ScaleTier) -> Fig10Outages {
-    section4_tier(obs, tier).fig10
-}
-
-/// Table 1 at tier scale, through the sweep (see [`fig07_downtime_tier`]'s
-/// amortisation note).
-pub fn table1_as_failures_tier(obs: &Observatory, tier: ScaleTier) -> Vec<AsFailureRow> {
-    section4_tier(obs, tier).table1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,16 +307,12 @@ mod tests {
     #[test]
     fn tier_entry_points_follow_tier_tables() {
         // Tier worlds are too big for unit tests; run the tier *knobs* on a
-        // small world and check the wrappers agree with the direct sweep.
+        // small world and check the entry point agrees with the direct sweep.
         let o = obs();
         let tier = ScaleTier::Paper2019;
         let s4 = section4_tier(&o, tier);
         let direct = section4_sweep(&o, tier.table1_min_instances(), tier.fig08_day_stride());
         assert!(s4 == direct);
-        assert!(fig07_downtime_tier(&o, tier) == direct.fig07);
-        assert!(fig08_daily_downtime_tier(&o, tier) == direct.fig08);
-        assert!(fig10_outages_tier(&o, tier) == direct.fig10);
-        assert!(table1_as_failures_tier(&o, tier) == direct.table1);
         // the paper threshold prunes small-world ASes: every surviving row
         // respects it
         for row in &s4.table1 {

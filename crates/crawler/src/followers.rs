@@ -97,9 +97,10 @@ pub async fn scrape_user(
         if politeness.per_call_delay > std::time::Duration::ZERO {
             tokio::time::sleep(politeness.per_call_delay).await;
         }
+        // Only forward: a `next` at or behind this page would loop forever.
         match next {
-            Some(n) => page = n,
-            None => break,
+            Some(n) if n > page => page = n,
+            _ => break,
         }
     }
     out
@@ -147,5 +148,30 @@ mod tests {
         assert!(parse_followers_page("[]").is_none());
         assert!(parse_followers_page(r#"{"items": [7]}"#).is_none());
         assert!(parse_followers_page(r#"{"items": ["x3"]}"#).is_none());
+    }
+
+    /// A server whose `next` points back at the first page three times
+    /// before it ends the list: the scrape takes one page and stops.
+    #[tokio::test]
+    async fn backward_next_ends_the_scrape() {
+        use fediscope_httpwire::{Response, Server};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let served = Arc::new(AtomicUsize::new(0));
+        let counter = served.clone();
+        let server = Server::new(move |_req| {
+            let looping = counter.fetch_add(1, Ordering::SeqCst) < 3;
+            let next = if looping { "1" } else { "null" };
+            async move { Response::json(format!(r#"{{"items":["u1"],"next":{next}}}"#)) }
+        });
+        let handle = server.bind("127.0.0.1:0").await.unwrap();
+        let seed = Seed {
+            instance: InstanceId(0),
+            domain: "loop.test".into(),
+            addr: handle.addr(),
+        };
+        let got = scrape_user(&Client::default(), &Politeness::fast(), &seed, UserId(7)).await;
+        assert_eq!(got, vec![UserId(1)]);
+        assert_eq!(served.load(Ordering::SeqCst), 1);
+        handle.shutdown().await;
     }
 }

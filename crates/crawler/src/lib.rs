@@ -24,23 +24,15 @@
 #![warn(missing_docs)]
 
 pub mod discovery;
-#[cfg(feature = "net")]
 pub mod followers;
-#[cfg(feature = "net")]
 pub mod monitor;
 pub mod politeness;
-#[cfg(feature = "net")]
 pub mod retry;
-#[cfg(feature = "net")]
 pub mod survey;
-#[cfg(feature = "net")]
 pub mod toots;
 
 pub use discovery::SeedList;
-#[cfg(feature = "net")]
 pub use monitor::{InstanceMonitor, MonitorState};
 pub use politeness::Politeness;
-#[cfg(feature = "net")]
 pub use retry::{fetch_with_retry, BreakerBank, FetchResult};
-#[cfg(feature = "net")]
 pub use survey::{run_survey, Survey};

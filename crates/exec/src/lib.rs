@@ -1,7 +1,8 @@
 //! # fediscope-exec
 //!
 //! A deterministic, single-threaded async executor with **virtual time** and
-//! an **in-memory TCP transport** — the engine behind the `net` feature.
+//! an **in-memory TCP transport** — the engine the wire stack (`httpwire`,
+//! `simnet`, `crawler`) runs on.
 //!
 //! The study's measurement loop (crawler ↔ simulated fediverse) needs an
 //! async runtime, but a real multi-threaded runtime would make every crawl
@@ -30,7 +31,7 @@
 //!
 //! The public surface deliberately mirrors the subset of tokio the workspace
 //! uses; `vendor/tokio` re-exports it under tokio's module layout so the
-//! `net`-gated code compiles unchanged against either engine.
+//! async code compiles unchanged against either engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -22,17 +22,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "net")]
 pub mod client;
 pub mod codec;
 pub mod router;
-#[cfg(feature = "net")]
 pub mod server;
 pub mod types;
 
-#[cfg(feature = "net")]
 pub use client::{Client, ClientError};
 pub use router::Router;
-#[cfg(feature = "net")]
 pub use server::{Server, ServerHandle};
 pub use types::{Method, Request, Response, StatusCode};

@@ -7,7 +7,7 @@
 //! good predictor of availability".
 
 use fediscope_model::instance::Instance;
-use fediscope_model::schedule::{AvailabilitySchedule, OutageArena};
+use fediscope_model::schedule::AvailabilitySchedule;
 use fediscope_model::time::{Day, EPOCHS_PER_DAY, WINDOW_DAYS};
 use fediscope_stats::{pearson, BoxStats};
 
@@ -91,13 +91,10 @@ impl DailyDowntime {
 /// Walk one instance's existing days with an outage cursor, emitting the
 /// per-day downtime fraction for each day the instance exists.
 ///
-/// This is the shared `O(days + outages)` kernel behind [`daily_downtime`],
-/// [`daily_downtime_arena`], and `sweep::MonitorSweep` — outage bounds come
-/// through the `bound` accessor so the walk is agnostic about whether the
-/// intervals live in an [`AvailabilitySchedule`]'s `Vec<Outage>` or in the
-/// [`OutageArena`]'s flat columns. Every emitted fraction is computed with
-/// the exact expression `AvailabilitySchedule::daily_downtime` uses, so
-/// all callers produce bit-identical samples.
+/// This is the `O(days + outages)` kernel behind [`daily_downtime`], the
+/// Fig. 8 reference; `sweep::MonitorSweep` runs the run-length
+/// [`daily_runs`] fold instead. Every emitted fraction is computed with the
+/// exact expression `AvailabilitySchedule::daily_downtime` uses.
 pub(crate) fn daily_walk(
     birth: u32,
     death: u32,
@@ -249,39 +246,6 @@ pub fn daily_downtime(
     DailyDowntime { per_bin, overall }
 }
 
-/// [`daily_downtime`] over the columnar [`OutageArena`]: identical samples
-/// via the run-length fold ([`daily_runs`]), read from flat interval
-/// columns instead of per-instance `Vec`s.
-pub fn daily_downtime_arena(
-    instances: &[Instance],
-    arena: &OutageArena,
-    day_stride: u32,
-) -> DailyDowntime {
-    assert!(day_stride >= 1);
-    let mut bins: [Vec<f64>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-    let mut overall = Vec::new();
-    for (inst, v) in instances.iter().zip(arena.views()) {
-        let samples = &mut bins[SizeBin::of(inst.toot_count).index()];
-        daily_runs(
-            v.birth.0,
-            v.death.0,
-            v.outage_count(),
-            |k| (v.starts[k].0, v.ends[k].0),
-            day_stride,
-            |frac, count| {
-                samples.resize(samples.len() + count, frac);
-                overall.resize(overall.len() + count, frac);
-            },
-        );
-    }
-    let mut bins = bins.into_iter();
-    let per_bin = SizeBin::ALL
-        .iter()
-        .map(|&b| (b, bins.next().unwrap()))
-        .collect();
-    DailyDowntime { per_bin, overall }
-}
-
 /// The size-vs-downtime correlation across instances (paper: ≈ −0.04).
 pub fn size_downtime_correlation(
     instances: &[Instance],
@@ -295,23 +259,6 @@ pub fn size_downtime_correlation(
         }
         toots.push(inst.toot_count as f64);
         down.push(sched.downtime_fraction());
-    }
-    pearson(&toots, &down)
-}
-
-/// [`size_downtime_correlation`] over the columnar [`OutageArena`].
-pub fn size_downtime_correlation_arena(
-    instances: &[Instance],
-    arena: &OutageArena,
-) -> Option<f64> {
-    let mut toots = Vec::new();
-    let mut down = Vec::new();
-    for (inst, v) in instances.iter().zip(arena.views()) {
-        if v.lifetime_epochs() == 0 {
-            continue;
-        }
-        toots.push(inst.toot_count as f64);
-        down.push(v.downtime_fraction());
     }
     pearson(&toots, &down)
 }
@@ -441,73 +388,10 @@ mod tests {
     }
 
     #[test]
-    fn arena_run_fold_matches_per_day_walk() {
-        use fediscope_model::schedule::OutageArena;
-        // mixed lifetimes, sub-day blips, multi-day and month-long outages,
-        // outage chains sharing boundary days — across several strides the
-        // run-length arena fold must equal the per-day schedule walk
-        // bit-for-bit.
-        let instances = vec![
-            mk_inst(0, 100),
-            mk_inst(1, 50_000),
-            mk_inst(2, 500_000),
-            mk_inst(3, 2_000_000),
-        ];
-        let mut s0 = AvailabilitySchedule::new(Day(3), Some(Day(200)));
-        s0.add_outage(
-            Epoch(Day(5).start_epoch().0 + 7),
-            Epoch(Day(5).start_epoch().0 + 19),
-            OutageCause::Organic,
-        );
-        s0.add_outage(Day(40).start_epoch(), Day(43).start_epoch(), OutageCause::AsFailure);
-        s0.add_outage(
-            Epoch(Day(43).start_epoch().0 + 10),
-            Epoch(Day(43).start_epoch().0 + 20),
-            OutageCause::Organic,
-        );
-        let mut s1 = AvailabilitySchedule::always_up();
-        for k in 0..40u32 {
-            let start = k * 3000 + 13;
-            s1.add_outage(Epoch(start), Epoch(start + 290), OutageCause::Organic);
-        }
-        let mut s2 = AvailabilitySchedule::new(Day(100), None);
-        s2.add_outage(Epoch(0), Epoch(u32::MAX / 2), OutageCause::CertExpiry);
-        let mut s3 = AvailabilitySchedule::always_up();
-        s3.add_outage(
-            Epoch(Day(9).start_epoch().0 + 100),
-            Epoch(Day(47).start_epoch().0 + 3),
-            OutageCause::Organic,
-        );
-        let schedules = vec![s0, s1, s2, s3];
-        let arena = OutageArena::from_schedules(&schedules);
-        for stride in [1u32, 7, 30] {
-            let naive = daily_downtime(&instances, &schedules, stride);
-            let got = daily_downtime_arena(&instances, &arena, stride);
-            assert_eq!(got, naive, "stride {stride}");
-        }
-    }
-
-    #[test]
     fn bin_index_matches_all_order() {
         for (i, b) in SizeBin::ALL.iter().enumerate() {
             assert_eq!(b.index(), i);
         }
-    }
-
-    #[test]
-    fn correlation_arena_matches_naive_on_generated_world() {
-        use fediscope_model::schedule::OutageArena;
-        use fediscope_worldgen::{Generator, WorldConfig};
-        let mut cfg = WorldConfig::tiny(59);
-        cfg.n_instances = 250;
-        cfg.n_users = 1_500;
-        let w = Generator::generate_world(cfg);
-        let arena = OutageArena::from_schedules(&w.schedules);
-        let naive = size_downtime_correlation(&w.instances, &w.schedules);
-        let got = size_downtime_correlation_arena(&w.instances, &arena);
-        // bit-identical: same input vectors in the same order
-        assert_eq!(got.map(f64::to_bits), naive.map(f64::to_bits));
-        assert!(naive.is_some());
     }
 
     #[test]

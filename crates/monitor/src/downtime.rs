@@ -1,7 +1,7 @@
 //! Lifetime downtime distributions and failure exposure (Fig. 7).
 
 use fediscope_model::instance::Instance;
-use fediscope_model::schedule::{AvailabilitySchedule, OutageArena};
+use fediscope_model::schedule::AvailabilitySchedule;
 use fediscope_model::time::EPOCHS_PER_DAY;
 use fediscope_stats::Ecdf;
 
@@ -23,17 +23,6 @@ pub fn downtime_report(schedules: &[AvailabilitySchedule]) -> DowntimeReport {
         .map(|s| {
             (s.lifetime_epochs() >= EPOCHS_PER_DAY).then(|| s.downtime_fraction())
         })
-        .collect();
-    let cdf = Ecdf::new(fraction.iter().flatten().copied().collect());
-    DowntimeReport { fraction, cdf }
-}
-
-/// [`downtime_report`] over the columnar [`OutageArena`]: bit-identical
-/// fractions, read from flat interval columns.
-pub fn downtime_report_arena(arena: &OutageArena) -> DowntimeReport {
-    let fraction: Vec<Option<f64>> = arena
-        .views()
-        .map(|v| (v.lifetime_epochs() >= EPOCHS_PER_DAY).then(|| v.downtime_fraction()))
         .collect();
     let cdf = Ecdf::new(fraction.iter().flatten().copied().collect());
     DowntimeReport { fraction, cdf }
@@ -64,26 +53,6 @@ pub fn failure_exposure(
     let mut boosts = Vec::new();
     for (inst, sched) in instances.iter().zip(schedules) {
         if sched.outage_count() > 0 {
-            users.push(inst.user_count as f64);
-            toots.push(inst.toot_count as f64);
-            boosts.push(inst.boosted_toots as f64);
-        }
-    }
-    FailureExposure {
-        failing_instances: users.len(),
-        users: Ecdf::new(users),
-        toots: Ecdf::new(toots),
-        boosts: Ecdf::new(boosts),
-    }
-}
-
-/// [`failure_exposure`] over the columnar [`OutageArena`].
-pub fn failure_exposure_arena(instances: &[Instance], arena: &OutageArena) -> FailureExposure {
-    let mut users = Vec::new();
-    let mut toots = Vec::new();
-    let mut boosts = Vec::new();
-    for (inst, v) in instances.iter().zip(arena.views()) {
-        if v.outage_count() > 0 {
             users.push(inst.user_count as f64);
             toots.push(inst.toot_count as f64);
             boosts.push(inst.boosted_toots as f64);
@@ -175,22 +144,6 @@ mod tests {
         assert!((h.above_50pct - 0.1).abs() < 1e-9);
         assert!((h.high_avail - 0.6).abs() < 1e-9);
         assert!((h.mean - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn arena_variants_match_naive_on_generated_world() {
-        use fediscope_model::schedule::OutageArena;
-        use fediscope_worldgen::{Generator, WorldConfig};
-        let mut cfg = WorldConfig::tiny(53);
-        cfg.n_instances = 250;
-        cfg.n_users = 1_500;
-        let w = Generator::generate_world(cfg);
-        let arena = OutageArena::from_schedules(&w.schedules);
-        assert_eq!(downtime_report_arena(&arena), downtime_report(&w.schedules));
-        assert_eq!(
-            failure_exposure_arena(&w.instances, &arena),
-            failure_exposure(&w.instances, &w.schedules)
-        );
     }
 
     #[test]

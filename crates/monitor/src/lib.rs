@@ -17,9 +17,9 @@
 //!   worst-day blackout, and Table 1 at once, bit-identical to the naive
 //!   per-schedule path at any shard count.
 //!
-//! Each analysis module exposes both the kept per-schedule function and an
-//! `*_arena` variant reading the flat interval columns; [`sweep`] fuses
-//! the arena variants into the single production pass.
+//! Each analysis module keeps its per-schedule function as the reference
+//! ([`naive_section4`] composes them); [`sweep`] folds the same figures out
+//! of the flat interval columns in the single production pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! Continuous-outage analysis (Fig. 10) and worst-day impact.
 
 use fediscope_model::instance::Instance;
-use fediscope_model::schedule::{AvailabilitySchedule, OutageArena};
+use fediscope_model::schedule::AvailabilitySchedule;
 use fediscope_model::time::{Day, EPOCHS_PER_DAY, WINDOW_DAYS};
 use fediscope_stats::Ecdf;
 
@@ -50,22 +50,9 @@ pub fn outage_durations(
     acc.finish()
 }
 
-/// [`outage_durations`] over the columnar [`OutageArena`].
-pub fn outage_durations_arena(instances: &[Instance], arena: &OutageArena) -> OutageDurations {
-    let mut acc = DurationAcc::default();
-    for (inst, v) in instances.iter().zip(arena.views()) {
-        acc.fold_instance(
-            inst,
-            v.lifetime_epochs(),
-            (0..v.outage_count()).map(|k| v.ends[k].0 - v.starts[k].0),
-        );
-    }
-    acc.finish()
-}
-
 /// Shared Fig. 10 accumulator: per-instance fold plus the final fraction
-/// arithmetic, used by both representations (and, shard-locally, by
-/// `sweep::MonitorSweep` — all counters are integers, so shard merging is
+/// arithmetic, used by [`outage_durations`] and, shard-locally, by
+/// `sweep::MonitorSweep` (all counters are integers, so shard merging is
 /// exact).
 #[derive(Debug, Default)]
 pub(crate) struct DurationAcc {
@@ -147,9 +134,8 @@ impl DurationAcc {
 ///
 /// This is the kept naive reference: `O(days · instances)` day-queries,
 /// each rescanning the instance's outage list. The production path is
-/// [`worst_day_blackout_arena`] / `sweep::MonitorSweep`, which accumulate
-/// per-outage whole-day spans into a per-day toot histogram in
-/// `O(outages + days)`.
+/// `sweep::MonitorSweep`, which accumulates per-outage whole-day spans into
+/// a per-day toot histogram in `O(outages + days)`.
 pub fn worst_day_blackout(
     instances: &[Instance],
     schedules: &[AvailabilitySchedule],
@@ -246,40 +232,10 @@ pub(crate) fn worst_day_from_histogram(dark_per_day: &[i64], total: u64) -> (Day
     worst
 }
 
-/// [`worst_day_blackout`] over the columnar [`OutageArena`] in
-/// `O(outages + days)`: every outage range-adds its whole-day span into a
-/// per-day toot histogram, and a single scan picks the worst day with the
-/// same first-worst tie-break as the naive reference.
-pub fn worst_day_blackout_arena(instances: &[Instance], arena: &OutageArena) -> (Day, f64) {
-    let total: u64 = instances.iter().map(|i| i.toot_count).sum();
-    if total == 0 {
-        return (Day(0), 0.0);
-    }
-    let mut diff = vec![0i64; WINDOW_DAYS as usize + 1];
-    for (inst, v) in instances.iter().zip(arena.views()) {
-        for k in 0..v.outage_count() {
-            blackout_span_add(
-                &mut diff,
-                v.birth.0,
-                v.death.0,
-                v.starts[k].0,
-                v.ends[k].0,
-                inst.toot_count,
-            );
-        }
-    }
-    let mut dark = 0i64;
-    for d in diff.iter_mut() {
-        dark += *d;
-        *d = dark;
-    }
-    worst_day_from_histogram(&diff, total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fediscope_model::schedule::OutageCause;
+    use fediscope_model::schedule::{OutageArena, OutageCause};
     use fediscope_model::time::Epoch;
 
     fn mk_inst(i: u32, users: u32, toots: u64) -> Instance {
@@ -378,9 +334,6 @@ mod tests {
         assert_eq!(frac, 0.0);
         let r = outage_durations(&[], &[]);
         assert_eq!(r.any_outage_frac, 0.0);
-        let arena = OutageArena::from_schedules(&[]);
-        assert_eq!(worst_day_blackout_arena(&[], &arena), (Day(0), 0.0));
-        assert_eq!(outage_durations_arena(&[], &arena), r);
     }
 
     #[test]
@@ -425,46 +378,6 @@ mod tests {
         let (day, frac) = worst_day_blackout(&instances, &schedules);
         assert_eq!(day, Day(4));
         assert!((frac - 0.5).abs() < 1e-12);
-        let arena = OutageArena::from_schedules(&schedules);
-        assert_eq!(
-            worst_day_blackout_arena(&instances, &arena),
-            (day, frac),
-            "arena fold must reproduce the naive tie-break"
-        );
-    }
-
-    #[test]
-    fn arena_blackout_matches_naive_on_mixed_lifetimes() {
-        let instances = vec![
-            mk_inst(0, 1, 600),
-            mk_inst(1, 1, 400),
-            mk_inst(2, 1, 50),
-            mk_inst(3, 1, 0),
-        ];
-        let mut s0 = AvailabilitySchedule::always_up();
-        s0.add_outage(Day(7).start_epoch(), Day(9).start_epoch(), OutageCause::Organic);
-        s0.add_outage(
-            Epoch(Day(20).start_epoch().0 + 5),
-            Epoch(Day(22).start_epoch().0 + 100),
-            OutageCause::Organic,
-        );
-        let mut s1 = AvailabilitySchedule::new(Day(3), Some(Day(100)));
-        s1.add_outage(Epoch(0), Day(5).start_epoch(), OutageCause::Organic);
-        s1.add_outage(Day(98).start_epoch(), Epoch(u32::MAX / 2), OutageCause::Organic);
-        let mut s2 = AvailabilitySchedule::new(Day(50), None);
-        s2.add_outage(Day(60).start_epoch(), Day(95).start_epoch(), OutageCause::Organic);
-        let mut s3 = AvailabilitySchedule::always_up();
-        s3.add_outage(Day(7).start_epoch(), Day(8).start_epoch(), OutageCause::Organic);
-        let schedules = vec![s0, s1, s2, s3];
-        let arena = OutageArena::from_schedules(&schedules);
-        assert_eq!(
-            worst_day_blackout_arena(&instances, &arena),
-            worst_day_blackout(&instances, &schedules)
-        );
-        assert_eq!(
-            outage_durations_arena(&instances, &arena),
-            outage_durations(&instances, &schedules)
-        );
     }
 
     #[test]

@@ -365,23 +365,75 @@ mod tests {
     use fediscope_model::time::Epoch;
     use fediscope_worldgen::{Generator, WorldConfig};
 
+    /// The sweep at 1, 2, 3 and 8 shards must equal [`naive_section4`].
+    fn assert_matches_naive(
+        instances: &[Instance],
+        schedules: &[AvailabilitySchedule],
+        providers: &ProviderCatalog,
+        cfg: &SweepConfig,
+    ) {
+        let naive = naive_section4(instances, schedules, providers, cfg);
+        let arena = OutageArena::from_schedules(schedules);
+        for shards in [1usize, 2, 3, 8] {
+            let got = MonitorSweep::new(&arena, instances)
+                .with_shards(shards)
+                .run(providers, cfg);
+            assert!(got == naive, "diverged at {shards} shards, {cfg:?}");
+        }
+    }
+
+    fn mk_inst(i: u32, toots: u64) -> Instance {
+        use fediscope_model::certs::{Certificate, CertificateAuthority};
+        use fediscope_model::geo::Country;
+        use fediscope_model::ids::{AsId, InstanceId};
+        use fediscope_model::instance::{OperatorKind, Registration, Software};
+        use fediscope_model::taxonomy::{CategorySet, PolicySet};
+        Instance {
+            id: InstanceId(i),
+            domain: format!("i{i}"),
+            software: Software::Mastodon,
+            registration: Registration::Open,
+            declares_categories: false,
+            categories: CategorySet::empty(),
+            policies: PolicySet::unstated(),
+            country: Country::Japan,
+            asn: AsId(1),
+            provider_index: 0,
+            ip: i,
+            certificate: Certificate {
+                ca: CertificateAuthority::LetsEncrypt,
+                issued: Day(0),
+                auto_renew: true,
+            },
+            created: Day(0),
+            operator: OperatorKind::Individual,
+            user_count: 1,
+            toot_count: toots,
+            boosted_toots: 0,
+            active_user_pct: 50.0,
+            crawl_allowed: true,
+            private_toot_frac: 0.0,
+        }
+    }
+
+    /// An outage `[start, end)` given as (day, epoch offset into the day).
+    fn outage(s: &mut AvailabilitySchedule, start: (u32, u32), end: (u32, u32)) {
+        let at = |(day, off): (u32, u32)| Epoch(Day(day).start_epoch().0 + off);
+        s.add_outage(at(start), at(end), OutageCause::Organic);
+    }
+
     #[test]
     fn sweep_matches_naive_on_generated_world() {
-        let mut cfg = WorldConfig::tiny(31);
-        cfg.n_instances = 300;
-        cfg.n_users = 2_000;
-        let w = Generator::generate_world(cfg);
-        let arena = OutageArena::from_schedules(&w.schedules);
         let sweep_cfg = SweepConfig {
             day_stride: 1,
             min_as_instances: 3,
         };
-        let naive = naive_section4(&w.instances, &w.schedules, &w.providers, &sweep_cfg);
-        for shards in [1usize, 2, 3, 8] {
-            let got = MonitorSweep::new(&arena, &w.instances)
-                .with_shards(shards)
-                .run(&w.providers, &sweep_cfg);
-            assert!(got == naive, "diverged at {shards} shards");
+        for (seed, n_instances, n_users) in [(31, 300, 2_000), (53, 250, 1_500), (59, 250, 1_500)] {
+            let mut cfg = WorldConfig::tiny(seed);
+            cfg.n_instances = n_instances;
+            cfg.n_users = n_users;
+            let w = Generator::generate_world(cfg);
+            assert_matches_naive(&w.instances, &w.schedules, &w.providers, &sweep_cfg);
         }
     }
 
@@ -403,10 +455,76 @@ mod tests {
         assert!(got == naive);
     }
 
+    /// Two hand-built worlds at strides 1, 7 and 30. The first has one
+    /// instance per size bin: mixed lifetimes, sub-day blips, multi-day and
+    /// month-long outages, outage chains sharing a boundary day. The second
+    /// has overlapping whole-day blackouts, outages clipped at birth and
+    /// retirement, and a toot-less instance.
+    #[test]
+    fn sweep_matches_naive_on_mixed_lifetimes() {
+        let instances = [
+            mk_inst(0, 100),
+            mk_inst(1, 50_000),
+            mk_inst(2, 500_000),
+            mk_inst(3, 2_000_000),
+        ];
+        let mut s0 = AvailabilitySchedule::new(Day(3), Some(Day(200)));
+        outage(&mut s0, (5, 7), (5, 19));
+        s0.add_outage(
+            Day(40).start_epoch(),
+            Day(43).start_epoch(),
+            OutageCause::AsFailure,
+        );
+        outage(&mut s0, (43, 10), (43, 20));
+        let mut s1 = AvailabilitySchedule::always_up();
+        for k in 0..40u32 {
+            let start = k * 3000 + 13;
+            s1.add_outage(Epoch(start), Epoch(start + 290), OutageCause::Organic);
+        }
+        let mut s2 = AvailabilitySchedule::new(Day(100), None);
+        s2.add_outage(Epoch(0), Epoch(u32::MAX / 2), OutageCause::CertExpiry);
+        let mut s3 = AvailabilitySchedule::always_up();
+        outage(&mut s3, (9, 100), (47, 3));
+        let daily = [s0, s1, s2, s3];
+
+        let mut s0 = AvailabilitySchedule::always_up();
+        outage(&mut s0, (7, 0), (9, 0));
+        outage(&mut s0, (20, 5), (22, 100));
+        let mut s1 = AvailabilitySchedule::new(Day(3), Some(Day(100)));
+        s1.add_outage(Epoch(0), Day(5).start_epoch(), OutageCause::Organic);
+        s1.add_outage(
+            Day(98).start_epoch(),
+            Epoch(u32::MAX / 2),
+            OutageCause::Organic,
+        );
+        let mut s2 = AvailabilitySchedule::new(Day(50), None);
+        outage(&mut s2, (60, 0), (95, 0));
+        let mut s3 = AvailabilitySchedule::always_up();
+        outage(&mut s3, (7, 0), (8, 0));
+        let blackout = [s0, s1, s2, s3];
+        let blackout_instances = [
+            mk_inst(0, 600),
+            mk_inst(1, 400),
+            mk_inst(2, 50),
+            mk_inst(3, 0),
+        ];
+
+        let providers = ProviderCatalog::with_tail(3);
+        for day_stride in [1u32, 7, 30] {
+            let cfg = SweepConfig {
+                day_stride,
+                min_as_instances: 2,
+            };
+            assert_matches_naive(&instances, &daily, &providers, &cfg);
+            assert_matches_naive(&blackout_instances, &blackout, &providers, &cfg);
+        }
+    }
+
     #[test]
     fn empty_world_sweep() {
+        let providers = ProviderCatalog::with_tail(5);
+        assert_matches_naive(&[], &[], &providers, &SweepConfig::default());
         let arena = OutageArena::from_schedules(&[]);
-        let providers = fediscope_model::geo::ProviderCatalog::with_tail(5);
         let out = MonitorSweep::new(&arena, &[]).run(&providers, &SweepConfig::default());
         assert!(out.downtime.cdf.is_empty());
         assert_eq!(out.worst_day, (Day(0), 0.0));
@@ -416,53 +534,22 @@ mod tests {
 
     #[test]
     fn sweep_reproduces_blackout_tie_break() {
-        // Two equal-toot instances blacked out on different days: the
-        // sharded histogram fold must return the FIRST worst day, like the
-        // naive strictly-greater scan.
-        use fediscope_model::certs::{Certificate, CertificateAuthority};
-        use fediscope_model::geo::Country;
-        use fediscope_model::ids::{AsId, InstanceId};
-        use fediscope_model::instance::{OperatorKind, Registration, Software};
-        use fediscope_model::taxonomy::{CategorySet, PolicySet};
-        let mk = |i: u32| Instance {
-            id: InstanceId(i),
-            domain: format!("i{i}"),
-            software: Software::Mastodon,
-            registration: Registration::Open,
-            declares_categories: false,
-            categories: CategorySet::empty(),
-            policies: PolicySet::unstated(),
-            country: Country::Japan,
-            asn: AsId(1),
-            provider_index: 0,
-            ip: i,
-            certificate: Certificate {
-                ca: CertificateAuthority::LetsEncrypt,
-                issued: Day(0),
-                auto_renew: true,
-            },
-            created: Day(0),
-            operator: OperatorKind::Individual,
-            user_count: 1,
-            toot_count: 500,
-            boosted_toots: 0,
-            active_user_pct: 50.0,
-            crawl_allowed: true,
-            private_toot_frac: 0.0,
-        };
-        let instances = vec![mk(0), mk(1)];
-        let mut s0 = AvailabilitySchedule::always_up();
-        s0.add_outage(Day(200).start_epoch(), Day(201).start_epoch(), OutageCause::Organic);
-        let mut s1 = AvailabilitySchedule::always_up();
-        s1.add_outage(Epoch(Day(30).start_epoch().0), Day(31).start_epoch(), OutageCause::Organic);
-        let schedules = vec![s0, s1];
+        // Two equal-toot instances blacked out on different days, the later
+        // day first: the sharded histogram fold must return the FIRST worst
+        // day, like the naive strictly-greater scan.
         let providers = ProviderCatalog::with_tail(3);
-        let arena = OutageArena::from_schedules(&schedules);
-        for shards in [1usize, 2] {
-            let out = MonitorSweep::new(&arena, &instances)
-                .with_shards(shards)
-                .run(&providers, &SweepConfig::default());
-            assert_eq!(out.worst_day.0, Day(30), "shards {shards}");
+        for (late, early, toots) in [(200u32, 30u32, 500u64), (9, 4, 100)] {
+            let instances = [mk_inst(0, toots), mk_inst(1, toots)];
+            let mut s0 = AvailabilitySchedule::always_up();
+            outage(&mut s0, (late, 0), (late + 1, 0));
+            let mut s1 = AvailabilitySchedule::always_up();
+            outage(&mut s1, (early, 0), (early + 1, 0));
+            let schedules = [s0, s1];
+            let cfg = SweepConfig::default();
+            assert_matches_naive(&instances, &schedules, &providers, &cfg);
+            let arena = OutageArena::from_schedules(&schedules);
+            let out = MonitorSweep::new(&arena, &instances).run(&providers, &cfg);
+            assert_eq!(out.worst_day.0, Day(early));
             assert!((out.worst_day.1 - 0.5).abs() < 1e-12);
         }
     }

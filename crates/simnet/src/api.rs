@@ -190,7 +190,10 @@ fn followers(
         .unwrap_or(1)
         .max(1);
     let all = &state.followers_of()[user_idx];
-    let start = (page - 1) * FOLLOWER_PAGE;
+    // The page number comes off the wire: saturate, so a huge page lands
+    // past the end (an empty last page) instead of overflowing, and form
+    // `page + 1` only when there is a next page.
+    let start = (page - 1).saturating_mul(FOLLOWER_PAGE);
     let items: Vec<String> = all
         .iter()
         .skip(start)
@@ -204,7 +207,7 @@ fn followers(
             }
         })
         .collect();
-    let next = (start + FOLLOWER_PAGE < all.len()).then_some(page + 1);
+    let next = (start.saturating_add(FOLLOWER_PAGE) < all.len()).then(|| page + 1);
     let body = json!({
         "partOf": format!("https://{host}/users/{name}/followers"),
         "totalItems": all.len(),
@@ -424,6 +427,17 @@ mod tests {
             }
         }
         assert_eq!(got.len(), total);
+        // Past the last page, however far: an empty page with no next. From
+        // page `usize::MAX / 40 + 1` the page's end overflows, one further
+        // its start does too.
+        for past in [page + 1, usize::MAX / FOLLOWER_PAGE + 1, usize::MAX] {
+            let path = format!("/users/u{uidx}/followers?page={past}");
+            let resp = get(&s, &domain, &path);
+            assert_eq!(resp.status, StatusCode::OK, "page {past}");
+            let v: serde_json::Value = serde_json::from_str(&resp.text()).unwrap();
+            assert_eq!(v["items"].as_array().map(Vec::len), Some(0), "page {past}");
+            assert!(v["next"].is_null(), "page {past}");
+        }
     }
 
     #[test]

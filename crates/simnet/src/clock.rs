@@ -8,7 +8,6 @@
 use fediscope_model::time::{Epoch, WINDOW_EPOCHS};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-#[cfg(feature = "net")]
 use std::time::Duration;
 
 /// Shared, thread-safe virtual clock.
@@ -60,7 +59,6 @@ impl SimClock {
     /// Spawn a background ticker advancing one epoch every `tick` until
     /// `until` (or the window end). Returns the task handle; abort it to
     /// stop early.
-    #[cfg(feature = "net")]
     pub fn run_ticker(&self, tick: Duration, until: Epoch) -> tokio::task::JoinHandle<()> {
         let clock = self.clone();
         tokio::spawn(async move {
@@ -111,7 +109,6 @@ mod tests {
         assert_eq!(b.now(), Epoch(3));
     }
 
-    #[cfg(feature = "net")]
     #[tokio::test]
     async fn ticker_advances_and_stops() {
         let c = SimClock::new();

@@ -23,12 +23,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "net")]
 pub mod api;
 pub mod clock;
 pub mod fault;
 pub mod fedsim;
-#[cfg(feature = "net")]
 pub mod net;
 pub mod state;
 pub mod timelines;
@@ -36,7 +34,6 @@ pub mod timelines;
 pub use clock::SimClock;
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, InjectorState};
 pub use fedsim::{DeliveryReport, FanoutArena, FedSim, FedSimConfig, OverlaySpec, SimRun};
-#[cfg(feature = "net")]
 pub use net::{launch, SimNetHandle};
 pub use state::SimState;
 pub use timelines::TimelineIndex;

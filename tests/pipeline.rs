@@ -2,34 +2,20 @@
 //! measure with the crawler → analyse — and verify the measurement recovers
 //! the ground truth that the direct analyses see.
 
-use fediscope::prelude::*;
-
-#[cfg(feature = "net")]
 use fediscope::crawler::discovery::SeedList;
-#[cfg(feature = "net")]
 use fediscope::crawler::monitor::InstanceMonitor;
-#[cfg(feature = "net")]
 use fediscope::crawler::politeness::Politeness;
-#[cfg(feature = "net")]
 use fediscope::crawler::toots;
-#[cfg(feature = "net")]
 use fediscope::httpwire::Client;
-#[cfg(feature = "net")]
-use fediscope::model::time::Epoch;
-#[cfg(feature = "net")]
 use fediscope::model::datasets::InstancesDataset;
-#[cfg(feature = "net")]
+use fediscope::model::time::Epoch;
 use fediscope::model::world::World;
-#[cfg(feature = "net")]
 use fediscope::monitor::observe::schedule_from_polls;
-#[cfg(feature = "net")]
 use fediscope::monitor::{arena_from_polls_with_coverage, MonitorSweep, SweepConfig};
-#[cfg(feature = "net")]
+use fediscope::prelude::*;
 use fediscope::simnet::{launch, FaultPlan, TimelineIndex};
-#[cfg(feature = "net")]
 use std::sync::Arc;
 
-#[cfg(feature = "net")]
 fn pipeline_world(seed: u64) -> WorldConfig {
     let mut cfg = WorldConfig::tiny(seed);
     cfg.n_instances = 15;
@@ -39,7 +25,6 @@ fn pipeline_world(seed: u64) -> WorldConfig {
     cfg
 }
 
-#[cfg(feature = "net")]
 #[tokio::test]
 async fn crawled_dataset_matches_direct_analysis() {
     let world = Arc::new(Generator::generate_world(pipeline_world(1001)));
@@ -64,7 +49,6 @@ async fn crawled_dataset_matches_direct_analysis() {
     net.shutdown().await;
 }
 
-#[cfg(feature = "net")]
 #[tokio::test]
 async fn monitoring_reconstructs_outage_structure() {
     let world = Arc::new(Generator::generate_world(pipeline_world(1002)));
@@ -129,7 +113,6 @@ async fn monitoring_reconstructs_outage_structure() {
 
 /// One full monitoring campaign over `world` behind a fault injector: a
 /// sweep every 72 epochs (6 virtual hours) across the first 60 days.
-#[cfg(feature = "net")]
 async fn crawl_under(
     world: Arc<World>,
     plan: FaultPlan,
@@ -152,7 +135,6 @@ async fn crawl_under(
 
 /// The §4 knobs used by the fault-injection pipeline tests (threshold
 /// lowered to suit a 15-instance world).
-#[cfg(feature = "net")]
 fn pipeline_sweep_cfg() -> SweepConfig {
     SweepConfig {
         day_stride: 1,
@@ -166,7 +148,6 @@ fn pipeline_sweep_cfg() -> SweepConfig {
 /// fault-free crawl, so the reconstructed arena and the whole §4 figure
 /// bundle come out identical too. (The fault-free crawl itself is pinned to
 /// ground truth by `monitoring_reconstructs_outage_structure` above.)
-#[cfg(feature = "net")]
 #[tokio::test]
 async fn flaky_crawl_recovers_section4_figures_bit_identical() {
     let world = Arc::new(Generator::generate_world(pipeline_world(2001)));
@@ -200,7 +181,6 @@ async fn flaky_crawl_recovers_section4_figures_bit_identical() {
 /// the polls it does land agree exactly with the fault-free crawl, the
 /// coverage report owns up to every gap, and the §4 sweep still runs on
 /// what was observed.
-#[cfg(feature = "net")]
 #[tokio::test]
 async fn harsh_crawl_degrades_gracefully_with_honest_coverage() {
     let world = Arc::new(Generator::generate_world(pipeline_world(2002)));
@@ -249,7 +229,6 @@ async fn harsh_crawl_degrades_gracefully_with_honest_coverage() {
 /// Same seed ⇒ same crawl transcript, at any fault plan: two *fresh*
 /// executors (separate `Runtime` instances, separate listeners, separate
 /// injectors) replay byte-for-byte identical campaigns.
-#[cfg(feature = "net")]
 #[test]
 fn same_seed_replays_identical_transcript_at_any_fault_plan() {
     let run = |plan: FaultPlan| {
