@@ -8,10 +8,11 @@
 //! ```
 //!
 //! `gen` prints (or writes) the generated world as JSON; `serve` boots the
-//! simulated fediverse on loopback and advances the virtual clock; `crawl`
-//! boots a simulation and runs the full measurement pipeline against it;
-//! `analyze` runs the paper's analyses and verdicts (same as the `repro`
-//! binary, abbreviated).
+//! simulated fediverse behind an in-memory listener of the deterministic
+//! executor, which nothing outside the process can reach, and advances the
+//! virtual clock; `crawl` boots a simulation and runs the full measurement
+//! pipeline against it; `analyze` runs the paper's analyses and verdicts
+//! (same as the `repro` binary, abbreviated).
 //!
 //! With `--checkpoint-dir`, `crawl` writes a framed snapshot (see
 //! `crates/recover`) after every monitor sweep — the accumulated dataset,
@@ -138,18 +139,17 @@ fn cmd_serve(o: &Opts) {
         let net = launch(world.clone(), FaultPlan::default(), o.seed)
             .await
             .expect("simnet boots");
-        println!("fediscope simnet listening on {}", net.addr());
+        println!(
+            "fediscope simnet listening on in-memory port {} of the deterministic \
+             executor (unreachable from outside this process)",
+            net.addr()
+        );
         println!(
             "{} instances behind one listener (Host-header routed); \
              advancing {} virtual epochs at {}ms each",
             world.instances.len(),
             o.ticks,
             o.tick_ms
-        );
-        println!(
-            "try: curl -H 'Host: {}' http://{}/api/v1/instance",
-            world.instances[0].domain,
-            net.addr()
         );
         let ticker = net.state.clock.run_ticker(
             std::time::Duration::from_millis(o.tick_ms),

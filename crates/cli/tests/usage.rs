@@ -49,5 +49,8 @@ fn fediscope_crawls_and_serves() {
         for line in expect {
             assert!(stdout.contains(line), "{args:?}: {stdout}");
         }
+        // The listener is an in-memory port: no hint may suggest reaching
+        // it from outside the process.
+        assert!(!stdout.contains("curl"), "{args:?}: {stdout}");
     }
 }

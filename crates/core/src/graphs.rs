@@ -303,6 +303,7 @@ pub fn fig12_random_baseline_tier(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fediscope_worldgen::shard::fnv1a64;
     use fediscope_worldgen::{Generator, WorldConfig};
 
     fn obs() -> Observatory {
@@ -388,6 +389,30 @@ mod tests {
             last > attack.mastodon.last().unwrap().lcc_node_frac,
             "random baseline ({last}) should dominate the attack"
         );
+    }
+
+    #[test]
+    fn fig12_random_baseline_is_pinned() {
+        // Every trial's sweep points on a real world, digested. The value
+        // was recorded with the full-array `shuffle` + `truncate` victim
+        // selector, so a selector that changes one victim, their order or
+        // the RNG stream fails here.
+        let o = obs();
+        let b = fig12_random_baseline(&o, 20, 3, 77);
+        let digest = fnv1a64(b.trials.iter().flatten().flat_map(|p| {
+            [
+                p.removed as u64,
+                p.groups_removed as u64,
+                p.lcc_nodes as u64,
+                p.lcc_node_frac.to_bits(),
+                p.lcc_weight.to_bits(),
+                p.lcc_weight_frac.to_bits(),
+                p.wcc_count as u64,
+                p.scc_count as u64,
+            ]
+        }));
+        assert_eq!(b.trials.iter().map(Vec::len).sum::<usize>(), 3 * 21);
+        assert_eq!(digest, 0x23df_e8da_f9c9_529b);
     }
 
     #[test]

@@ -139,8 +139,8 @@ impl ComponentScratch {
             }
         }
 
-        // Assign compact labels to alive roots, in node order (the same
-        // first-encounter order the one-shot implementation produces).
+        // Label each component by the first node it meets, in node order,
+        // so labels do not depend on which node ended up as root.
         self.labels.clear();
         self.labels.resize(n, u32::MAX);
         self.sizes.clear();

@@ -21,7 +21,7 @@ use crate::digraph::DiGraph;
 use crate::par;
 use crate::unionfind::WeightedUnionFind;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// One evaluation point of a removal sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,23 +59,66 @@ pub enum RankBy {
     },
 }
 
-/// Merge the components of `a` and `b`, maintaining the merge count and the
-/// running size/weight maxima used by the reverse sweep. The per-root
-/// weight accumulators live inside the [`WeightedUnionFind`].
-fn union_alive(
-    uf: &mut WeightedUnionFind,
-    a: u32,
-    b: u32,
-    merges: &mut usize,
-    max_size: &mut u32,
-    max_weight: &mut f64,
-) {
-    if let Some((root, merged_w)) = uf.union(a, b) {
-        *merges += 1;
-        if uf.is_weighted() {
-            *max_weight = max_weight.max(merged_w);
+/// Fisher–Yates over `a` that keeps only `a[..k]`: the prefix equals that
+/// of `a.shuffle(rng); a.truncate(k)`, from the same `gen_range(0..=i)`
+/// draws in the same order. Slot `i` is never read after its own step, so
+/// for `i >= k` the swap's store into `a[i]` is dead and only `a[j] = a[i]`
+/// remains; the slots at and above `k` are left holding stale ids.
+///
+/// Each draw is `gen_range(0..=i)` as the vendored `rand` computes it, one
+/// `next_u64` scaled by Lemire's multiply-shift, written out here because
+/// the generic `gen_range` is not inlined into this loop and keeping the
+/// RNG state in memory doubled the shuffle's time.
+/// `prefix_shuffle_equals_shuffle_truncate` holds it to `gen_range`.
+fn shuffle_prefix<R: RngCore + ?Sized>(a: &mut [u32], k: usize, rng: &mut R) {
+    let k = k.min(a.len());
+    let mut draw = |i: usize| ((rng.next_u64() as u128 * (i as u128 + 1)) >> 64) as usize;
+    for i in (k.max(1)..a.len()).rev() {
+        let j = draw(i);
+        a[j] = a[i];
+    }
+    for i in (1..k).rev() {
+        let j = draw(i);
+        a.swap(i, j);
+    }
+}
+
+/// Drop the dead ids from `ids`, keeping their order. Every id is written
+/// and the write index advances by `alive[v]`, so there is no branch to
+/// mispredict on a random mask.
+fn retain_alive(ids: &mut Vec<u32>, alive: &[bool]) {
+    let mut kept = 0;
+    for i in 0..ids.len() {
+        let v = ids[i];
+        ids[kept] = v;
+        kept += alive[v as usize] as usize;
+    }
+    ids.truncate(kept);
+}
+
+/// The reverse pass's sets, with the running metrics its merges move.
+struct Rejoin {
+    uf: WeightedUnionFind,
+    merges: usize,
+    max_size: u32,
+    max_weight: f64,
+}
+
+impl Rejoin {
+    /// Merge every alive node of `nbrs` into the set rooted at `root`, one
+    /// `find` per neighbour, and return the root of the result.
+    fn absorb(&mut self, alive: &[bool], mut root: u32, nbrs: &[u32]) -> u32 {
+        for &w in nbrs {
+            if alive[w as usize] {
+                if let Some((r, size, weight)) = self.uf.union(root, w) {
+                    root = r;
+                    self.merges += 1;
+                    self.max_size = self.max_size.max(size);
+                    self.max_weight = self.max_weight.max(weight);
+                }
+            }
         }
-        *max_size = (*max_size).max(uf.size_of(root));
+        root
     }
 }
 
@@ -191,16 +234,18 @@ impl<'g> RemovalSweep<'g> {
     ///    removed node (`O(k·d̄)` per round instead of an `O(E)` edge
     ///    rescan) and picks the top-`k` with `select_nth_unstable`
     ///    (`O(survivors)` instead of a full sort). [`RankBy::Random`] reads
-    ///    no degrees, so it keeps none: it shuffles the survivor list and
-    ///    truncates. The selection never depends on component metrics, so
-    ///    the whole removal schedule is known before anything is evaluated.
+    ///    no degrees, so it keeps none: it draws a full Fisher–Yates over
+    ///    the survivor list but stores only what the kept `k`-prefix needs
+    ///    (`shuffle_prefix`). The selection never depends on component
+    ///    metrics, so the whole removal schedule is known before anything
+    ///    is evaluated.
     /// 2. **Evaluation**: all rounds — weighted or not — are evaluated in
-    ///    one serial reverse union-find pass costing `O((E+N)·α)` *total*;
-    ///    the per-root weight accumulators ride along inside
-    ///    [`WeightedUnionFind`], so the weighted Fig. 13-style metrics cost
-    ///    the same near-linear pass as the unweighted ones. When SCC counts
-    ///    are requested, the independent per-round Tarjan evaluations fan
-    ///    out across threads (see [`Self::scc_counts_at`]).
+    ///    one serial reverse union-find pass costing `O((E+N)·α)` *total*,
+    ///    at two `find`s per merge; the per-root weight accumulators ride
+    ///    along inside [`WeightedUnionFind`], so the weighted Fig. 13-style
+    ///    metrics cost the same near-linear pass as the unweighted ones.
+    ///    When SCC counts are requested, the independent per-round Tarjan
+    ///    evaluations fan out across threads (see [`Self::scc_counts_at`]).
     ///
     /// Output is bit-identical to [`Self::iterative_fraction_naive`]: every
     /// unweighted metric is integer-derived, and the weighted metrics sum
@@ -229,8 +274,8 @@ impl<'g> RemovalSweep<'g> {
         } else {
             Vec::new()
         };
-        // Survivor ids, ascending, maintained incrementally: `retain`
-        // after each round keeps exactly the nodes an `(0..n).filter`
+        // Survivor ids, ascending, maintained incrementally: compacting
+        // them after each round keeps exactly the nodes an `(0..n).filter`
         // rescan would produce (same order, same content), but costs
         // `O(survivors)` instead of `O(N)` per round.
         let mut survivors: Vec<u32> = (0..n as u32).collect();
@@ -269,9 +314,9 @@ impl<'g> RemovalSweep<'g> {
                     }
                 }
                 RankBy::Random { .. } => {
-                    // Shuffle the full survivor list (not just a k-prefix)
-                    // so the RNG stream matches the naive implementation.
-                    cands.shuffle(&mut rng);
+                    // Every draw of a full shuffle, so the RNG stream
+                    // matches the naive implementation's.
+                    shuffle_prefix(&mut cands, k, &mut rng);
                     cands.truncate(k);
                 }
             }
@@ -296,7 +341,7 @@ impl<'g> RemovalSweep<'g> {
                 }
             }
             alive_count -= k;
-            survivors.retain(|&v| alive[v as usize]);
+            retain_alive(&mut survivors, &alive);
             order.extend_from_slice(&cands);
             boundaries.push(order.len());
         }
@@ -375,7 +420,8 @@ impl<'g> RemovalSweep<'g> {
     /// 0 evaluates the intact graph). Uses reverse union-find, so the whole
     /// sweep is near-linear — unless SCC counting is enabled, in which case
     /// each checkpoint additionally pays one Tarjan pass (fanned out across
-    /// threads, see [`Self::scc_counts_at`]).
+    /// threads, see [`Self::scc_counts_at`]). An id repeated in `order`
+    /// stays removed from its first occurrence on.
     pub fn ranked(&self, order: &[u32], checkpoints: &[usize]) -> Vec<SweepPoint> {
         assert!(
             checkpoints.windows(2).all(|w| w[0] < w[1]),
@@ -391,7 +437,8 @@ impl<'g> RemovalSweep<'g> {
     /// Fig. 13b methodology: remove whole `groups` (e.g. every instance of
     /// an AS) in order, evaluating after each group. Group `i`'s evaluation
     /// point has `groups_removed == i + 1`; a leading baseline point with
-    /// nothing removed is included.
+    /// nothing removed is included. A node in several groups is removed
+    /// with the first of them.
     pub fn grouped(&self, groups: &[Vec<u32>]) -> Vec<SweepPoint> {
         let mut order = Vec::new();
         let mut boundaries = vec![0usize];
@@ -432,32 +479,45 @@ impl<'g> RemovalSweep<'g> {
             Vec::new()
         };
 
-        // Start fully removed at max boundary, then add nodes back.
+        // Start fully removed at max boundary, then add nodes back. A
+        // repeated id stays removed from its first occurrence, as direct
+        // masking of each prefix has it, so it re-enters only there: the
+        // dead count falls short of `max_removed` exactly when ids repeat.
         let mut alive = vec![true; n];
+        let mut alive_count = n;
         for &v in &order[..max_removed] {
+            alive_count -= alive[v as usize] as usize;
             alive[v as usize] = false;
         }
-        let mut alive_count = alive.iter().filter(|&&a| a).count();
-
-        let mut uf = match self.weights {
-            Some(w) => WeightedUnionFind::new(w),
-            None => WeightedUnionFind::unweighted(n),
+        let first_occurrence: Vec<bool> = if alive_count + max_removed == n {
+            Vec::new()
+        } else {
+            let mut seen = vec![false; n];
+            order[..max_removed]
+                .iter()
+                .map(|&v| !std::mem::replace(&mut seen[v as usize], true))
+                .collect()
         };
-        let mut merges = 0usize;
-        let mut max_size = if alive_count > 0 { 1u32 } else { 0 };
-        let mut max_weight: f64 = 0.0;
 
-        // Add edges among initially-alive nodes.
-        for (a, b) in self.g.edges() {
-            if alive[a as usize] && alive[b as usize] {
-                union_alive(&mut uf, a, b, &mut merges, &mut max_size, &mut max_weight);
-            }
-        }
-        if uf.is_weighted() {
-            for v in 0..n as u32 {
-                if alive[v as usize] {
-                    max_weight = max_weight.max(uf.weight_of(v));
-                }
+        let mut sets = Rejoin {
+            uf: match self.weights {
+                Some(w) => WeightedUnionFind::new(w),
+                None => WeightedUnionFind::unweighted(n),
+            },
+            merges: 0,
+            max_size: if alive_count > 0 { 1 } else { 0 },
+            max_weight: 0.0,
+        };
+        // A singleton's weight is its node's own; merged sets report theirs
+        // as they form.
+        let own_weight = |v: u32| self.weights.map_or(0.0, |w| w[v as usize]);
+
+        // Edges among initially-alive nodes: each alive source's out-list.
+        for a in 0..n as u32 {
+            if alive[a as usize] {
+                sets.max_weight = sets.max_weight.max(own_weight(a));
+                let root = sets.uf.find(a);
+                sets.absorb(&alive, root, self.g.out_neighbors(a));
             }
         }
 
@@ -468,25 +528,19 @@ impl<'g> RemovalSweep<'g> {
             // Re-add nodes order[b..cursor].
             while cursor > b {
                 cursor -= 1;
+                if !first_occurrence.is_empty() && !first_occurrence[cursor] {
+                    continue;
+                }
                 let v = order[cursor];
                 alive[v as usize] = true;
                 alive_count += 1;
-                max_size = max_size.max(1);
-                if uf.is_weighted() {
-                    max_weight = max_weight.max(uf.weight_of(v));
-                }
-                for &w in self.g.out_neighbors(v) {
-                    if alive[w as usize] {
-                        union_alive(&mut uf, v, w, &mut merges, &mut max_size, &mut max_weight);
-                    }
-                }
-                for &w in self.g.in_neighbors(v) {
-                    if alive[w as usize] {
-                        union_alive(&mut uf, v, w, &mut merges, &mut max_size, &mut max_weight);
-                    }
-                }
+                sets.max_size = sets.max_size.max(1);
+                sets.max_weight = sets.max_weight.max(own_weight(v));
+                // `v` re-enters as a singleton root.
+                let root = sets.absorb(&alive, v, self.g.out_neighbors(v));
+                sets.absorb(&alive, root, self.g.in_neighbors(v));
             }
-            let lcc_nodes = if alive_count == 0 { 0 } else { max_size };
+            let lcc_nodes = if alive_count == 0 { 0 } else { sets.max_size };
             results.push(SweepPoint {
                 removed: b,
                 groups_removed: if grouped.is_some() { bi } else { 0 },
@@ -496,13 +550,13 @@ impl<'g> RemovalSweep<'g> {
                 } else {
                     0.0
                 },
-                lcc_weight: max_weight,
+                lcc_weight: sets.max_weight,
                 lcc_weight_frac: if total_weight > 0.0 {
-                    max_weight / total_weight
+                    sets.max_weight / total_weight
                 } else {
                     0.0
                 },
-                wcc_count: alive_count - merges,
+                wcc_count: alive_count - sets.merges,
                 scc_count: if self.compute_scc {
                     scc_counts[bi]
                 } else {
@@ -600,6 +654,26 @@ mod tests {
         // group 1 removes {4}: {0} {3} {5}
         assert_eq!(pts[2].lcc_nodes, 1);
         assert_eq!(pts[2].wcc_count, 3);
+    }
+
+    #[test]
+    fn repeated_ids_stay_removed_from_first_occurrence() {
+        // Edge 0→1 plus isolated node 2. A repeated id is removed from its
+        // first occurrence on, as masking each prefix directly has it.
+        let g = DiGraph::from_edges(3, [(0, 1)]);
+        let sweep = RemovalSweep::new(&g);
+        let lcc_wcc = |pts: Vec<SweepPoint>| -> Vec<(u32, usize)> {
+            pts.iter().map(|p| (p.lcc_nodes, p.wcc_count)).collect()
+        };
+        assert_eq!(
+            lcc_wcc(sweep.ranked(&[0, 0], &[0, 1, 2])),
+            [(2, 2), (1, 2), (1, 2)]
+        );
+        // overlapping AS groups: node 0 is in both
+        assert_eq!(
+            lcc_wcc(sweep.grouped(&[vec![0], vec![0, 2]])),
+            [(2, 2), (1, 2), (1, 1)]
+        );
     }
 
     #[test]
@@ -760,7 +834,8 @@ mod prop_tests {
         #[test]
         fn reverse_equals_direct(
             edges in proptest::collection::vec((0u32..20, 0u32..20), 0..80),
-            perm_seed in 0u64..1000
+            perm_seed in 0u64..1000,
+            repeats in proptest::collection::vec((0usize..20, 0usize..24), 0..4)
         ) {
             let g = DiGraph::from_edges(20, edges);
             // deterministic pseudo-random removal order
@@ -771,8 +846,16 @@ mod prop_tests {
                 let j = (s >> 33) as usize % (i + 1);
                 order.swap(i, j);
             }
+            // copies of some ids at other positions (before or after the
+            // original): a repeat must not re-add its node twice
+            for &(from, to) in &repeats {
+                order.insert(to.min(order.len()), order[from]);
+            }
             let weights: Vec<f64> = (0..20).map(|i| (i % 5) as f64 + 1.0).collect();
-            let checkpoints: Vec<usize> = vec![0, 3, 7, 12, 20];
+            let mut checkpoints: Vec<usize> = vec![0, 3, 7, 12, 20];
+            if order.len() > 20 {
+                checkpoints.push(order.len());
+            }
             let sweep = RemovalSweep::new(&g).with_weights(&weights);
             let fast = sweep.ranked(&order, &checkpoints);
 
@@ -785,6 +868,35 @@ mod prop_tests {
                 prop_assert_eq!(pt.lcc_nodes, direct.largest(), "k = {}", k);
                 prop_assert_eq!(pt.wcc_count, direct.count(), "k = {}", k);
                 prop_assert_eq!(pt.lcc_weight, direct.largest_weight(&weights), "k = {}", k);
+            }
+        }
+
+        /// The prefix-only Fisher–Yates keeps the same `k` victims in the
+        /// same order as a full shuffle + truncate, and leaves the RNG at
+        /// the same point (same draw count).
+        #[test]
+        fn prefix_shuffle_equals_shuffle_truncate(len in 0usize..=300, seed in any::<u64>()) {
+            // `len % 3` pins the empty, one- and two-element slices too
+            for len in [len % 3, len] {
+                let ids: Vec<u32> =
+                    (0..len as u32).map(|v| v.wrapping_mul(2_654_435_761)).collect();
+                for k in 0..=len {
+                    let mut full = ids.clone();
+                    let mut full_rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    full.shuffle(&mut full_rng);
+                    full.truncate(k);
+                    let mut prefix = ids.clone();
+                    let mut prefix_rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    shuffle_prefix(&mut prefix, k, &mut prefix_rng);
+                    prop_assert_eq!(&prefix[..k], &full[..], "len {} k {}", len, k);
+                    prop_assert_eq!(
+                        prefix_rng.next_u64(),
+                        full_rng.next_u64(),
+                        "len {} k {}",
+                        len,
+                        k
+                    );
+                }
             }
         }
 

@@ -1,95 +1,81 @@
-//! Disjoint-set union with path compression and union by size, plus a
+//! Disjoint-set union with path halving and union by size, plus a
 //! weight-carrying variant used by the reverse removal sweeps.
+//!
+//! **Layout.** One `i32` per node: a non-negative entry is the node's
+//! parent, a negative entry marks a root and holds its set's size,
+//! negated. Sizes need no second array, so a 1M-node structure is 4 MB,
+//! and finding a root and reading its size touch the same cell. Node ids
+//! and sizes must fit in an `i32`, so `n <= i32::MAX` (asserted).
+//!
+//! A merge costs exactly two `find`s. [`UnionFind::union`] returns the
+//! merged root and size, so callers that track the largest set need no
+//! third lookup; a caller that already holds a root (the reverse sweep
+//! re-adding a node) passes it as `a`, whose `find` is then one load.
+//! The merge path is `#[inline]`: the sweeps call it once per edge from
+//! another module, and without the hint it compiled to an outlined call
+//! returning its tuple through memory.
 
 /// Union-find over `0..n`.
 #[derive(Debug, Clone, Default)]
 pub struct UnionFind {
-    parent: Vec<u32>,
-    size: Vec<u32>,
-    components: usize,
+    /// Parent of each node, or `-size` at a root.
+    link: Vec<i32>,
 }
 
 impl UnionFind {
     /// `n` singleton sets.
     pub fn new(n: usize) -> Self {
-        Self {
-            parent: (0..n as u32).collect(),
-            size: vec![1; n],
-            components: n,
-        }
+        let mut uf = Self::default();
+        uf.reset(n);
+        uf
     }
 
-    /// Reinitialise to `n` singleton sets, reusing the existing buffers
+    /// Reinitialise to `n` singleton sets, reusing the existing buffer
     /// (no allocation once grown to `n`).
     pub fn reset(&mut self, n: usize) {
-        self.parent.clear();
-        self.parent.extend(0..n as u32);
-        self.size.clear();
-        self.size.resize(n, 1);
-        self.components = n;
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether the structure is empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
+        assert!(
+            n <= i32::MAX as usize,
+            "union-find over more than i32::MAX nodes"
+        );
+        self.link.clear();
+        self.link.resize(n, -1);
     }
 
     /// Representative of `x`'s set (with path halving).
+    #[inline]
     pub fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let gp = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-
-    /// Merge the sets of `a` and `b`; returns `true` if they were distinct.
-    pub fn union(&mut self, a: u32, b: u32) -> bool {
-        let (mut ra, mut rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return false;
-        }
-        if self.size[ra as usize] < self.size[rb as usize] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb as usize] = ra;
-        self.size[ra as usize] += self.size[rb as usize];
-        self.components -= 1;
-        true
-    }
-
-    /// Are `a` and `b` in the same set?
-    pub fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn size_of(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
-        self.size[r as usize]
-    }
-
-    /// Total number of disjoint sets.
-    pub fn component_count(&self) -> usize {
-        self.components
-    }
-
-    /// Size of the largest set (0 when empty).
-    pub fn largest(&mut self) -> u32 {
-        let n = self.len() as u32;
-        let mut best = 0;
-        for x in 0..n {
-            if self.find(x) == x {
-                best = best.max(self.size[x as usize]);
+        loop {
+            let p = self.link[x as usize];
+            if p < 0 {
+                return x;
             }
+            let gp = self.link[p as usize];
+            if gp < 0 {
+                return p as u32;
+            }
+            self.link[x as usize] = gp;
+            x = gp as u32;
         }
-        best
+    }
+
+    /// Merge the sets of `a` and `b`. Returns `Some((root, size))` of the
+    /// merged set when they were distinct, `None` when already one set.
+    #[inline]
+    pub fn union(&mut self, a: u32, b: u32) -> Option<(u32, u32)> {
+        let (ra, rb) = (self.find(a), self.find(b));
+        (ra != rb).then(|| self.link_roots(ra, rb))
+    }
+
+    /// Hang the smaller of two distinct roots under the larger (`rb`
+    /// under `ra` on a tie); returns the surviving root and merged size.
+    #[inline]
+    fn link_roots(&mut self, ra: u32, rb: u32) -> (u32, u32) {
+        let (sa, sb) = (self.link[ra as usize], self.link[rb as usize]);
+        // Sizes are stored negated: the larger set has the smaller entry.
+        let (root, child) = if sa > sb { (rb, ra) } else { (ra, rb) };
+        self.link[root as usize] = sa + sb;
+        self.link[child as usize] = root as i32;
+        (root, (-(sa + sb)) as u32)
     }
 }
 
@@ -98,8 +84,8 @@ impl UnionFind {
 ///
 /// This is what lets the reverse (additive) removal sweeps report the
 /// *weighted* LCC (Fig. 13's user- and toot-normalised curves) in the same
-/// near-linear pass that produces the sizes: each merge folds the two root
-/// accumulators together, so reading any component's weight is `O(α)`.
+/// near-linear pass that produces the sizes: each merge adds the two root
+/// accumulators, in the same two `find`s as an unweighted merge.
 ///
 /// The accumulator is a plain running sum, so its value can differ from a
 /// node-order summation by floating-point association. With integer-valued
@@ -107,11 +93,12 @@ impl UnionFind {
 /// partial sum below 2^53 is exact and the association order is
 /// unobservable.
 ///
-/// Constructed with an empty weight slice, the structure degrades to a
-/// plain [`UnionFind`] and skips all weight bookkeeping.
+/// Constructed with [`Self::unweighted`], the structure is a plain
+/// [`UnionFind`] and skips all weight bookkeeping.
 #[derive(Debug, Clone, Default)]
 pub struct WeightedUnionFind {
     uf: UnionFind,
+    /// Per-root weight; empty when unweighted.
     weight: Vec<f64>,
 }
 
@@ -124,8 +111,7 @@ impl WeightedUnionFind {
         }
     }
 
-    /// `n` singleton sets with no weight tracking ([`Self::weight_of`]
-    /// returns 0 everywhere).
+    /// `n` singleton sets with no weight tracking (merged weights are 0).
     pub fn unweighted(n: usize) -> Self {
         Self {
             uf: UnionFind::new(n),
@@ -133,54 +119,30 @@ impl WeightedUnionFind {
         }
     }
 
-    /// Whether weight accumulators are being maintained.
-    pub fn is_weighted(&self) -> bool {
-        !self.weight.is_empty()
-    }
-
     /// Representative of `x`'s set.
+    #[inline]
     pub fn find(&mut self, x: u32) -> u32 {
         self.uf.find(x)
     }
 
-    /// Merge the sets of `a` and `b`. Returns `Some((root, merged_weight))`
-    /// when they were distinct (`merged_weight` is 0 when unweighted).
-    pub fn union(&mut self, a: u32, b: u32) -> Option<(u32, f64)> {
-        let ra = self.uf.find(a);
-        let rb = self.uf.find(b);
+    /// Merge the sets of `a` and `b`. Returns `Some((root, size, weight))`
+    /// of the merged set when they were distinct (`weight` is 0 when
+    /// unweighted), `None` when already one set.
+    #[inline]
+    pub fn union(&mut self, a: u32, b: u32) -> Option<(u32, u32, f64)> {
+        let (ra, rb) = (self.uf.find(a), self.uf.find(b));
         if ra == rb {
             return None;
         }
-        let merged = if self.weight.is_empty() {
+        let (root, size) = self.uf.link_roots(ra, rb);
+        let weight = if self.weight.is_empty() {
             0.0
         } else {
-            self.weight[ra as usize] + self.weight[rb as usize]
-        };
-        self.uf.union(a, b);
-        let root = self.uf.find(a);
-        if !self.weight.is_empty() {
+            let merged = self.weight[ra as usize] + self.weight[rb as usize];
             self.weight[root as usize] = merged;
-        }
-        Some((root, merged))
-    }
-
-    /// Total weight of the set containing `x` (0 when unweighted).
-    pub fn weight_of(&mut self, x: u32) -> f64 {
-        if self.weight.is_empty() {
-            return 0.0;
-        }
-        let r = self.uf.find(x);
-        self.weight[r as usize]
-    }
-
-    /// Size (node count) of the set containing `x`.
-    pub fn size_of(&mut self, x: u32) -> u32 {
-        self.uf.size_of(x)
-    }
-
-    /// Total number of disjoint sets.
-    pub fn component_count(&self) -> usize {
-        self.uf.component_count()
+            merged
+        };
+        Some((root, size, weight))
     }
 }
 
@@ -188,50 +150,59 @@ impl WeightedUnionFind {
 mod tests {
     use super::*;
 
+    /// Size of every set, keyed by root (`0` for non-roots): a recount
+    /// that does not trust the stored sizes.
+    fn set_sizes(uf: &mut UnionFind, n: u32) -> Vec<u32> {
+        let mut sizes = vec![0; n as usize];
+        for x in 0..n {
+            sizes[uf.find(x) as usize] += 1;
+        }
+        sizes
+    }
+
     #[test]
     fn weighted_union_accumulates() {
         let mut uf = WeightedUnionFind::new(&[1.0, 2.0, 4.0, 8.0]);
-        assert!(uf.is_weighted());
-        let (_, w) = uf.union(0, 1).unwrap();
-        assert_eq!(w, 3.0);
-        assert_eq!(uf.weight_of(1), 3.0);
+        let (_, size, w) = uf.union(0, 1).unwrap();
+        assert_eq!((size, w), (2, 3.0));
         assert!(uf.union(1, 0).is_none());
-        let (root, w) = uf.union(2, 3).unwrap();
-        assert_eq!(w, 12.0);
-        assert_eq!(uf.weight_of(root), 12.0);
-        let (_, w) = uf.union(0, 3).unwrap();
-        assert_eq!(w, 15.0);
-        assert_eq!(uf.size_of(2), 4);
-        assert_eq!(uf.component_count(), 1);
+        let (root, size, w) = uf.union(2, 3).unwrap();
+        assert_eq!((size, w), (2, 12.0));
+        assert_eq!(uf.find(2), root);
+        let (root, size, w) = uf.union(0, 3).unwrap();
+        assert_eq!((size, w), (4, 15.0));
+        for x in 0..4 {
+            assert_eq!(uf.find(x), root);
+        }
     }
 
     #[test]
     fn unweighted_variant_reports_zero_weight() {
         let mut uf = WeightedUnionFind::unweighted(3);
-        assert!(!uf.is_weighted());
-        let (_, w) = uf.union(0, 2).unwrap();
-        assert_eq!(w, 0.0);
-        assert_eq!(uf.weight_of(0), 0.0);
-        assert_eq!(uf.size_of(0), 2);
+        let (root, size, w) = uf.union(0, 2).unwrap();
+        assert_eq!((size, w), (2, 0.0));
+        assert_eq!(uf.find(0), root);
         assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(1), root);
     }
 
     #[test]
     fn singletons() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.component_count(), 5);
-        assert_eq!(uf.size_of(3), 1);
-        assert!(!uf.connected(0, 1));
+        assert_eq!(set_sizes(&mut uf, 5), vec![1; 5]);
+        assert_ne!(uf.find(0), uf.find(1));
     }
 
     #[test]
     fn union_merges() {
         let mut uf = UnionFind::new(4);
-        assert!(uf.union(0, 1));
-        assert!(!uf.union(1, 0));
-        assert!(uf.connected(0, 1));
-        assert_eq!(uf.component_count(), 3);
-        assert_eq!(uf.size_of(0), 2);
+        let (root, size) = uf.union(0, 1).unwrap();
+        assert_eq!(size, 2);
+        assert!(uf.union(1, 0).is_none());
+        assert_eq!(uf.find(0), root);
+        assert_eq!(uf.find(1), root);
+        // three sets: {0,1} {2} {3}
+        assert_eq!(set_sizes(&mut uf, 4).iter().filter(|&&s| s > 0).count(), 3);
     }
 
     #[test]
@@ -239,19 +210,21 @@ mod tests {
         let mut uf = UnionFind::new(6);
         uf.union(0, 1);
         uf.union(2, 3);
-        uf.union(1, 2);
-        assert!(uf.connected(0, 3));
-        assert_eq!(uf.size_of(3), 4);
-        assert_eq!(uf.largest(), 4);
-        assert_eq!(uf.component_count(), 3); // {0,1,2,3} {4} {5}
+        let (_, size) = uf.union(1, 2).unwrap();
+        assert_eq!(size, 4);
+        assert_eq!(uf.find(0), uf.find(3));
+        let sizes = set_sizes(&mut uf, 6);
+        assert_eq!(sizes.iter().max(), Some(&4));
+        // {0,1,2,3} {4} {5}
+        assert_eq!(sizes.iter().filter(|&&s| s > 0).count(), 3);
     }
 
     #[test]
     fn empty_structure() {
         let mut uf = UnionFind::new(0);
-        assert!(uf.is_empty());
-        assert_eq!(uf.component_count(), 0);
-        assert_eq!(uf.largest(), 0);
+        assert!(set_sizes(&mut uf, 0).is_empty());
+        uf.reset(2);
+        assert_eq!(uf.union(0, 1), Some((0, 2)));
     }
 }
 
@@ -261,33 +234,30 @@ mod prop_tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// component_count + merges == n, and find is idempotent.
+        /// roots + merges == n, find is idempotent, and the size `union`
+        /// returns equals a recount of the merged set.
         #[test]
         fn count_invariant(edges in proptest::collection::vec((0u32..50, 0u32..50), 0..100)) {
             let mut uf = UnionFind::new(50);
             let mut merges = 0;
             for &(a, b) in &edges {
-                if uf.union(a, b) {
+                if let Some((root, size)) = uf.union(a, b) {
                     merges += 1;
+                    let members = (0..50u32).filter(|&x| uf.find(x) == root).count();
+                    prop_assert_eq!(size as usize, members);
                 }
             }
-            prop_assert_eq!(uf.component_count(), 50 - merges);
+            let roots = (0..50u32).filter(|&x| uf.find(x) == x).count();
+            prop_assert_eq!(roots, 50 - merges);
             for x in 0..50u32 {
                 let r = uf.find(x);
                 prop_assert_eq!(uf.find(r), r);
             }
-            // sizes of roots sum to n
-            let mut total = 0u32;
-            for x in 0..50u32 {
-                if uf.find(x) == x {
-                    total += uf.size_of(x);
-                }
-            }
-            prop_assert_eq!(total, 50);
         }
 
-        /// A root's weight accumulator always equals the sum of its
-        /// members' initial weights (integer weights: exact equality).
+        /// Every merge's weight equals the sum of its members' initial
+        /// weights (integer weights: exact equality), and its size their
+        /// count.
         #[test]
         fn weights_track_membership(
             edges in proptest::collection::vec((0u32..40, 0u32..40), 0..120),
@@ -296,16 +266,12 @@ mod prop_tests {
             let weights: Vec<f64> = raw.iter().map(|&w| w as f64).collect();
             let mut uf = WeightedUnionFind::new(&weights);
             for &(a, b) in &edges {
-                uf.union(a, b);
-            }
-            let mut by_root = vec![0.0f64; 40];
-            for x in 0..40u32 {
-                let r = uf.find(x);
-                by_root[r as usize] += weights[x as usize];
-            }
-            for x in 0..40u32 {
-                let r = uf.find(x);
-                prop_assert_eq!(uf.weight_of(x), by_root[r as usize]);
+                if let Some((root, size, weight)) = uf.union(a, b) {
+                    let members: Vec<u32> = (0..40u32).filter(|&x| uf.find(x) == root).collect();
+                    prop_assert_eq!(size as usize, members.len());
+                    let sum: f64 = members.iter().map(|&x| weights[x as usize]).sum();
+                    prop_assert_eq!(weight, sum);
+                }
             }
         }
     }
