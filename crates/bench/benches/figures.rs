@@ -1,6 +1,7 @@
-//! One Criterion bench per table and figure of the paper: each bench runs
-//! the full analysis that regenerates the artefact, so this file doubles as
-//! the performance regression net for every substrate the analyses touch.
+//! One Criterion bench per table and figure of the paper (§4's Figs. 7, 8,
+//! 10 and Table 1 share one sweep, so one bench): each bench runs the full
+//! analysis that regenerates the artefact, so this file doubles as the
+//! performance regression net for every substrate the analyses touch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fediscope_bench::bench_observatory;
@@ -54,17 +55,10 @@ fn bench_fig06(c: &mut Criterion) {
     });
 }
 
-fn bench_fig07(c: &mut Criterion) {
+fn bench_section4(c: &mut Criterion) {
     let o = obs();
-    c.bench_function("fig07_downtime", |b| {
-        b.iter(|| availability::fig07_downtime(o))
-    });
-}
-
-fn bench_fig08(c: &mut Criterion) {
-    let o = obs();
-    c.bench_function("fig08_daily_downtime", |b| {
-        b.iter(|| availability::fig08_daily_downtime(o, 7))
+    c.bench_function("section4_sweep", |b| {
+        b.iter(|| availability::section4_sweep(o, 3, 1))
     });
 }
 
@@ -72,20 +66,6 @@ fn bench_fig09(c: &mut Criterion) {
     let o = obs();
     c.bench_function("fig09_certificates", |b| {
         b.iter(|| availability::fig09_certificates(o))
-    });
-}
-
-fn bench_table1(c: &mut Criterion) {
-    let o = obs();
-    c.bench_function("table1_as_failures", |b| {
-        b.iter(|| availability::table1_as_failures(o, 3))
-    });
-}
-
-fn bench_fig10(c: &mut Criterion) {
-    let o = obs();
-    c.bench_function("fig10_outages", |b| {
-        b.iter(|| availability::fig10_outages(o))
     });
 }
 
@@ -156,11 +136,8 @@ criterion_group!(
     bench_fig04,
     bench_fig05,
     bench_fig06,
-    bench_fig07,
-    bench_fig08,
+    bench_section4,
     bench_fig09,
-    bench_table1,
-    bench_fig10,
     bench_fig11,
     bench_table2,
     bench_fig12,

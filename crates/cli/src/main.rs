@@ -21,7 +21,8 @@
 //! frames are skipped and reported); the resumed crawl's output is
 //! bit-identical to one that never died.
 
-use fediscope_core::{report, verdicts, Observatory};
+use fediscope_core::report::render_verdicts;
+use fediscope_core::{verdicts, Observatory, Report};
 use fediscope_crawler::discovery::SeedList;
 use fediscope_crawler::monitor::InstanceMonitor;
 use fediscope_crawler::politeness::Politeness;
@@ -294,9 +295,9 @@ fn cmd_crawl(o: &Opts) {
 
 fn cmd_analyze(o: &Opts) {
     let world = Generator::generate_world(config_for(o));
-    let obs = Observatory::new(world);
-    let vs = verdicts::evaluate(&obs, o.fast);
-    println!("{}", report::render_verdicts(&vs));
+    let report = Report::compute(&Observatory::new(world), o.fast);
+    let vs = verdicts::evaluate(&report);
+    println!("{}", render_verdicts(&vs));
     let failed = verdicts::failed(&vs);
     println!("{} checks, {} failed", vs.len(), failed);
     if failed > 0 {

@@ -1,6 +1,10 @@
 //! A bad command line exits 2 with a usage line, never a panic; the wire
-//! stack's `crawl` and `serve` run in the default build.
+//! stack's `crawl` and `serve` run in the default build; `analyze` prints
+//! the verdicts of the computed report.
 
+use fediscope_core::report::render_verdicts;
+use fediscope_core::{verdicts, Observatory, Report};
+use fediscope_worldgen::{Generator, WorldConfig};
 use std::process::{Command, Output};
 
 fn fediscope(args: &[&str]) -> Output {
@@ -53,4 +57,17 @@ fn fediscope_crawls_and_serves() {
         // it from outside the process.
         assert!(!stdout.contains("curl"), "{args:?}: {stdout}");
     }
+}
+
+#[test]
+fn fediscope_analyze_judges_the_computed_report() {
+    let out = fediscope(&["analyze", "--scale", "tiny", "--fast"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let obs = Observatory::new(Generator::generate_world(WorldConfig::tiny(42)));
+    let vs = verdicts::evaluate(&Report::compute(&obs, true));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("{}\n19 checks, 0 failed\n", render_verdicts(&vs))
+    );
 }

@@ -1,25 +1,21 @@
 //! §4.4 analyses: availability, outages, certificates, AS failures
 //! (Figs. 7–10, Table 1).
 //!
-//! Two routes produce the same figures:
-//!
-//! - the kept per-figure functions ([`fig07_downtime`],
-//!   [`fig08_daily_downtime`], [`fig10_outages`], [`table1_as_failures`])
-//!   walk the schedule list once per figure — the naive reference;
-//! - [`section4_sweep`] / [`section4_tier`] fold **all** of Figs. 7, 8, 10,
-//!   the worst-day blackout, and Table 1 out of one sharded
-//!   [`MonitorSweep`] pass over the observatory's columnar
-//!   [`fediscope_model::schedule::OutageArena`] — bit-identical output at
-//!   any thread count, and the only route that should run at tier scale.
+//! [`section4_sweep`] / [`section4_tier`] fold **all** of Figs. 7, 8, 10,
+//! the worst-day blackout, and Table 1 out of one sharded [`MonitorSweep`]
+//! pass over the observatory's columnar
+//! [`fediscope_model::schedule::OutageArena`], bit-identical at any thread
+//! count. [`fig09_certificates`] reads the schedules directly. The naive
+//! per-schedule reference the sweep is checked against lives in
+//! `fediscope_monitor` ([`fediscope_monitor::naive_section4`]).
 
 use crate::observatory::Observatory;
 use fediscope_model::certs::CertificateAuthority;
 use fediscope_model::scale::ScaleTier;
-use fediscope_monitor::asn::{as_failure_table, AsFailureRow};
+use fediscope_monitor::asn::AsFailureRow;
 use fediscope_monitor::certs::{attribute_cert_outages, ca_footprint, CertOutageReport};
-use fediscope_monitor::daily::{daily_downtime, size_downtime_correlation, SizeBin};
-use fediscope_monitor::downtime::{downtime_report, failure_exposure, headlines, DowntimeHeadlines};
-use fediscope_monitor::outages::{outage_durations, worst_day_blackout};
+use fediscope_monitor::daily::SizeBin;
+use fediscope_monitor::downtime::{headlines, DowntimeHeadlines};
 use fediscope_monitor::{MonitorSweep, SweepConfig, SweepOutput};
 use fediscope_stats::{BoxStats, Ecdf};
 
@@ -38,19 +34,6 @@ pub struct Fig07Downtime {
     pub boosts_exposure: Ecdf,
 }
 
-/// Compute Fig. 7.
-pub fn fig07_downtime(obs: &Observatory) -> Fig07Downtime {
-    let report = downtime_report(&obs.world.schedules);
-    let exposure = failure_exposure(&obs.world.instances, &obs.world.schedules);
-    Fig07Downtime {
-        headlines: headlines(&report),
-        downtime_cdf: report.cdf,
-        users_exposure: exposure.users,
-        toots_exposure: exposure.toots,
-        boosts_exposure: exposure.boosts,
-    }
-}
-
 /// Fig. 8: per-day downtime by size bin vs Twitter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig08DailyDowntime {
@@ -64,19 +47,6 @@ pub struct Fig08DailyDowntime {
     pub twitter_box: Option<BoxStats>,
     /// Correlation between toot count and downtime (paper: −0.04).
     pub size_correlation: Option<f64>,
-}
-
-/// Compute Fig. 8. `day_stride` subsamples days to bound cost.
-pub fn fig08_daily_downtime(obs: &Observatory, day_stride: u32) -> Fig08DailyDowntime {
-    let dd = daily_downtime(&obs.world.instances, &obs.world.schedules, day_stride);
-    let t = &obs.world.twitter.daily_downtime;
-    Fig08DailyDowntime {
-        bins: dd.box_stats(),
-        mastodon_mean: dd.mean(),
-        twitter_mean: t.iter().sum::<f64>() / t.len().max(1) as f64,
-        twitter_box: BoxStats::of(t),
-        size_correlation: size_downtime_correlation(&obs.world.instances, &obs.world.schedules),
-    }
 }
 
 /// Fig. 9: certificates.
@@ -94,17 +64,6 @@ pub fn fig09_certificates(obs: &Observatory) -> Fig09Certificates {
         footprint: ca_footprint(&obs.world.instances),
         outages: attribute_cert_outages(&obs.world.instances, &obs.world.schedules),
     }
-}
-
-/// Table 1: AS-wide failures. `min_instances` is the membership threshold
-/// (paper: 8; scale it down for small worlds).
-pub fn table1_as_failures(obs: &Observatory, min_instances: usize) -> Vec<AsFailureRow> {
-    as_failure_table(
-        &obs.world.instances,
-        &obs.world.schedules,
-        &obs.world.providers,
-        min_instances,
-    )
 }
 
 /// Fig. 10: continuous outages.
@@ -126,20 +85,6 @@ pub struct Fig10Outages {
     pub worst_day: (fediscope_model::time::Day, f64),
 }
 
-/// Compute Fig. 10.
-pub fn fig10_outages(obs: &Observatory) -> Fig10Outages {
-    let d = outage_durations(&obs.world.instances, &obs.world.schedules);
-    Fig10Outages {
-        durations: d.durations_days,
-        any_outage_frac: d.any_outage_frac,
-        day_plus_frac: d.day_plus_frac,
-        month_plus_frac: d.month_plus_frac,
-        users_affected: d.users_affected,
-        toots_affected: d.toots_affected,
-        worst_day: worst_day_blackout(&obs.world.instances, &obs.world.schedules),
-    }
-}
-
 /// All of §4's availability output (Figs. 7, 8, 10 + Table 1), produced
 /// by one [`MonitorSweep`] pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,8 +99,8 @@ pub struct Section4 {
     pub table1: Vec<AsFailureRow>,
 }
 
-/// Shape a [`SweepOutput`] into the per-figure §4 structs, pulling the
-/// Twitter baseline from the world like the naive figure functions do.
+/// Shape a [`SweepOutput`] into the per-figure §4 structs, with Fig. 8's
+/// Twitter baseline taken from the world.
 fn section4_from_sweep(obs: &Observatory, out: SweepOutput) -> Section4 {
     let t = &obs.world.twitter.daily_downtime;
     Section4 {
@@ -187,9 +132,9 @@ fn section4_from_sweep(obs: &Observatory, out: SweepOutput) -> Section4 {
 }
 
 /// Compute all of §4 in one sharded pass over the observatory's columnar
-/// arena. Every figure equals its naive counterpart bit-for-bit
-/// (`min_as_instances` plays [`table1_as_failures`]' `min_instances` role;
-/// `day_stride` plays [`fig08_daily_downtime`]'s).
+/// arena. `min_as_instances` is Table 1's AS membership threshold (paper:
+/// 8; scale it down for small worlds); `day_stride` subsamples Fig. 8's
+/// days (1 = every day).
 pub fn section4_sweep(obs: &Observatory, min_as_instances: usize, day_stride: u32) -> Section4 {
     let cfg = SweepConfig {
         day_stride,
@@ -220,7 +165,7 @@ mod tests {
     #[test]
     fn fig07_headline_bands() {
         let o = obs();
-        let f = fig07_downtime(&o);
+        let f = section4_sweep(&o, 3, 1).fig07;
         // paper: ~50% below 5% downtime; ~11% above 50%
         assert!((0.30..=0.72).contains(&f.headlines.below_5pct));
         assert!((0.02..=0.25).contains(&f.headlines.above_50pct));
@@ -231,7 +176,7 @@ mod tests {
     #[test]
     fn fig08_twitter_beats_mastodon() {
         let o = obs();
-        let f = fig08_daily_downtime(&o, 7);
+        let f = section4_sweep(&o, 3, 7).fig08;
         assert!(
             f.mastodon_mean > 2.0 * f.twitter_mean,
             "mastodon {} vs twitter {}",
@@ -274,7 +219,7 @@ mod tests {
     #[test]
     fn table1_detects_planned_failures() {
         let o = obs();
-        let rows = table1_as_failures(&o, 3);
+        let rows = section4_sweep(&o, 3, 1).table1;
         assert!(!rows.is_empty());
         let total_failures: usize = rows.iter().map(|r| r.failures).sum();
         assert!(total_failures >= 3);
@@ -283,25 +228,12 @@ mod tests {
     #[test]
     fn fig10_shape() {
         let o = obs();
-        let f = fig10_outages(&o);
+        let f = section4_sweep(&o, 3, 1).fig10;
         assert!(f.any_outage_frac > 0.85, "{}", f.any_outage_frac);
         assert!((0.05..=0.5).contains(&f.day_plus_frac), "{}", f.day_plus_frac);
         assert!(f.month_plus_frac < f.day_plus_frac);
         assert!(f.worst_day.1 > 0.0, "some day must lose toots");
         assert!(f.users_affected > 0);
-    }
-
-    #[test]
-    fn section4_sweep_equals_naive_figures() {
-        let o = obs();
-        let s4 = section4_sweep(&o, 3, 1);
-        assert!(s4.fig07 == fig07_downtime(&o), "fig07 diverged");
-        assert!(s4.fig08 == fig08_daily_downtime(&o, 1), "fig08 diverged");
-        assert!(s4.fig10 == fig10_outages(&o), "fig10 diverged");
-        assert!(s4.table1 == table1_as_failures(&o, 3), "table1 diverged");
-        // stride plumbs through identically too
-        let strided = section4_sweep(&o, 3, 7);
-        assert!(strided.fig08 == fig08_daily_downtime(&o, 7));
     }
 
     #[test]

@@ -101,12 +101,8 @@ pub struct Section3Live {
     pub degradation: DegradationSummary,
 }
 
-/// Run one simulation over the observatory's world under `cfg`'s overlay.
-pub fn run_delivery(obs: &Observatory, toots: &TootArena, cfg: FedSimConfig) -> SimRun {
-    let fanout = FanoutArena::from_world(&obs.world);
-    run_with_fanout(obs, &fanout, toots, cfg)
-}
-
+/// Run one simulation over the observatory's world under `cfg`'s overlay,
+/// on a fan-out arena built once for both of [`section3_live`]'s runs.
 fn run_with_fanout(
     obs: &Observatory,
     fanout: &FanoutArena,

@@ -113,8 +113,8 @@ pub struct Fig12UserRemoval {
 /// Compute Fig. 12 with `steps` rounds of 1% removals.
 ///
 /// The Mastodon and Twitter sweeps are independent, so they run on two
-/// threads; each sweep is deterministic, so the output does not depend on
-/// scheduling.
+/// threads (in sequence at a one-thread `par` budget); each sweep is
+/// deterministic, so the output does not depend on scheduling.
 pub fn fig12_user_removal(obs: &Observatory, steps: usize) -> Fig12UserRemoval {
     let (mastodon, twitter) = par::join(
         || {

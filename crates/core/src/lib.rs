@@ -13,9 +13,11 @@
 //! - [`delivery`]: the live §3 — the federation delivery simulator's
 //!   load-concentration and outage-degradation runs,
 //! - [`extensions`]: the paper's stated future work (instance blocking),
-//! - [`verdicts`]: automated paper-vs-measured shape checks,
-//! - [`report`]: plain-text rendering shared by the repro binary and the
-//!   examples.
+//! - [`report`]: the [`Report`], every figure and table the `repro` binary
+//!   prints, computed once, and the plain-text rendering shared by `repro`,
+//!   the CLI and the examples,
+//! - [`verdicts`]: automated paper-vs-measured shape checks, judged on the
+//!   computed [`Report`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,3 +34,4 @@ pub mod scenarios;
 pub mod verdicts;
 
 pub use observatory::{Metric, Observatory};
+pub use report::Report;

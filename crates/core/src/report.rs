@@ -1,17 +1,121 @@
-//! Plain-text rendering of figures, tables and verdicts — the output format
-//! of the `repro` binary and the examples.
+//! The paper report: [`Report`] holds every figure and table the `repro`
+//! binary prints, each computed once, and the plain-text rendering of
+//! figures, tables and verdicts shared by `repro`, the CLI and the
+//! examples.
 
-use crate::availability::{Fig07Downtime, Fig08DailyDowntime, Fig09Certificates, Fig10Outages};
-use crate::content::{Fig14RemoteRatio, Fig15Replication, Fig16RandomReplication};
+use crate::availability::{
+    self, Fig07Downtime, Fig08DailyDowntime, Fig09Certificates, Fig10Outages, Section4,
+};
+use crate::content::{self, Fig14RemoteRatio, Fig15Replication, Fig16RandomReplication};
 use crate::delivery::Section3Live;
-use crate::graphs::{Fig11Degrees, Fig12UserRemoval, Fig13FederationRemoval, Table2Row};
+use crate::graphs::{self, Fig11Degrees, Fig12UserRemoval, Fig13FederationRemoval, Table2Row};
+use crate::observatory::Observatory;
 use crate::population::{
-    Fig01Growth, Fig02OpenClosed, Fig03Categories, Fig04Policies, Fig05Hosting, Fig06CountryLinks,
+    self, Fig01Growth, Fig02OpenClosed, Fig03Categories, Fig04Policies, Fig05Hosting,
+    Fig06CountryLinks,
 };
 use crate::scenarios::Section5Scenarios;
 use crate::verdicts::Verdict;
 use fediscope_monitor::asn::AsFailureRow;
 use std::fmt::Write as _;
+
+/// Every figure and table of the report, in the order [`Report::render`]
+/// prints them. [`crate::verdicts::evaluate`] judges these values.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// Fig. 1: growth over time.
+    pub fig01: Fig01Growth,
+    /// Fig. 2: open vs closed registrations.
+    pub fig02: Fig02OpenClosed,
+    /// Fig. 3: instance categories.
+    pub fig03: Fig03Categories,
+    /// Fig. 4: activity policies.
+    pub fig04: Fig04Policies,
+    /// Fig. 5: hosting countries and ASes.
+    pub fig05: Fig05Hosting,
+    /// Fig. 6: federation links between countries.
+    pub fig06: Fig06CountryLinks,
+    /// Figs. 7, 8, 10 and Table 1, from one §4 sweep.
+    pub section4: Section4,
+    /// Fig. 9: certificates.
+    pub fig09: Fig09Certificates,
+    /// Fig. 11: out-degree distributions.
+    pub fig11: Fig11Degrees,
+    /// Table 2: top instances by home toots.
+    pub table2: Vec<Table2Row>,
+    /// Fig. 12: top-1% user removal; `None` in a fast report.
+    pub fig12: Option<Fig12UserRemoval>,
+    /// Fig. 13: federation-graph resilience; `None` in a fast report.
+    pub fig13: Option<Fig13FederationRemoval>,
+    /// Fig. 14: home vs remote toots.
+    pub fig14: Fig14RemoteRatio,
+    /// Fig. 15: toot availability under failures; `None` in a fast report.
+    pub fig15: Option<Fig15Replication>,
+    /// Fig. 16: random replication; `None` in a fast report.
+    pub fig16: Option<Fig16RandomReplication>,
+}
+
+impl Report {
+    /// Compute every figure once. Parameters scale with the world's
+    /// instance count `n`: Fig. 1 samples every 30th day; Table 1 counts
+    /// ASes of at least 8 instances when `n >= 2000` (3 below); Fig. 8
+    /// keeps every day; Fig. 12 runs 15 rounds; Fig. 13 removes up to
+    /// `(n / 5).max(10)` instances and 20 ASes; Fig. 15 removes 30
+    /// instances and 20 ASes; Fig. 16 removes 25 instances. `fast` skips
+    /// the heavy §5 sweeps (Figs. 12, 13, 15, 16).
+    pub fn compute(obs: &Observatory, fast: bool) -> Report {
+        let n = obs.world.instances.len();
+        let table1_min = if n >= 2000 { 8 } else { 3 };
+        let full = !fast;
+        Report {
+            fig01: population::fig01_growth(obs, 30),
+            fig02: population::fig02_open_closed(obs),
+            fig03: population::fig03_categories(obs),
+            fig04: population::fig04_policies(obs),
+            fig05: population::fig05_hosting(obs),
+            fig06: population::fig06_country_links(obs),
+            section4: availability::section4_sweep(obs, table1_min, 1),
+            fig09: availability::fig09_certificates(obs),
+            fig11: graphs::fig11_degrees(obs),
+            table2: graphs::table2_top_instances(obs),
+            fig12: full.then(|| graphs::fig12_user_removal(obs, 15)),
+            fig13: full.then(|| graphs::fig13_federation_removal(obs, (n / 5).max(10), 20)),
+            fig14: content::fig14_remote_ratio(obs),
+            fig15: full.then(|| content::fig15_replication(obs, 30, 20)),
+            fig16: full.then(|| content::fig16_random_replication(obs, 25)),
+        }
+    }
+
+    /// The report text: each section the report holds, in paper order,
+    /// followed by a blank line.
+    pub fn render(&self) -> String {
+        let s4 = &self.section4;
+        [
+            Some(render_fig01(&self.fig01)),
+            Some(render_fig02(&self.fig02)),
+            Some(render_fig03(&self.fig03)),
+            Some(render_fig04(&self.fig04)),
+            Some(render_fig05(&self.fig05)),
+            Some(render_fig06(&self.fig06)),
+            Some(render_fig07(&s4.fig07)),
+            Some(render_fig08(&s4.fig08)),
+            Some(render_fig09(&self.fig09)),
+            Some(render_table1(&s4.table1)),
+            Some(render_fig10(&s4.fig10)),
+            Some(render_fig11(&self.fig11)),
+            Some(render_table2(&self.table2)),
+            self.fig12.as_ref().map(render_fig12),
+            self.fig13.as_ref().map(render_fig13),
+            Some(render_fig14(&self.fig14)),
+            self.fig15.as_ref().map(render_fig15),
+            self.fig16.as_ref().map(render_fig16),
+        ]
+        .into_iter()
+        .flatten()
+        .map(|section| section + "\n")
+        .collect()
+    }
+}
 
 /// Format a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
@@ -600,11 +704,12 @@ mod tests {
         assert!(!render_fig04(&crate::population::fig04_policies(&obs)).is_empty());
         assert!(!render_fig05(&crate::population::fig05_hosting(&obs)).is_empty());
         assert!(!render_fig06(&crate::population::fig06_country_links(&obs)).is_empty());
-        assert!(!render_fig07(&crate::availability::fig07_downtime(&obs)).is_empty());
-        assert!(!render_fig08(&crate::availability::fig08_daily_downtime(&obs, 30)).is_empty());
+        let s4 = crate::availability::section4_sweep(&obs, 2, 30);
+        assert!(!render_fig07(&s4.fig07).is_empty());
+        assert!(!render_fig08(&s4.fig08).is_empty());
         assert!(!render_fig09(&crate::availability::fig09_certificates(&obs)).is_empty());
-        assert!(!render_table1(&crate::availability::table1_as_failures(&obs, 2)).is_empty());
-        assert!(!render_fig10(&crate::availability::fig10_outages(&obs)).is_empty());
+        assert!(!render_table1(&s4.table1).is_empty());
+        assert!(!render_fig10(&s4.fig10).is_empty());
         assert!(!render_fig11(&crate::graphs::fig11_degrees(&obs)).is_empty());
         assert!(!render_table2(&crate::graphs::table2_top_instances(&obs)).is_empty());
         assert!(!render_fig12(&crate::graphs::fig12_user_removal(&obs, 3)).is_empty());

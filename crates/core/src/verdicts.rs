@@ -5,12 +5,11 @@
 //! (ordering, factor, threshold) holds. Absolute agreement is not expected —
 //! the substrate is synthetic — but every headline narrative of the paper
 //! must replicate in direction and rough magnitude.
+//!
+//! The verdicts read a computed [`Report`], the same values the report
+//! renders; they compute no figure themselves.
 
-use crate::availability::{fig07_downtime, fig08_daily_downtime, fig10_outages};
-use crate::content::{fig14_remote_ratio, fig15_replication, fig16_random_replication};
-use crate::graphs::fig12_user_removal;
-use crate::observatory::Observatory;
-use crate::population::{fig02_open_closed, fig03_categories, fig05_hosting, fig06_country_links};
+use crate::report::Report;
 use fediscope_model::taxonomy::Category;
 
 /// One checked claim.
@@ -28,9 +27,10 @@ pub struct Verdict {
     pub pass: bool,
 }
 
-/// Evaluate the full verdict suite. `fast` skips the heavier sweeps
-/// (Figs. 12, 15, 16) for quick smoke runs.
-pub fn evaluate(obs: &Observatory, fast: bool) -> Vec<Verdict> {
+/// Judge every figure `report` holds: a fast report (see
+/// [`Report::compute`]) has no Figs. 12, 15 or 16, and so none of their
+/// checks.
+pub fn evaluate(report: &Report) -> Vec<Verdict> {
     let mut out = Vec::new();
     let mut check = |id, claim, paper: f64, measured: f64, pass: bool| {
         out.push(Verdict {
@@ -43,7 +43,7 @@ pub fn evaluate(obs: &Observatory, fast: bool) -> Vec<Verdict> {
     };
 
     // --- §4.1 ---------------------------------------------------------------
-    let f2 = fig02_open_closed(obs);
+    let f2 = &report.fig02;
     check(
         "fig02.top5_users",
         "top 5% of instances hold 90.6% of users",
@@ -85,7 +85,7 @@ pub fn evaluate(obs: &Observatory, fast: bool) -> Vec<Verdict> {
     // The categorised population is a ~16% subset; below ~30 declaring
     // instances the shares are dominated by one or two servers and the
     // checks become vacuous (0/0 ratios), so they auto-pass on micro worlds.
-    let f3 = fig03_categories(obs);
+    let f3 = &report.fig03;
     let cat = |c: Category| f3.rows.iter().find(|r| r.category == c).unwrap();
     let fig03_meaningful = f3.declaring_instances >= 30;
     check(
@@ -106,7 +106,7 @@ pub fn evaluate(obs: &Observatory, fast: bool) -> Vec<Verdict> {
     );
 
     // --- §4.3 ---------------------------------------------------------------
-    let f5 = fig05_hosting(obs);
+    let f5 = &report.fig05;
     check(
         "fig05.top3_as_users",
         "top 3 ASes host ~62% of users",
@@ -127,7 +127,7 @@ pub fn evaluate(obs: &Observatory, fast: bool) -> Vec<Verdict> {
         jp,
         jp > 0.2,
     );
-    let f6 = fig06_country_links(obs);
+    let f6 = &report.fig06;
     check(
         "fig06.same_country",
         "32% of federation links are same-country",
@@ -137,7 +137,7 @@ pub fn evaluate(obs: &Observatory, fast: bool) -> Vec<Verdict> {
     );
 
     // --- §4.4 ---------------------------------------------------------------
-    let f7 = fig07_downtime(obs);
+    let f7 = &report.section4.fig07;
     check(
         "fig07.below_5pct",
         "about half the instances have <5% downtime",
@@ -152,7 +152,7 @@ pub fn evaluate(obs: &Observatory, fast: bool) -> Vec<Verdict> {
         f7.headlines.above_50pct,
         (0.02..0.3).contains(&f7.headlines.above_50pct),
     );
-    let f8 = fig08_daily_downtime(obs, 7);
+    let f8 = &report.section4.fig08;
     check(
         "fig08.twitter_contrast",
         "Twitter 2007 downtime 1.25% vs Mastodon 10.95%",
@@ -167,7 +167,7 @@ pub fn evaluate(obs: &Observatory, fast: bool) -> Vec<Verdict> {
         f8.size_correlation.unwrap_or(0.0),
         f8.size_correlation.unwrap_or(0.0).abs() < 0.4,
     );
-    let f10 = fig10_outages(obs);
+    let f10 = &report.section4.fig10;
     check(
         "fig10.any_outage",
         "98% of instances go down at least once",
@@ -191,7 +191,7 @@ pub fn evaluate(obs: &Observatory, fast: bool) -> Vec<Verdict> {
     );
 
     // --- §5.2 (cheap parts) --------------------------------------------------
-    let f14 = fig14_remote_ratio(obs);
+    let f14 = &report.fig14;
     check(
         "fig14.feeder_dependence",
         "78% of instances produce <10% of their own federated timeline",
@@ -207,79 +207,78 @@ pub fn evaluate(obs: &Observatory, fast: bool) -> Vec<Verdict> {
         f14.production_replication_corr.unwrap_or(0.0) > 0.5,
     );
 
-    if fast {
-        return out;
+    // --- §5.1 (sweeps) -------------------------------------------------------
+    if let Some(f12) = &report.fig12 {
+        check(
+            "fig12.initial_lcc",
+            "99.95% of users sit in the LCC",
+            0.9995,
+            f12.mastodon_initial_lcc,
+            f12.mastodon_initial_lcc > 0.98,
+        );
+        check(
+            "fig12.shatter",
+            "removing the top 1% of users shrinks the LCC to 26.38%",
+            0.2638,
+            f12.mastodon_after_1pct,
+            f12.mastodon_after_1pct < 0.65,
+        );
+        check(
+            "fig12.twitter_robust",
+            "Twitter keeps 80% of its LCC after removing the top 10%",
+            0.80,
+            f12.twitter_after_10pct,
+            f12.twitter_after_10pct > 0.55 && f12.twitter_after_10pct > f12.mastodon_after_1pct,
+        );
     }
 
-    // --- §5.1 (sweeps) -------------------------------------------------------
-    let f12 = fig12_user_removal(obs, 12);
-    check(
-        "fig12.initial_lcc",
-        "99.95% of users sit in the LCC",
-        0.9995,
-        f12.mastodon_initial_lcc,
-        f12.mastodon_initial_lcc > 0.98,
-    );
-    check(
-        "fig12.shatter",
-        "removing the top 1% of users shrinks the LCC to 26.38%",
-        0.2638,
-        f12.mastodon_after_1pct,
-        f12.mastodon_after_1pct < 0.65,
-    );
-    check(
-        "fig12.twitter_robust",
-        "Twitter keeps 80% of its LCC after removing the top 10%",
-        0.80,
-        f12.twitter_after_10pct,
-        f12.twitter_after_10pct > 0.55 && f12.twitter_after_10pct > f12.mastodon_after_1pct,
-    );
-
     // --- §5.2 (availability sweeps) -------------------------------------------
-    let f15 = fig15_replication(obs, 30, 10);
-    check(
-        "fig15.none_top10_instances",
-        "removing the top 10 instances deletes 62.69% of toots",
-        0.6269,
-        f15.none_top10_instance_loss,
-        f15.none_top10_instance_loss > 0.3,
-    );
-    check(
-        "fig15.sub_rescue",
-        "with subscription replication only 2.1% of toots are lost",
-        0.021,
-        f15.sub_top10_instance_loss,
-        f15.sub_top10_instance_loss < f15.none_top10_instance_loss * 0.75,
-    );
-    check(
-        "fig15.as_worse",
-        "removing the top 10 ASes deletes 90.1% of toots (no replication)",
-        0.901,
-        f15.none_top10_as_loss,
-        f15.none_top10_as_loss >= f15.none_top10_instance_loss - 0.05,
-    );
-    let f16 = fig16_random_replication(obs, 25);
-    let n1_final = f16
-        .random
-        .iter()
-        .find(|(n, _)| *n == 1)
-        .map(|(_, c)| c.last().unwrap().availability)
-        .unwrap_or(0.0);
-    let sub_final = f16.subscription.last().unwrap().availability;
-    check(
-        "fig16.random_beats_sub",
-        "after 25 removals: random n=1 99.2% vs subscription 95%",
-        0.992 / 0.95,
-        n1_final / sub_final.max(1e-9),
-        n1_final >= sub_final - 0.02,
-    );
-    check(
-        "fig16.unreplicated",
-        "9.7% of toots have no subscription replicas",
-        0.097,
-        f16.unreplicated_frac,
-        f16.unreplicated_frac > 0.0 && f16.unreplicated_frac < 0.6,
-    );
+    if let Some(f15) = &report.fig15 {
+        check(
+            "fig15.none_top10_instances",
+            "removing the top 10 instances deletes 62.69% of toots",
+            0.6269,
+            f15.none_top10_instance_loss,
+            f15.none_top10_instance_loss > 0.3,
+        );
+        check(
+            "fig15.sub_rescue",
+            "with subscription replication only 2.1% of toots are lost",
+            0.021,
+            f15.sub_top10_instance_loss,
+            f15.sub_top10_instance_loss < f15.none_top10_instance_loss * 0.75,
+        );
+        check(
+            "fig15.as_worse",
+            "removing the top 10 ASes deletes 90.1% of toots (no replication)",
+            0.901,
+            f15.none_top10_as_loss,
+            f15.none_top10_as_loss >= f15.none_top10_instance_loss - 0.05,
+        );
+    }
+    if let Some(f16) = &report.fig16 {
+        let n1_final = f16
+            .random
+            .iter()
+            .find(|(n, _)| *n == 1)
+            .map(|(_, c)| c.last().unwrap().availability)
+            .unwrap_or(0.0);
+        let sub_final = f16.subscription.last().unwrap().availability;
+        check(
+            "fig16.random_beats_sub",
+            "after 25 removals: random n=1 99.2% vs subscription 95%",
+            0.992 / 0.95,
+            n1_final / sub_final.max(1e-9),
+            n1_final >= sub_final - 0.02,
+        );
+        check(
+            "fig16.unreplicated",
+            "9.7% of toots have no subscription replicas",
+            0.097,
+            f16.unreplicated_frac,
+            f16.unreplicated_frac > 0.0 && f16.unreplicated_frac < 0.6,
+        );
+    }
 
     out
 }
@@ -292,13 +291,17 @@ pub fn failed(verdicts: &[Verdict]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Observatory;
     use fediscope_worldgen::{Generator, WorldConfig};
+
+    fn report(cfg: WorldConfig, fast: bool) -> Report {
+        Report::compute(&Observatory::new(Generator::generate_world(cfg)), fast)
+    }
 
     #[test]
     fn fast_suite_passes_on_default_world() {
-        let obs = Observatory::new(Generator::generate_world(WorldConfig::small(42)));
-        let verdicts = evaluate(&obs, true);
-        assert!(verdicts.len() >= 15);
+        let verdicts = evaluate(&report(WorldConfig::small(42), true));
+        assert_eq!(verdicts.len(), 19);
         let failures: Vec<&Verdict> = verdicts.iter().filter(|v| !v.pass).collect();
         assert!(
             failures.is_empty(),
@@ -309,18 +312,37 @@ mod tests {
 
     #[test]
     fn full_suite_passes_on_default_world() {
-        let obs = Observatory::new(Generator::generate_world(WorldConfig::small(42)));
-        let verdicts = evaluate(&obs, false);
-        assert!(verdicts.len() >= 22);
+        let verdicts = evaluate(&report(WorldConfig::small(42), false));
+        assert_eq!(verdicts.len(), 27);
         let failures: Vec<&str> = verdicts.iter().filter(|v| !v.pass).map(|v| v.id).collect();
         assert!(failures.is_empty(), "failed verdicts: {failures:?}");
     }
 
     #[test]
+    fn verdicts_judge_the_report() {
+        // The measured values are the report's own, not a recomputation.
+        let report = report(WorldConfig::small(42), false);
+        let verdicts = evaluate(&report);
+        let measured = |id| verdicts.iter().find(|v| v.id == id).unwrap().measured;
+        let f8 = &report.section4.fig08;
+        assert_eq!(
+            measured("fig08.twitter_contrast"),
+            f8.mastodon_mean / f8.twitter_mean
+        );
+        assert_eq!(
+            measured("fig12.shatter"),
+            report.fig12.as_ref().unwrap().mastodon_after_1pct
+        );
+        assert_eq!(
+            measured("fig07.below_5pct"),
+            report.section4.fig07.headlines.below_5pct
+        );
+    }
+
+    #[test]
     fn verdicts_stable_across_seeds() {
         for seed in [7u64, 1234] {
-            let obs = Observatory::new(Generator::generate_world(WorldConfig::small(seed)));
-            let verdicts = evaluate(&obs, true);
+            let verdicts = evaluate(&report(WorldConfig::small(seed), true));
             let failures: Vec<&str> =
                 verdicts.iter().filter(|v| !v.pass).map(|v| v.id).collect();
             assert!(failures.is_empty(), "seed {seed}: failed {failures:?}");

@@ -3,7 +3,7 @@
 //! The paper bootstrapped from mnm.social's "comprehensive index of
 //! instances around the world" (4,328 domains). Our equivalent is a list of
 //! `(domain, socket address)` pairs; in the simulator every domain resolves
-//! to the shared loopback listener (virtual hosting), while a real
+//! to the shared in-memory listener (virtual hosting), while a real
 //! deployment would resolve DNS per domain.
 
 use fediscope_model::ids::InstanceId;

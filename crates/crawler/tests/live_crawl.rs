@@ -1,5 +1,6 @@
 //! End-to-end crawler tests against a live simulated fediverse: the crawler
-//! must recover the ground truth over real loopback HTTP.
+//! must recover the ground truth over HTTP on the executor's in-memory
+//! transport.
 
 use fediscope_crawler::discovery::SeedList;
 use fediscope_crawler::monitor::InstanceMonitor;

@@ -29,9 +29,10 @@ pub fn set_thread_override(threads: Option<usize>) {
 
 /// Run two closures, potentially in parallel, returning both results.
 ///
-/// `b` runs on a spawned scoped thread while `a` runs on the caller's
-/// thread, so the call adds at most one thread of overhead and never
-/// deadlocks under nesting.
+/// At a [`thread_budget`] of 1 both run on the caller's thread, `a` then
+/// `b`. Otherwise `b` runs on a spawned scoped thread while `a` runs on the
+/// caller's thread, so the call adds at most one thread of overhead and
+/// never deadlocks under nesting.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -39,6 +40,9 @@ where
     RA: Send,
     RB: Send,
 {
+    if thread_budget() == 1 {
+        return (a(), b());
+    }
     std::thread::scope(|s| {
         let hb = s.spawn(b);
         let ra = a();
@@ -49,8 +53,9 @@ where
     })
 }
 
-/// Number of worker threads used by [`parallel_map`]: the machine's
-/// available parallelism, unless pinned via [`set_thread_override`].
+/// Number of worker threads used by [`join`] and [`parallel_map`]: the
+/// machine's available parallelism, unless pinned via
+/// [`set_thread_override`].
 pub fn thread_budget() -> usize {
     match THREAD_OVERRIDE.load(Ordering::Relaxed) {
         0 => std::thread::available_parallelism()
@@ -110,6 +115,11 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    /// Held by every test that sets the process-wide override, so no two
+    /// of them interleave.
+    static OVERRIDE: Mutex<()> = Mutex::new(());
 
     #[test]
     fn join_returns_both() {
@@ -152,11 +162,23 @@ mod tests {
 
     #[test]
     fn thread_override_round_trips() {
-        // No other test in this binary touches the override, and this test
+        // Only tests holding `OVERRIDE` touch the override, and each
         // restores the default before returning.
+        let _guard = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
         set_thread_override(Some(3));
         assert_eq!(thread_budget(), 3);
         set_thread_override(None);
         assert!(thread_budget() >= 1);
+    }
+
+    #[test]
+    fn join_runs_on_the_caller_at_one_thread() {
+        let _guard = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
+        set_thread_override(Some(1));
+        let caller = std::thread::current().id();
+        let here = || std::thread::current().id();
+        let (a, b) = join(here, here);
+        set_thread_override(None);
+        assert_eq!((a, b), (caller, caller));
     }
 }

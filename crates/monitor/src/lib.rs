@@ -32,5 +32,5 @@ pub mod observe;
 pub mod outages;
 pub mod sweep;
 
-pub use observe::{arena_from_polls, arena_from_polls_with_coverage, CrawlCoverage};
+pub use observe::{arena_from_polls_with_coverage, CrawlCoverage};
 pub use sweep::{naive_section4, MonitorSweep, SweepConfig, SweepOutput};

@@ -131,40 +131,6 @@ pub fn schedules_from_polls(series: &[ObservedSeries]) -> Vec<AvailabilitySchedu
         .collect()
 }
 
-/// Stream a batch of poll series straight into a columnar [`OutageArena`]:
-/// one reusable [`PollScratch`] feeds the arena builder, so reconstruction
-/// of an entire observatory allocates nothing per instance beyond the
-/// arena's own columns. The result equals
-/// `OutageArena::from_schedules(&schedules_from_polls(series))`.
-pub fn arena_from_polls(series: &[ObservedSeries]) -> OutageArena {
-    let mut scratch = PollScratch::default();
-    let mut b = OutageArena::builder(series.len(), 0);
-    for s in series {
-        if reconstruct_into(s, &mut scratch) {
-            let (birth, death) = scratch.lifetime();
-            b.push_instance(birth, death);
-            for &(start, end) in &scratch.intervals {
-                // clip to the lifetime exactly as `add_outage` would (a
-                // trailing-down run never reaches here, but an interval can
-                // butt against a mid-window retirement boundary)
-                let lo = start.0.max(birth.0);
-                let hi = end.0.min(death.0);
-                if lo < hi {
-                    b.push_outage(Epoch(lo), Epoch(hi), OutageCause::Organic);
-                }
-            }
-        } else {
-            b.push_instance(Epoch(0), Epoch(0));
-        }
-    }
-    b.finish()
-}
-
-/// Observed downtime fraction over the polled portion of the lifetime.
-pub fn observed_downtime(series: &ObservedSeries) -> Option<f64> {
-    series.downtime_fraction()
-}
-
 /// How much of a poll feed actually observed its targets — the honesty
 /// report that accompanies any reconstruction from a fault-degraded crawl.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -203,8 +169,12 @@ impl CrawlCoverage {
     }
 }
 
-/// [`arena_from_polls`] plus the [`CrawlCoverage`] accounting of how much
-/// of the feed was actually observed.
+/// Stream a batch of poll series straight into a columnar [`OutageArena`],
+/// with the [`CrawlCoverage`] accounting of how much of the feed was
+/// actually observed. One reusable [`PollScratch`] feeds the arena builder,
+/// so reconstruction of an entire observatory allocates nothing per
+/// instance beyond the arena's own columns. The arena equals
+/// `OutageArena::from_schedules(&schedules_from_polls(series))`.
 pub fn arena_from_polls_with_coverage(series: &[ObservedSeries]) -> (OutageArena, CrawlCoverage) {
     let mut scratch = PollScratch::default();
     let mut b = OutageArena::builder(series.len(), 0);
@@ -228,6 +198,9 @@ pub fn arena_from_polls_with_coverage(series: &[ObservedSeries]) -> (OutageArena
             let (birth, death) = scratch.lifetime();
             b.push_instance(birth, death);
             for &(start, end) in &scratch.intervals {
+                // clip to the lifetime exactly as `add_outage` would (a
+                // trailing-down run never reaches here, but an interval can
+                // butt against a mid-window retirement boundary)
                 let lo = start.0.max(birth.0);
                 let hi = end.0.min(death.0);
                 if lo < hi {
@@ -400,8 +373,9 @@ mod tests {
         assert_eq!(cov.per_instance_unknown, vec![0, 1, 1, 0]);
         assert!(!cov.complete());
         assert!((cov.known_fraction() - 6.0 / 8.0).abs() < 1e-12);
-        // the arena equals the plain path
-        assert_eq!(arena, arena_from_polls(&batch));
+        // the arena equals the schedule-built arena
+        let schedules = schedules_from_polls(&batch);
+        assert_eq!(arena, OutageArena::from_schedules(&schedules));
         // a gap-free feed reports complete coverage
         let clean = vec![series(vec![(0, true), (10, true)])];
         let (_, cov) = arena_from_polls_with_coverage(&clean);
@@ -429,7 +403,7 @@ mod tests {
         }
         // the streaming arena equals the schedule-built arena exactly
         assert_eq!(
-            arena_from_polls(&batch),
+            arena_from_polls_with_coverage(&batch).0,
             OutageArena::from_schedules(&schedules)
         );
     }
@@ -505,7 +479,7 @@ mod prop_tests {
             }
             // and the streaming arena path agrees with the schedule path
             let batch = [series];
-            let arena = arena_from_polls(&batch);
+            let arena = arena_from_polls_with_coverage(&batch).0;
             prop_assert_eq!(arena, OutageArena::from_schedules(&[got]));
         }
     }

@@ -92,7 +92,7 @@ proptest! {
 /// — trailing failures become retirements).
 #[test]
 fn sweep_on_reconstructed_polls_matches_naive_on_them() {
-    use fediscope_monitor::observe::{arena_from_polls, schedules_from_polls};
+    use fediscope_monitor::observe::{arena_from_polls_with_coverage, schedules_from_polls};
     use fediscope_worldgen::observatory::SyntheticObservatory;
     use fediscope_worldgen::{Generator, WorldConfig};
 
@@ -106,7 +106,7 @@ fn sweep_on_reconstructed_polls_matches_naive_on_them() {
     obs.for_each_series(|_, s| feed.push(s.clone()));
 
     let reconstructed = schedules_from_polls(&feed);
-    let arena = arena_from_polls(&feed);
+    let arena = arena_from_polls_with_coverage(&feed).0;
     assert_eq!(arena, OutageArena::from_schedules(&reconstructed));
 
     let sweep_cfg = SweepConfig {

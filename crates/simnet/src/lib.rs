@@ -2,12 +2,13 @@
 //!
 //! The simulated fediverse: every generated instance served as a live HTTP
 //! endpoint (Mastodon-compatible API + ActivityPub inbox) behind a single
-//! loopback listener with `Host`-header virtual hosting.
+//! listener with `Host`-header virtual hosting. The listener is an
+//! in-memory port of the deterministic executor, not an OS socket.
 //!
 //! This is the stand-in for "the public fediverse of 2017–2018" that the
-//! paper measured: the crawler and the monitoring service talk to it over
-//! real sockets, exercising exactly the code paths a live deployment would
-//! (timeouts, pagination, retries, failures).
+//! paper measured: the crawler and the monitoring service talk HTTP to it
+//! over the executor's in-memory TCP, exercising the same client code paths
+//! a live deployment would (timeouts, pagination, retries, failures).
 //!
 //! Components:
 //! - [`clock::SimClock`]: virtual 5-minute-epoch time, manually advanced or
@@ -18,7 +19,7 @@
 //! - [`fault`]: smoltcp-style fault injection (errors, delays, rate limits),
 //! - [`fedsim`]: the deterministic federation delivery simulator (bounded
 //!   inboxes, backpressure, redelivery, suspension, outage overlays),
-//! - [`net`]: the loopback listener.
+//! - [`net`]: the in-memory listener.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,6 @@
-//! Launching the simulated fediverse on a real loopback socket.
+//! Launching the simulated fediverse on an in-memory port of the
+//! deterministic executor (`crates/exec`), which nothing outside the
+//! process can reach.
 //!
 //! All instances sit behind one listener; the `Host` header picks the
 //! instance (exactly how a multi-tenant front like Cloudflare — which the
@@ -32,7 +34,7 @@ impl SimNetHandle {
     }
 }
 
-/// Launch the fediverse over `world` on an ephemeral loopback port.
+/// Launch the fediverse over `world` on an ephemeral in-memory port.
 pub async fn launch(
     world: Arc<World>,
     plan: FaultPlan,

@@ -10,13 +10,14 @@
 //! like dead seed-list entries in the real monitor).
 //!
 //! The feed exists so the measurement path can be exercised end to end:
-//! `monitor::observe::arena_from_polls` streams these series back into a
-//! columnar `OutageArena` and the §4 sweep runs identically on ground
-//! truth and on "observed" data. A full-resolution full-window series is
-//! ~136K polls per instance, so the API is streaming: [`series_into`]
-//! fills a caller-owned scratch series, and [`for_each_series`] walks the
-//! whole population with a single reused buffer — the modern tier never
-//! materialises the 4-billion-poll feed at once.
+//! `monitor::observe::arena_from_polls_with_coverage` streams these series
+//! back into a columnar `OutageArena` and the §4 sweep runs identically on
+//! ground truth and on "observed" data. A full-resolution full-window
+//! series is ~136K polls per instance, so the API is streaming:
+//! [`series_into`] fills a caller-owned scratch series, and
+//! [`for_each_series`] walks the whole population with a single reused
+//! buffer — the modern tier never materialises the 4-billion-poll feed at
+//! once.
 //!
 //! [`series_into`]: SyntheticObservatory::series_into
 //! [`for_each_series`]: SyntheticObservatory::for_each_series

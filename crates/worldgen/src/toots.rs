@@ -8,29 +8,22 @@
 //! toots posts at `toot_count / WINDOW_EPOCHS` toots per tick, scaled by
 //! the tier's [`ScaleTier::fedsim_rate_scale`] knob.
 //!
-//! Determinism follows the repo's counter-derived-stream idiom
-//! (`replication::weighted`): every user gets an RNG seeded from
-//! `sub_seed(seed, 6) ^ mix(user_id)`, so the event stream for user *u*
-//! never depends on how many events users `0..u` drew — sharding the loop
-//! or regenerating a single user's stream yields bit-identical events.
+//! Determinism follows the repo's counter-derived-stream idiom: every user
+//! draws from [`crate::shard::unit_rng`]`(sub_seed(seed, 6), user_id)`, so
+//! the event stream for user *u* never depends on how many events users
+//! `0..u` drew — sharding the loop or regenerating a single user's stream
+//! yields bit-identical events.
 
 use crate::config::{sub_seed, WorldConfig};
 use fediscope_model::time::WINDOW_EPOCHS;
 use fediscope_model::traffic::TootArena;
 use fediscope_model::user::UserProfile;
 use fediscope_model::ScaleTier;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// The worldgen stream id for this stage (stages 1–5 are taken by
 /// instances/users/social/availability/twitter).
 const TOOT_STAGE: u64 = 6;
-
-/// Counter-derived per-user stream seed, same mixer as
-/// `replication::weighted::user_stream_rng`.
-fn user_rng(stage_seed: u64, user: u32) -> StdRng {
-    StdRng::seed_from_u64(stage_seed ^ (user as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
 
 /// Generate every user's toot events over `horizon` ticks and pack them
 /// into a canonical [`TootArena`].
@@ -67,7 +60,7 @@ pub fn generate_with_block(
                     continue;
                 }
                 let expect = u.toot_count as f64 * per_tick;
-                let mut rng = user_rng(stage_seed, u.id.0);
+                let mut rng = crate::shard::unit_rng(stage_seed, u.id.0 as u64);
                 let mut count = expect.floor() as u64;
                 if rng.gen_bool(expect.fract()) {
                     count += 1;

@@ -1,4 +1,4 @@
-//! Live crawl: boot the simulated fediverse on a loopback socket and run
+//! Live crawl: boot the simulated fediverse on an in-memory port and run
 //! the real measurement toolkit against it — instance monitoring, toot
 //! crawling and follower scraping over actual HTTP.
 //!

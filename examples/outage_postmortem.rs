@@ -13,14 +13,16 @@ use fediscope::prelude::*;
 fn main() {
     let world = Generator::generate_world(WorldConfig::small(2024));
     let obs = Observatory::new(world);
+    // One sweep computes all of §4; Table 1 counts ASes hosting at least 3
+    // instances.
+    let s4 = availability::section4_sweep(&obs, 3, 1);
 
     // Downtime landscape (Fig. 7).
-    println!("{}", report::render_fig07(&availability::fig07_downtime(&obs)));
+    println!("{}", report::render_fig07(&s4.fig07));
 
     // Who went down together? (Table 1)
-    let rows = availability::table1_as_failures(&obs, 3);
-    println!("{}", report::render_table1(&rows));
-    for row in &rows {
+    println!("{}", report::render_table1(&s4.table1));
+    for row in &s4.table1 {
         println!(
             "  ⚠ {} ({}): {} co-failures across {} instances — {} users affected",
             row.asn, row.org, row.failures, row.instances, row.users
@@ -41,10 +43,10 @@ fn main() {
     );
 
     // The worst whole-day blackout (Fig. 10's tail).
-    let outages = availability::fig10_outages(&obs);
+    let (day, dark) = s4.fig10.worst_day;
     println!(
         "worst whole-day blackout: {} — {} of all toots unreachable for the full day",
-        outages.worst_day.0,
-        report::pct(outages.worst_day.1)
+        day,
+        report::pct(dark)
     );
 }

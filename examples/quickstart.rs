@@ -1,11 +1,11 @@
-//! Quickstart: generate a synthetic fediverse, run the headline analyses,
-//! and print the paper-vs-measured verdicts.
+//! Quickstart: generate a synthetic fediverse, compute the paper report,
+//! and print two of its figures and the paper-vs-measured verdicts.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use fediscope::core::{population, report, verdicts};
+use fediscope::core::{report, verdicts, Report};
 use fediscope::prelude::*;
 
 fn main() {
@@ -23,12 +23,14 @@ fn main() {
     // 2. Wrap it in an Observatory (lazy caches for graphs and aggregates).
     let obs = Observatory::new(world);
 
-    // 3. Run a couple of §4 analyses.
-    println!("{}", report::render_fig02(&population::fig02_open_closed(&obs)));
-    println!("{}", report::render_fig05(&population::fig05_hosting(&obs)));
+    // 3. Compute the report once (fast: without the §5 removal sweeps) and
+    //    print two of its §4 figures.
+    let paper = Report::compute(&obs, true);
+    println!("{}", report::render_fig02(&paper.fig02));
+    println!("{}", report::render_fig05(&paper.fig05));
 
-    // 4. Check the paper's headline claims hold on this world.
-    let vs = verdicts::evaluate(&obs, true);
+    // 4. Check the paper's headline claims hold on that report.
+    let vs = verdicts::evaluate(&paper);
     println!("{}", report::render_verdicts(&vs));
     println!(
         "{}/{} claims replicate",

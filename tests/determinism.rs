@@ -1,7 +1,7 @@
 //! Cross-crate determinism: the whole stack — generation, analysis,
 //! verdicts — is a pure function of the seed.
 
-use fediscope::core::Observatory;
+use fediscope::core::{verdicts, Observatory, Report};
 use fediscope::prelude::*;
 
 #[test]
@@ -14,10 +14,8 @@ fn same_seed_same_world_same_verdicts() {
     assert_eq!(a.schedules, b.schedules);
     assert_eq!(a.twitter, b.twitter);
 
-    let oa = Observatory::new(a);
-    let ob = Observatory::new(b);
-    let va = fediscope::core::verdicts::evaluate(&oa, true);
-    let vb = fediscope::core::verdicts::evaluate(&ob, true);
+    let va = verdicts::evaluate(&Report::compute(&Observatory::new(a), true));
+    let vb = verdicts::evaluate(&Report::compute(&Observatory::new(b), true));
     for (x, y) in va.iter().zip(&vb) {
         assert_eq!(x.id, y.id);
         assert_eq!(x.measured, y.measured, "verdict {} diverged", x.id);

@@ -1,6 +1,6 @@
-//! Full-pipeline integration test: generate → serve over real sockets →
-//! measure with the crawler → analyse — and verify the measurement recovers
-//! the ground truth that the direct analyses see.
+//! Full-pipeline integration test: generate → serve on the executor's
+//! in-memory transport → measure with the crawler → analyse — and verify
+//! the measurement recovers the ground truth that the direct analyses see.
 
 use fediscope::crawler::discovery::SeedList;
 use fediscope::crawler::monitor::InstanceMonitor;
@@ -248,8 +248,8 @@ fn same_seed_replays_identical_transcript_at_any_fault_plan() {
 #[test]
 fn direct_analyses_pass_verdicts() {
     let world = Generator::generate_world(WorldConfig::small(42));
-    let obs = fediscope::core::Observatory::new(world);
-    let verdicts = fediscope::core::verdicts::evaluate(&obs, true);
+    let report = fediscope::core::Report::compute(&fediscope::core::Observatory::new(world), true);
+    let verdicts = fediscope::core::verdicts::evaluate(&report);
     let failures: Vec<&str> = verdicts
         .iter()
         .filter(|v| !v.pass)
