@@ -5,14 +5,13 @@
 //! a [`fediscope_model::World`].
 //!
 //! - [`observatory::Observatory`]: caches the derived artefacts (user graph,
-//!   federation graph, per-instance aggregates, removal orders),
+//!   federation graph, content view, per-instance aggregates),
 //! - [`population`]: Figs. 1–6 (§4.1–§4.3),
 //! - [`availability`]: Figs. 7–10 and Table 1 (§4.4),
 //! - [`graphs`]: Figs. 11–13 and Table 2 (§5.1),
 //! - [`content`]: Figs. 14–16 (§5.2),
 //! - [`delivery`]: the live §3 — the federation delivery simulator's
 //!   load-concentration and outage-degradation runs,
-//! - [`extensions`]: the paper's stated future work (instance blocking),
 //! - [`report`]: the [`Report`], every figure and table the `repro` binary
 //!   prints, computed once, and the plain-text rendering shared by `repro`,
 //!   the CLI and the examples,
@@ -24,7 +23,6 @@
 
 pub mod availability;
 pub mod delivery;
-pub mod extensions;
 pub mod content;
 pub mod graphs;
 pub mod observatory;

@@ -58,21 +58,18 @@ impl Observatory {
     pub fn user_graph(&self) -> &DiGraph {
         self.user_graph.get_or_init(|| {
             let mut b = GraphBuilder::new(self.world.users.len() as u32);
-            b.extend(self.world.follows.iter().map(|&(a, b)| (a.0, b.0)));
+            b.extend(self.world.follow_edges());
             b.build()
         })
     }
 
     /// The instance federation graph `GF(I, E)` induced by the follower
-    /// graph (§3).
+    /// graph (§3), derived from the content view's holder sets.
     pub fn federation_graph(&self) -> &DiGraph {
         self.federation_graph.get_or_init(|| {
             DiGraph::from_edges(
                 self.world.instances.len() as u32,
-                self.world
-                    .federation_edges()
-                    .into_iter()
-                    .map(|(a, b)| (a.0, b.0)),
+                self.content_view().federation_edges(),
             )
         })
     }
@@ -100,25 +97,21 @@ impl Observatory {
             .get_or_init(|| OutageArena::from_schedules(&self.world.schedules))
     }
 
-    /// Remote (replicated-in) toot volume per instance: public toots of
-    /// remote accounts that local users follow (Fig. 14's federated-timeline
-    /// composition).
+    /// Remote (replicated-in) toot volume per instance: all toots, public
+    /// and private, of the remote accounts that local users follow (Fig.
+    /// 14's federated-timeline composition). A followee counts once per
+    /// instance: holder sets are deduplicated. (simnet's instance API
+    /// reports the public share of the same pool.)
     pub fn remote_toots_per_instance(&self) -> &Vec<u64> {
         self.remote_toots.get_or_init(|| {
             let view = self.content_view();
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            let mut out = vec![0u64; self.world.instances.len()];
             for u in 0..view.n_users() {
                 for &inst in view.follower_instances(u) {
                     if inst != view.home[u] {
-                        pairs.push((inst, u as u32));
+                        out[inst as usize] += view.toots[u];
                     }
                 }
-            }
-            pairs.sort_unstable();
-            pairs.dedup();
-            let mut out = vec![0u64; self.world.instances.len()];
-            for (inst, user) in pairs {
-                out[inst as usize] += view.toots[user as usize];
             }
             out
         })
@@ -196,7 +189,7 @@ mod tests {
         );
         assert_eq!(
             o.federation_graph().edge_count(),
-            o.world.federation_edges().len()
+            o.content_view().federation_edges().len()
         );
     }
 
@@ -223,6 +216,28 @@ mod tests {
         // ordered by member count descending when metric is Instances
         for w in groups.windows(2) {
             assert!(w[0].len() >= w[1].len());
+        }
+    }
+
+    #[test]
+    fn remote_toots_match_pair_reference() {
+        for seed in [61, 62] {
+            let o = Observatory::new(Generator::generate_world(WorldConfig::tiny(seed)));
+            // reference: sort and dedup (holder instance, remote followee)
+            let w = &o.world;
+            let mut pairs: Vec<(u32, u32)> = w
+                .follows
+                .iter()
+                .filter(|&&(a, b)| w.instance_of(a) != w.instance_of(b))
+                .map(|&(a, b)| (w.instance_of(a).0, b.0))
+                .collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            let mut reference = vec![0u64; w.instances.len()];
+            for (inst, user) in pairs {
+                reference[inst as usize] += w.users[user as usize].toot_count as u64;
+            }
+            assert_eq!(o.remote_toots_per_instance(), &reference, "seed {seed}");
         }
     }
 

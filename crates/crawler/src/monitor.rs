@@ -166,15 +166,19 @@ pub async fn poll_instance(
 }
 
 /// Parse the instance-API payload into the §3 field set.
+///
+/// A count that does not fit its `u32` field makes the payload unparsable
+/// (the poll reads as unknown) rather than wrapping into the dataset.
 pub fn parse_instance_info(body: &str) -> Option<InstanceApiInfo> {
     let v: serde_json::Value = serde_json::from_str(body).ok()?;
+    let count = |n: u64| u32::try_from(n).ok();
     Some(InstanceApiInfo {
         name: v["uri"].as_str()?.to_string(),
         version: v["version"].as_str()?.to_string(),
         toots: v["stats"]["status_count"].as_u64()?,
-        users: v["stats"]["user_count"].as_u64()? as u32,
-        subscriptions: v["stats"]["domain_count"].as_u64()? as u32,
-        logins: v["logins_week"].as_u64().unwrap_or(0) as u32,
+        users: count(v["stats"]["user_count"].as_u64()?)?,
+        subscriptions: count(v["stats"]["domain_count"].as_u64()?)?,
+        logins: count(v["logins_week"].as_u64().unwrap_or(0))?,
         registration_open: v["registrations"].as_bool()?,
     })
 }
@@ -198,6 +202,25 @@ mod tests {
         assert_eq!(info.subscriptions, 7);
         assert_eq!(info.logins, 5);
         assert!(info.registration_open);
+    }
+
+    #[test]
+    fn out_of_range_counts_are_rejected() {
+        let body = |users: u64, domains: u64, logins: u64| {
+            format!(
+                r#"{{"uri": "m.test", "version": "2.4.0", "registrations": false,
+                    "stats": {{"user_count": {users}, "status_count": 1, "domain_count": {domains}}},
+                    "logins_week": {logins}}}"#
+            )
+        };
+        let max = u64::from(u32::MAX);
+        let info = parse_instance_info(&body(max, max, max)).unwrap();
+        assert_eq!((info.users, info.subscriptions, info.logins), (u32::MAX, u32::MAX, u32::MAX));
+        // 2^32 + 1 is what an `as u32` cast reads as 1
+        let over = max + 2;
+        assert!(parse_instance_info(&body(over, 1, 1)).is_none());
+        assert!(parse_instance_info(&body(1, over, 1)).is_none());
+        assert!(parse_instance_info(&body(1, 1, over)).is_none());
     }
 
     #[test]

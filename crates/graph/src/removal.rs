@@ -245,7 +245,7 @@ impl<'g> RemovalSweep<'g> {
     ///    along inside [`WeightedUnionFind`], so the weighted Fig. 13-style
     ///    metrics cost the same near-linear pass as the unweighted ones.
     ///    When SCC counts are requested, the independent per-round Tarjan
-    ///    evaluations fan out across threads (see [`Self::scc_counts_at`]).
+    ///    evaluations fan out across threads (see `Self::scc_counts_at`).
     ///
     /// Output is bit-identical to [`Self::iterative_fraction_naive`]: every
     /// unweighted metric is integer-derived, and the weighted metrics sum
@@ -420,7 +420,7 @@ impl<'g> RemovalSweep<'g> {
     /// 0 evaluates the intact graph). Uses reverse union-find, so the whole
     /// sweep is near-linear — unless SCC counting is enabled, in which case
     /// each checkpoint additionally pays one Tarjan pass (fanned out across
-    /// threads, see [`Self::scc_counts_at`]). An id repeated in `order`
+    /// threads, see `Self::scc_counts_at`). An id repeated in `order`
     /// stays removed from its first occurrence on.
     pub fn ranked(&self, order: &[u32], checkpoints: &[usize]) -> Vec<SweepPoint> {
         assert!(

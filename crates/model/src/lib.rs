@@ -15,6 +15,8 @@
 //!   intervals) with cause tags,
 //! - [`world`]: the fully-generated ground-truth world consumed by the
 //!   simulator, the crawler and the analyses,
+//! - [`followers`]: the holder arena, the one grouping of follow edges by
+//!   followee behind every instance-level view of the follower graph,
 //! - [`datasets`]: the *measured* datasets a crawler produces (the study's
 //!   "Instances", "Toots" and "Graphs" datasets),
 //! - [`scale`]: named world-scale tiers (paper-2019 / mid / modern) shared
@@ -31,6 +33,7 @@
 
 pub mod certs;
 pub mod datasets;
+pub mod followers;
 pub mod geo;
 pub mod ids;
 pub mod instance;

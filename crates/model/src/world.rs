@@ -86,15 +86,6 @@ impl World {
         }
     }
 
-    /// Users grouped by instance (index = instance id).
-    pub fn users_by_instance(&self) -> Vec<Vec<UserId>> {
-        let mut out = vec![Vec::new(); self.instances.len()];
-        for u in &self.users {
-            out[u.instance.index()].push(u.id);
-        }
-        out
-    }
-
     /// Per-instance user counts derived from the user table.
     pub fn user_counts(&self) -> Vec<u32> {
         let mut out = vec![0u32; self.instances.len()];
@@ -123,21 +114,16 @@ impl World {
         self.users[u.index()].instance
     }
 
-    /// The federation edges induced by the follower graph: a directed edge
-    /// `(Ia, Ib)` exists if at least one user on `Ia` follows a user on `Ib`
-    /// (deduplicated; intra-instance follows do not federate).
-    pub fn federation_edges(&self) -> Vec<(InstanceId, InstanceId)> {
-        let mut set = std::collections::HashSet::new();
-        for &(a, b) in &self.follows {
-            let ia = self.instance_of(a);
-            let ib = self.instance_of(b);
-            if ia != ib {
-                set.insert((ia, ib));
-            }
-        }
-        let mut v: Vec<_> = set.into_iter().collect();
-        v.sort_unstable();
-        v
+    /// Follower edges as raw `(a, b)` user indices, *a follows b* — the
+    /// edge stream the holder arena ([`crate::followers::HolderRows`])
+    /// groups by followee.
+    pub fn follow_edges(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + Clone + '_ {
+        self.follows.iter().map(|&(a, b)| (a.0, b.0))
+    }
+
+    /// Home instance index of every user, by user id.
+    pub fn homes(&self) -> Vec<u32> {
+        self.users.iter().map(|u| u.instance.0).collect()
     }
 
     /// Instances grouped by AS: `(provider_index, member instance ids)`.
@@ -237,23 +223,19 @@ mod tests {
         assert_eq!(w.user_counts(), vec![2, 1]);
         assert_eq!(w.toot_counts(), vec![5, 7]);
         assert_eq!(w.total_toots(), 12);
-        let ubi = w.users_by_instance();
-        assert_eq!(ubi[0], vec![UserId(0), UserId(1)]);
-        assert_eq!(ubi[1], vec![UserId(2)]);
+        assert_eq!(w.homes(), vec![0, 0, 1]);
     }
 
     #[test]
     fn federation_edges_deduplicate_and_skip_local() {
+        use crate::followers::HolderRows;
         let w = small_world();
+        let home = w.homes();
+        let key = |a: u32| home[a as usize];
+        let holders = HolderRows::by_followee(3, w.follow_edges(), key, |_| None);
         // user1 -> user0 is intra-instance: no federation edge.
-        let fed = w.federation_edges();
-        assert_eq!(
-            fed,
-            vec![
-                (InstanceId(0), InstanceId(1)),
-                (InstanceId(1), InstanceId(0))
-            ]
-        );
+        let fed = holders.federation_edges(&HolderRows::residents(2, &home));
+        assert_eq!(fed, vec![(0, 1), (1, 0)]);
     }
 
     #[test]

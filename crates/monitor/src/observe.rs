@@ -103,7 +103,7 @@ fn reconstruct_into(series: &ObservedSeries, scratch: &mut PollScratch) -> bool 
     true
 }
 
-/// Rebuild a schedule from a poll series (see [`reconstruct_into`] for the
+/// Rebuild a schedule from a poll series (see `reconstruct_into` for the
 /// semantics; `None` for an empty series).
 pub fn schedule_from_polls(series: &ObservedSeries) -> Option<AvailabilitySchedule> {
     let mut scratch = PollScratch::default();

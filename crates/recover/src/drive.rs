@@ -1,7 +1,7 @@
 //! The generic checkpointed run loop.
 //!
 //! Engines expose stepping ([`Steppable`]) and state capture
-//! ([`Snapshot`](crate::Snapshot)); [`run_checkpointed`] drives them on
+//! ([`Snapshot`]); [`run_checkpointed`] drives them on
 //! their own virtual clock, writing a framed snapshot every `interval`
 //! ticks, and dying on cue when given a [`CrashPlan`]. Checkpointing is
 //! pure observation — it never touches engine state, so the computed

@@ -7,7 +7,7 @@
 //! its last good snapshot must produce output bit-identical to the
 //! uninterrupted run. This crate supplies the shared machinery:
 //!
-//! - [`format`]: a compact binary encoding of the serde [`Value`] tree,
+//! - [`format`](mod@format): a compact binary encoding of the serde [`Value`] tree,
 //!   wrapped in a versioned frame (magic, format + state versions, engine
 //!   kind, virtual tick, payload length, FNV-1a checksum). Torn writes —
 //!   truncation or bit corruption — are detected by the length/checksum

@@ -5,13 +5,13 @@
 //! replication (the follower instances), so the evaluators work per *user*
 //! weighted by toot count — exact, and ~100× smaller than per-toot state.
 //!
-//! The holder sets live in one flat CSR arena (offsets + data) instead of a
-//! `Vec<Vec<u32>>`: at the million-user tier the per-user `Vec` headers
-//! alone would cost 24 MB and every evaluator pass would chase a pointer
-//! per user. The CSR is built by counting sort over `world.follows` — two
-//! linear passes, no per-user allocation — then each user's slice is
-//! sorted and deduplicated in place.
+//! The holder sets are the model's holder arena
+//! ([`HolderRows::by_followee`], keyed by home instance): one flat CSR
+//! (offsets + data) instead of a `Vec<Vec<u32>>`. At the million-user tier
+//! the per-user `Vec` headers alone would cost 24 MB, and every evaluator
+//! pass would chase a pointer per user.
 
+use fediscope_model::followers::HolderRows;
 use fediscope_model::world::World;
 
 /// Per-user content/holder data.
@@ -23,18 +23,13 @@ pub struct ContentView {
     pub home: Vec<u32>,
     /// Toot count of each user.
     pub toots: Vec<u64>,
-    /// CSR offsets into [`Self::holder_data`]: user `u`'s holder slice is
-    /// `holder_data[holder_offsets[u]..holder_offsets[u + 1]]`.
-    holder_offsets: Vec<u32>,
-    /// CSR arena of holder instances, sorted + deduplicated per user.
-    holder_data: Vec<u32>,
-    /// CSR offsets into [`Self::home_users_data`]: instance `i`'s resident
-    /// users are `home_users_data[home_users_offsets[i]..home_users_offsets[i + 1]]`.
-    home_users_offsets: Vec<u32>,
-    /// CSR arena of users grouped by home instance (ascending user id per
-    /// instance). Lets evaluators visit only the users homed on a removed
-    /// instance instead of scanning the whole population.
-    home_users_data: Vec<u32>,
+    /// Holder instances per user, sorted + deduplicated (may include the
+    /// home instance).
+    holders: HolderRows,
+    /// Users grouped by home instance (ascending user id per instance).
+    /// Lets evaluators visit only the users homed on a removed instance
+    /// instead of scanning the whole population.
+    residents: HolderRows,
     /// Resident arena bounds: instance `i`'s *tooting* residents occupy
     /// rows `res_bounds[i]..res_bounds[i + 1]` of the arrays below.
     ///
@@ -63,70 +58,13 @@ pub struct ContentView {
 impl ContentView {
     /// Build from a world.
     pub fn from_world(world: &World) -> Self {
-        let n_users = world.users.len();
-        let home: Vec<u32> = world.users.iter().map(|u| u.instance.0).collect();
-        let toots: Vec<u64> = world.users.iter().map(|u| u.toot_count as u64).collect();
-        assert!(
-            world.follows.len() < u32::MAX as usize,
-            "follow count overflows CSR offsets"
-        );
-
-        // Counting sort: follows grouped by followee. a follows b, so a's
-        // instance receives (holds) b's toots.
-        let mut holder_offsets = vec![0u32; n_users + 1];
-        for &(_, b) in &world.follows {
-            holder_offsets[b.index() + 1] += 1;
-        }
-        for u in 0..n_users {
-            holder_offsets[u + 1] += holder_offsets[u];
-        }
-        let mut holder_data = vec![0u32; world.follows.len()];
-        let mut cursor: Vec<u32> = holder_offsets[..n_users].to_vec();
-        for &(a, b) in &world.follows {
-            let c = &mut cursor[b.index()];
-            holder_data[*c as usize] = home[a.index()];
-            *c += 1;
-        }
-
-        // Sort + dedup each slice in place, compacting the arena forward.
-        // The write cursor never passes a slice's start, so reads stay
-        // ahead of writes.
-        let mut write = 0u32;
-        for u in 0..n_users {
-            let (start, end) = (holder_offsets[u] as usize, holder_offsets[u + 1] as usize);
-            holder_data[start..end].sort_unstable();
-            holder_offsets[u] = write;
-            let mut prev = u32::MAX;
-            for r in start..end {
-                let v = holder_data[r];
-                if v != prev {
-                    holder_data[write as usize] = v;
-                    write += 1;
-                    prev = v;
-                }
-            }
-        }
-        holder_offsets[n_users] = write;
-        holder_data.truncate(write as usize);
-        holder_data.shrink_to_fit();
-
-        // Second counting sort: users grouped by home instance.
         let n_instances = world.instances.len();
-        assert!(n_users < u32::MAX as usize, "user count overflows CSR");
-        let mut home_users_offsets = vec![0u32; n_instances + 1];
-        for &h in &home {
-            home_users_offsets[h as usize + 1] += 1;
-        }
-        for i in 0..n_instances {
-            home_users_offsets[i + 1] += home_users_offsets[i];
-        }
-        let mut home_users_data = vec![0u32; n_users];
-        let mut cursor: Vec<u32> = home_users_offsets[..n_instances].to_vec();
-        for (u, &h) in home.iter().enumerate() {
-            let c = &mut cursor[h as usize];
-            home_users_data[*c as usize] = u as u32;
-            *c += 1;
-        }
+        let home = world.homes();
+        let toots: Vec<u64> = world.users.iter().map(|u| u.toot_count as u64).collect();
+        // a follows b, so a's instance receives (holds) b's toots.
+        let key = |a: u32| home[a as usize];
+        let holders = HolderRows::by_followee(home.len(), world.follow_edges(), key, |_| None);
+        let residents = HolderRows::residents(n_instances, &home);
 
         // Resident arena: tooting users' toots + holder slices in
         // home-major order (one sequential stream per instance segment).
@@ -139,20 +77,14 @@ impl ContentView {
         res_bounds.push(0u32);
         res_holder_offsets.push(0u32);
         for i in 0..n_instances {
-            let (ulo, uhi) = (
-                home_users_offsets[i] as usize,
-                home_users_offsets[i + 1] as usize,
-            );
-            for &u in &home_users_data[ulo..uhi] {
+            for &u in residents.row(i) {
                 let u = u as usize;
                 if toots[u] == 0 {
                     continue;
                 }
                 res_toots.push(toots[u]);
                 res_users.push(u as u32);
-                res_holder_data.extend_from_slice(
-                    &holder_data[holder_offsets[u] as usize..holder_offsets[u + 1] as usize],
-                );
+                res_holder_data.extend_from_slice(holders.row(u));
                 res_holder_offsets.push(res_holder_data.len() as u32);
             }
             res_bounds.push(res_toots.len() as u32);
@@ -163,10 +95,8 @@ impl ContentView {
             n_instances,
             home,
             toots,
-            holder_offsets,
-            holder_data,
-            home_users_offsets,
-            home_users_data,
+            holders,
+            residents,
             res_bounds,
             res_toots,
             res_users,
@@ -185,19 +115,24 @@ impl ContentView {
     /// deduplicated; may include the home instance).
     #[inline]
     pub fn follower_instances(&self, u: usize) -> &[u32] {
-        &self.holder_data[self.holder_offsets[u] as usize..self.holder_offsets[u + 1] as usize]
+        self.holders.row(u)
     }
 
     /// Total holder entries across all users (the CSR arena length).
     pub fn holder_entries(&self) -> usize {
-        self.holder_data.len()
+        self.holders.entries()
     }
 
     /// Users whose home is instance `i` (ascending user ids).
     #[inline]
     pub fn users_homed_on(&self, i: usize) -> &[u32] {
-        &self.home_users_data
-            [self.home_users_offsets[i] as usize..self.home_users_offsets[i + 1] as usize]
+        self.residents.row(i)
+    }
+
+    /// The federation edges the holder sets induce (§3's GF(I, E)),
+    /// deduplicated, in ascending `(source, target)` order.
+    pub fn federation_edges(&self) -> Vec<(u32, u32)> {
+        self.holders.federation_edges(&self.residents)
     }
 
     /// Fraction of toots whose author has **no** followers on any other
@@ -259,6 +194,31 @@ mod tests {
             list.dedup();
         }
         lists
+    }
+
+    /// Reference: a hash set of the cross-instance `(follower instance,
+    /// followee instance)` pairs, sorted.
+    fn hash_set_federation_edges(w: &World) -> Vec<(u32, u32)> {
+        let mut set = std::collections::HashSet::new();
+        for &(a, b) in &w.follows {
+            let (ia, ib) = (w.instance_of(a).0, w.instance_of(b).0);
+            if ia != ib {
+                set.insert((ia, ib));
+            }
+        }
+        let mut v: Vec<_> = set.into_iter().collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn federation_edges_match_hash_set_reference() {
+        for seed in [7u64, 31, 98] {
+            let w = Generator::generate_world(WorldConfig::tiny(seed));
+            let edges = ContentView::from_world(&w).federation_edges();
+            assert!(!edges.is_empty());
+            assert_eq!(edges, hash_set_federation_edges(&w), "seed {seed}");
+        }
     }
 
     #[test]

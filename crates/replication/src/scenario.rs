@@ -282,7 +282,7 @@ pub fn compile(spec: &ScenarioSpec, world: &ScenarioWorld) -> CompiledScenario {
 ///
 /// Placement is a deterministic function of `(strategy, seed, user)` —
 /// randomized strategies draw from the same keyed per-user stream as the
-/// Monte-Carlo evaluator ([`user_stream_rng`]), so the sweep and the
+/// Monte-Carlo evaluator (`user_stream_rng`), so the sweep and the
 /// naive reference see identical replica sets by construction. Note the
 /// random strategies here *sample* placements (one draw per author),
 /// unlike the Fig. 16 evaluator's closed-form expectation.
@@ -806,7 +806,7 @@ impl Snapshot for GridSweep<'_> {
 /// The kept naive reference: one full pass over the user table per
 /// scenario × strategy cell, with its own step-table computation from the
 /// raw removal groups. Placement is the shared deterministic contract
-/// ([`place`]); everything downstream — step lookup, death rule,
+/// (`place`); everything downstream — step lookup, death rule,
 /// histogram, fold — is recomputed independently. Bit-identical to
 /// [`evaluate_grid`] (pinned by the differential proptests).
 pub fn naive_grid(

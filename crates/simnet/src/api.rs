@@ -189,7 +189,7 @@ fn followers(
         .and_then(|p| p.parse().ok())
         .unwrap_or(1)
         .max(1);
-    let all = &state.followers_of()[user_idx];
+    let all = state.followers_of().row(user_idx);
     // The page number comes off the wire: saturate, so a huge page lands
     // past the end (an empty last page) instead of overflowing, and form
     // `page + 1` only when there is a next page.
@@ -402,11 +402,9 @@ mod tests {
     fn followers_paging_complete() {
         let s = state();
         let rev = s.followers_of();
-        let (uidx, total) = rev
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, v)| v.len())
-            .map(|(i, v)| (i, v.len()))
+        let (uidx, total) = (0..rev.n_rows())
+            .map(|u| (u, rev.row(u).len()))
+            .max_by_key(|&(_, len)| len)
             .unwrap();
         assert!(total > 0);
         let inst = s.world.users[uidx].instance;

@@ -34,7 +34,7 @@
 //!
 //! Between phases a stable sort of the tick's own events regroups them by
 //! the next phase's instance; within a group events keep the order the
-//! previous phase emitted them in. [`shard_map`] splits an active list
+//! previous phase emitted them in. `shard_map` splits an active list
 //! into `shards` contiguous runs, so one code path serves every shard
 //! count. `engine/dense.rs` (test build only) holds the dense reference
 //! tick — every instance, every phase — that a differential proptest

@@ -3,8 +3,11 @@
 //! ActivityPub delivery is per *instance pair*, not per follower: a toot
 //! travels once from the author's home instance to each instance hosting
 //! at least one follower (Mastodon's sidekiq `push` queue dedups shared
-//! inboxes). [`FanoutArena`] precompiles that dedup into a user-indexed
-//! CSR so the simulator's hot loop is a flat slice walk.
+//! inboxes). [`FanoutArena`] holds that dedup precompiled — the model's
+//! holder arena with each row's home instance dropped — so the
+//! simulator's hot loop is a flat slice walk.
+
+use fediscope_model::followers::HolderRows;
 
 /// User-indexed CSR: `dsts(u)` is the ascending, deduplicated list of
 /// remote instances that host at least one follower of `u` (the home
@@ -14,63 +17,38 @@ pub struct FanoutArena {
     n_instances: usize,
     /// User `u`'s home instance, `home[u]`.
     home: Vec<u32>,
-    /// `n_users + 1` offsets into `dsts`.
-    offsets: Vec<u32>,
-    /// Destination instance ids, ascending within each user.
-    dsts: Vec<u32>,
+    /// Destination instance ids per user: the holder arena keyed by home
+    /// instance, each row without its own home.
+    dsts: HolderRows,
 }
 
 impl FanoutArena {
     /// Build from the follower edge list (`(a, b)` = user `a` follows user
     /// `b`, so a toot by `b` is pushed toward `a`'s instance).
     ///
-    /// Two stable counting sorts (edges by followee, then per-followee
-    /// dedup of sorted instance lists) — no hash maps, so the build is
-    /// deterministic and `O(users + edges)`.
+    /// One counting sort by followee, then a per-row sort and dedup
+    /// ([`HolderRows::by_followee`]) — no hash maps, so the build is
+    /// deterministic.
     pub fn from_follows(n_instances: usize, home: Vec<u32>, follows: &[(u32, u32)]) -> Self {
-        let n_users = home.len();
+        Self::build(n_instances, home, follows.iter().copied())
+    }
+
+    /// Build straight from a generated world's follower graph.
+    pub fn from_world(world: &fediscope_model::World) -> Self {
+        Self::build(world.instances.len(), world.homes(), world.follow_edges())
+    }
+
+    fn build(
+        n_instances: usize,
+        home: Vec<u32>,
+        edges: impl ExactSizeIterator<Item = (u32, u32)> + Clone,
+    ) -> Self {
         for &h in &home {
             assert!((h as usize) < n_instances, "home instance {h} out of range");
         }
-        // Counting sort edges by followee: counts → offsets → scatter the
-        // follower's *instance* into the followee's slot range.
-        let mut counts = vec![0u32; n_users];
-        for &(follower, followee) in follows {
-            assert!((follower as usize) < n_users && (followee as usize) < n_users);
-            counts[followee as usize] += 1;
-        }
-        let mut raw_off = vec![0u32; n_users + 1];
-        let mut acc = 0u32;
-        for u in 0..n_users {
-            raw_off[u] = acc;
-            acc += counts[u];
-        }
-        raw_off[n_users] = acc;
-        let mut raw = vec![0u32; acc as usize];
-        let mut cursor = raw_off.clone();
-        for &(follower, followee) in follows {
-            let at = &mut cursor[followee as usize];
-            raw[*at as usize] = home[follower as usize];
-            *at += 1;
-        }
-        // Per-user: sort, dedup, drop the home instance.
-        let mut offsets = vec![0u32; n_users + 1];
-        let mut dsts = Vec::with_capacity(raw.len());
-        for u in 0..n_users {
-            offsets[u] = dsts.len() as u32;
-            let slice = &mut raw[raw_off[u] as usize..raw_off[u + 1] as usize];
-            slice.sort_unstable();
-            let mut prev = u32::MAX;
-            for &inst in slice.iter() {
-                if inst != prev && inst != home[u] {
-                    dsts.push(inst);
-                }
-                prev = inst;
-            }
-        }
-        offsets[n_users] = dsts.len() as u32;
-        dsts.shrink_to_fit();
-        FanoutArena { n_instances, home, offsets, dsts }
+        let key = |a: u32| home[a as usize];
+        let dsts = HolderRows::by_followee(home.len(), edges, key, |u| Some(home[u]));
+        FanoutArena { n_instances, home, dsts }
     }
 
     /// Number of instances in the topology.
@@ -90,21 +68,14 @@ impl FanoutArena {
 
     /// Distinct remote follower instances of user `u`, ascending.
     pub fn dsts(&self, u: u32) -> &[u32] {
-        &self.dsts[self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize]
+        self.dsts.row(u as usize)
     }
 
     /// Total (user → instance) delivery pairs.
     pub fn n_pairs(&self) -> usize {
-        self.dsts.len()
+        self.dsts.entries()
     }
 
-    /// Build straight from a generated world's follower graph.
-    pub fn from_world(world: &fediscope_model::World) -> Self {
-        let home: Vec<u32> = world.users.iter().map(|u| u.instance.0).collect();
-        let follows: Vec<(u32, u32)> =
-            world.follows.iter().map(|&(a, b)| (a.0, b.0)).collect();
-        Self::from_follows(world.instances.len(), home, &follows)
-    }
 }
 
 #[cfg(test)]
@@ -125,6 +96,29 @@ mod tests {
         assert_eq!(f.dsts(3), &[1]);
         assert_eq!(f.n_pairs(), 5);
         assert_eq!(f.home(2), 1);
+    }
+
+    #[test]
+    fn rows_equal_holder_rows_minus_home() {
+        use fediscope_worldgen::{Generator, WorldConfig};
+        for seed in [5u64, 17] {
+            let w = Generator::generate_world(WorldConfig::tiny(seed));
+            let f = FanoutArena::from_world(&w);
+            // Reference: one `Vec` per user of every follower's instance,
+            // sorted, deduplicated, home dropped.
+            let mut reference = vec![Vec::new(); w.users.len()];
+            for &(a, b) in &w.follows {
+                reference[b.index()].push(w.instance_of(a).0);
+            }
+            for (u, list) in reference.iter_mut().enumerate() {
+                list.sort_unstable();
+                list.dedup();
+                list.retain(|&i| i != f.home(u as u32));
+                assert_eq!(f.dsts(u as u32), &list[..], "seed {seed} user {u}");
+            }
+            let follows: Vec<(u32, u32)> = w.follow_edges().collect();
+            assert_eq!(FanoutArena::from_follows(f.n_instances(), w.homes(), &follows), f);
+        }
     }
 
     #[test]

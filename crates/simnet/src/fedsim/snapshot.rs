@@ -1,7 +1,7 @@
 //! Checkpoint/resume for the federation simulator.
 //!
 //! [`FedSimState`] is the serialized form of everything
-//! [`FedSim`](super::FedSim) mutates: per-tick counters, the accumulated
+//! [`FedSim`] mutates: per-tick counters, the accumulated
 //! series, and for every instance the sender side (retry heap as a
 //! sorted list, suspension table with parked mail, breaker counts,
 //! transcript digest) and the receiver side (inbox FIFO, saturation and

@@ -5,6 +5,7 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::timelines::TimelineIndex;
 use bytes::Bytes;
 use fediscope_activitypub::Activity;
+use fediscope_model::followers::HolderRows;
 use fediscope_model::ids::InstanceId;
 use fediscope_model::world::World;
 use parking_lot::Mutex;
@@ -23,10 +24,9 @@ pub struct SimState {
     pub faults: FaultInjector,
     domains: HashMap<String, InstanceId>,
     timelines: OnceLock<Vec<TimelineIndex>>,
-    followers_of: OnceLock<Vec<Vec<u32>>>,
-    subscriptions_out: OnceLock<Vec<u32>>,
+    followers_of: OnceLock<HolderRows>,
+    instance_tallies: OnceLock<(Vec<u32>, Vec<u64>)>,
     weekly_logins: OnceLock<Vec<f64>>,
-    remote_toots: OnceLock<Vec<u64>>,
     instance_documents: OnceLock<Vec<Bytes>>,
     inboxes: Vec<Mutex<Vec<Activity>>>,
 }
@@ -49,9 +49,8 @@ impl SimState {
             domains,
             timelines: OnceLock::new(),
             followers_of: OnceLock::new(),
-            subscriptions_out: OnceLock::new(),
+            instance_tallies: OnceLock::new(),
             weekly_logins: OnceLock::new(),
-            remote_toots: OnceLock::new(),
             instance_documents: OnceLock::new(),
             inboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
             world,
@@ -76,31 +75,19 @@ impl SimState {
             .get_or_init(|| TimelineIndex::build_all(&self.world))[id.index()]
     }
 
-    /// Lazily built reverse follower index: `followers_of()[u]` lists the
-    /// user ids following `u`.
-    pub fn followers_of(&self) -> &Vec<Vec<u32>> {
+    /// Lazily built reverse follower index: `followers_of().row(u)` lists
+    /// the user ids following `u`, ascending.
+    pub fn followers_of(&self) -> &HolderRows {
         self.followers_of.get_or_init(|| {
-            let mut rev = vec![Vec::new(); self.world.users.len()];
-            for &(a, b) in &self.world.follows {
-                rev[b.index()].push(a.0);
-            }
-            for list in &mut rev {
-                list.sort_unstable();
-            }
-            rev
+            let world = &self.world;
+            HolderRows::by_followee(world.users.len(), world.follow_edges(), |a| a, |_| None)
         })
     }
 
     /// Outbound federated-subscription count per instance (the number the
-    /// instance API reports).
+    /// instance API reports): its out-degree in the federation graph.
     pub fn subscription_counts(&self) -> &Vec<u32> {
-        self.subscriptions_out.get_or_init(|| {
-            let mut out = vec![0u32; self.world.instances.len()];
-            for (a, _b) in self.world.federation_edges() {
-                out[a.index()] += 1;
-            }
-            out
-        })
+        &self.instance_tallies().0
     }
 
     /// Expected weekly logins per instance: the sum of its members'
@@ -117,29 +104,38 @@ impl SimState {
 
     /// Per-instance *remote* toot volume: the public toots authored by
     /// remote accounts that local users follow — the federated-timeline
-    /// replica pool of §5.2 (Fig. 14).
+    /// replica pool of §5.2 (Fig. 14). A followee's toots count once per
+    /// instance, however many locals follow them.
     pub fn remote_toot_counts(&self) -> &Vec<u64> {
-        self.remote_toots.get_or_init(|| {
-            // (subscribing instance, remote followee), deduplicated: a toot
-            // replicated once is visible once however many locals follow.
-            let mut pairs: Vec<(u32, u32)> = self
-                .world
-                .follows
-                .iter()
-                .filter_map(|&(a, b)| {
-                    let ia = self.world.instance_of(a);
-                    let ib = self.world.instance_of(b);
-                    (ia != ib).then_some((ia.0, b.0))
-                })
-                .collect();
-            pairs.sort_unstable();
-            pairs.dedup();
-            let mut out = vec![0u64; self.world.instances.len()];
-            for (inst, followee) in pairs {
-                out[inst as usize] +=
-                    crate::timelines::public_toots_of(&self.world, followee as usize);
+        &self.instance_tallies().1
+    }
+
+    /// Both per-instance tallies, from one holder arena built on first use
+    /// and dropped after: row `u` holds the remote instances hosting a
+    /// follower of `u`.
+    fn instance_tallies(&self) -> &(Vec<u32>, Vec<u64>) {
+        self.instance_tallies.get_or_init(|| {
+            let world = &self.world;
+            let n = world.instances.len();
+            // The kept tallies are allocated before the transient arena, so
+            // they do not sit above its freed space on the heap: the other
+            // order raised `crawl-flaky`'s peak RSS by about 3 MB.
+            let mut subscriptions = vec![0u32; n];
+            let mut remote = vec![0u64; n];
+            let home = world.homes();
+            let key = |a: u32| home[a as usize];
+            let holders =
+                HolderRows::by_followee(home.len(), world.follow_edges(), key, |u| Some(home[u]));
+            for (h, _) in holders.federation_edges(&HolderRows::residents(n, &home)) {
+                subscriptions[h as usize] += 1;
             }
-            out
+            for u in 0..holders.n_rows() {
+                let public = crate::timelines::public_toots_of(world, u);
+                for &h in holders.row(u) {
+                    remote[h as usize] += public;
+                }
+            }
+            (subscriptions, remote)
         })
     }
 
@@ -251,19 +247,65 @@ mod tests {
     fn followers_index_matches_edges() {
         let s = state();
         let rev = s.followers_of();
-        let total: usize = rev.iter().map(|v| v.len()).sum();
-        assert_eq!(total, s.world.follows.len());
-        for &(a, b) in s.world.follows.iter().take(50) {
-            assert!(rev[b.index()].contains(&a.0));
+        assert_eq!(rev.n_rows(), s.world.users.len());
+        // generated follows hold no duplicates, so every edge keeps its row entry
+        assert_eq!(rev.entries(), s.world.follows.len());
+        for &(a, b) in &s.world.follows {
+            assert!(rev.row(b.index()).binary_search(&a.0).is_ok());
         }
+    }
+
+    fn states() -> impl Iterator<Item = Arc<SimState>> {
+        [21, 22, 23].into_iter().map(|seed| {
+            let mut cfg = WorldConfig::tiny(seed);
+            cfg.n_instances = 25;
+            cfg.n_users = 400;
+            SimState::new(Arc::new(Generator::generate_world(cfg)), FaultPlan::default(), 1)
+        })
+    }
+
+    /// Cross-instance follows as `(follower instance, followee instance,
+    /// followee)`.
+    fn cross_follows(world: &World) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        world.follows.iter().filter_map(|&(a, b)| {
+            let (ia, ib) = (world.instance_of(a), world.instance_of(b));
+            (ia != ib).then_some((ia.0, ib.0, b.0))
+        })
     }
 
     #[test]
     fn subscription_counts_match_federation_edges() {
-        let s = state();
-        let counts = s.subscription_counts();
-        let total: u32 = counts.iter().sum();
-        assert_eq!(total as usize, s.world.federation_edges().len());
+        for s in states() {
+            // reference: sort and dedup the instance pairs
+            let mut edges: Vec<(u32, u32)> =
+                cross_follows(&s.world).map(|(ia, ib, _)| (ia, ib)).collect();
+            edges.sort_unstable();
+            edges.dedup();
+            let mut reference = vec![0u32; s.world.instances.len()];
+            for (ia, _) in edges {
+                reference[ia as usize] += 1;
+            }
+            assert!(reference.iter().sum::<u32>() > 0);
+            assert_eq!(s.subscription_counts(), &reference);
+        }
+    }
+
+    #[test]
+    fn remote_toot_counts_match_pair_reference() {
+        for s in states() {
+            // reference: sort and dedup (subscribing instance, followee)
+            let mut pairs: Vec<(u32, u32)> =
+                cross_follows(&s.world).map(|(ia, _, b)| (ia, b)).collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            let mut reference = vec![0u64; s.world.instances.len()];
+            for (inst, followee) in pairs {
+                reference[inst as usize] +=
+                    crate::timelines::public_toots_of(&s.world, followee as usize);
+            }
+            assert!(reference.iter().sum::<u64>() > 0);
+            assert_eq!(s.remote_toot_counts(), &reference);
+        }
     }
 
     #[test]

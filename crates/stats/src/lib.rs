@@ -14,7 +14,7 @@
 //! - [`Summary`] and [`BoxStats`]: five-number summaries for box plots,
 //! - [`pearson`] / [`spearman`]: correlation coefficients,
 //! - [`PowerLawFit`]: maximum-likelihood power-law exponent estimation,
-//! - [`gini`] / [`lorenz`] / [`top_share`]: concentration measures,
+//! - [`gini()`] / [`lorenz`] / [`top_share`]: concentration measures,
 //! - [`Histogram`] / [`LogHistogram`]: linear and logarithmic binning,
 //! - [`Counter`]: ranked frequency counting for top-k tables.
 //!

@@ -97,24 +97,6 @@ impl Generator {
         social::SocialCursor::new(cfg, &instances, &users)
     }
 
-    /// Run only the stages the follower graph needs (instances → users →
-    /// social) and stream each follow edge into `sink` instead of
-    /// materialising the edge list. Returns the number of user nodes.
-    ///
-    /// The sub-seeded RNG streams are the same ones [`Self::generate`]
-    /// uses, so the edge stream is bit-identical to the `follows` of a
-    /// full world from the same config — this is the path large-scale
-    /// benchmarks use to pipe a million-user graph straight into a CSR
-    /// builder without the ~100 MB intermediate `Vec`. Callers that want
-    /// seekable access instead of a full replay should use
-    /// [`Self::social_cursor`].
-    pub fn stream_social_edges(cfg: &WorldConfig, sink: &mut dyn FnMut(u32, u32)) -> usize {
-        let cursor = Self::social_cursor(cfg);
-        let n = cursor.n_users();
-        cursor.stream(shard::DEFAULT_BLOCK, sink);
-        n
-    }
-
     /// Run the full pipeline and validate the result.
     pub fn generate(&self) -> World {
         let cfg = &self.cfg;
@@ -175,19 +157,6 @@ mod tests {
         assert_eq!(a.schedules, b.schedules);
         assert_eq!(a.growth, b.growth);
         assert_eq!(a.twitter, b.twitter);
-    }
-
-    #[test]
-    fn streamed_social_edges_match_world_follows() {
-        use fediscope_model::ids::UserId;
-        let cfg = WorldConfig::tiny(3);
-        let w = Generator::generate_world(cfg.clone());
-        let mut edges: Vec<(UserId, UserId)> = Vec::new();
-        let n = Generator::stream_social_edges(&cfg, &mut |a, b| {
-            edges.push((UserId(a), UserId(b)))
-        });
-        assert_eq!(n, w.users.len());
-        assert_eq!(edges, w.follows);
     }
 
     #[test]

@@ -42,5 +42,5 @@ fn quick_world_helper_is_deterministic() {
     let a = fediscope::quick_world(5);
     let b = fediscope::quick_world(5);
     assert_eq!(a.total_toots(), b.total_toots());
-    assert_eq!(a.federation_edges(), b.federation_edges());
+    assert_eq!(a.follows, b.follows);
 }
