@@ -58,7 +58,7 @@ fn bench_fig06(c: &mut Criterion) {
 fn bench_section4(c: &mut Criterion) {
     let o = obs();
     c.bench_function("section4_sweep", |b| {
-        b.iter(|| availability::section4_sweep(o, 3, 1))
+        b.iter(|| availability::section4_sweep(o, 3))
     });
 }
 

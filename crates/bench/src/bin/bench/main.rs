@@ -24,8 +24,9 @@
 //!   bit-identical at any setting, and records carry the budget as
 //!   `"threads"` next to the `"cores"` the machine offers.
 //! - A subcommand returns its record and its named gates. The harness
-//!   appends the record, then exits 1 naming every false gate. A bad
-//!   command line exits 2 with the usage line.
+//!   adds the process's peak resident set as `"peak_rss_mb"`, appends the
+//!   record, then exits 1 naming every false gate. A bad command line
+//!   exits 2 with the usage line.
 
 mod avail;
 mod fedsim;
@@ -36,7 +37,7 @@ mod scenario;
 mod wire;
 mod worldgen;
 
-use fediscope_bench::record_line;
+use fediscope_bench::{peak_rss_mb, record_line};
 use fediscope_graph::par;
 use fediscope_model::world::World;
 use fediscope_worldgen::{Generator, ScaleTier, WorldConfig};
@@ -234,7 +235,10 @@ fn run(argv: &[String]) -> Result<(), Fail> {
         .iter()
         .find(|(n, _)| *n == args.command)
         .expect("parse only accepts listed commands");
-    let (record, gates) = entry(&args);
+    let (mut record, gates) = entry(&args);
+    if let Some(fields) = record.as_object_mut() {
+        fields.insert("peak_rss_mb".into(), peak_rss_mb().into());
+    }
     // The record lands in the trajectory whether or not its gates hold.
     record_line(&args.out, &record.to_string());
     check(&gates)

@@ -12,10 +12,13 @@
 //!    per-schedule reference, five separate walks over the
 //!    `Vec<AvailabilitySchedule>` list, including the seed
 //!    `O(days · instances · outages)` whole-day blackout rescan;
-//! 2. **columnar** — `MonitorSweep` over the `OutageArena`: one sharded
-//!    pass over flat interval columns, integer accumulators merged in
-//!    shard order (the `par` budget sets the shard count; output is
-//!    identical at any setting).
+//! 2. **columnar** — `MonitorSweep::run_counted` over the `OutageArena`,
+//!    the path the report runs: one sharded pass over flat interval
+//!    columns, integer accumulators merged in shard order (the `par`
+//!    budget sets the shard count; output is identical at any setting).
+//!    Fig. 8 comes out as exact per-bin counts, so the identity check
+//!    counts the naive reference's samples (`SweepOutput::into_counted`)
+//!    and compares every field with `==`.
 //!
 //! The `modern` tier (30k instances × the 15-month 5-minute-poll window)
 //! must also clear the **≥5x** acceptance floor over the naive path.
@@ -44,10 +47,7 @@ pub(crate) fn run(args: &BenchArgs) -> Run {
         arena.n_outages()
     );
 
-    let sweep_cfg = SweepConfig {
-        day_stride: 1,
-        min_as_instances,
-    };
+    let sweep_cfg = SweepConfig { min_as_instances };
     let naive_f = || {
         naive_section4(
             &world.instances,
@@ -59,10 +59,10 @@ pub(crate) fn run(args: &BenchArgs) -> Run {
     let columnar_f = || {
         MonitorSweep::new(&arena, &world.instances)
             .with_shards(threads)
-            .run(&world.providers, &sweep_cfg)
+            .run_counted(&world.providers, &sweep_cfg)
     };
 
-    let identical = columnar_f() == naive_f();
+    let identical = columnar_f() == naive_f().into_counted();
     if identical {
         eprintln!("identity check passed (naive == columnar at {threads} shards)");
     } else {

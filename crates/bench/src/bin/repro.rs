@@ -4,7 +4,11 @@
 //! ```text
 //! repro [--seed N] [--scale tiny|small|paper|full] [--fast]
 //! ```
+//!
+//! The report and the verdicts go to stdout; progress and the process's
+//! peak resident set (`peak RSS <n> MB`) go to stderr.
 
+use fediscope_bench::peak_rss_mb;
 use fediscope_core::report::render_verdicts;
 use fediscope_core::{verdicts, Observatory, Report};
 use fediscope_worldgen::{Generator, WorldConfig};
@@ -77,6 +81,7 @@ fn main() {
     println!("{}", render_verdicts(&vs));
     let failed = verdicts::failed(&vs);
     println!("{} checks, {} failed", vs.len(), failed);
+    eprintln!("peak RSS {:.0} MB", peak_rss_mb());
     if failed > 0 {
         std::process::exit(1);
     }

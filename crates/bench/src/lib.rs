@@ -35,6 +35,17 @@ pub fn record_line(out: &str, json: &str) {
     println!("{json}");
 }
 
+/// Peak resident set size of this process in MB (`VmHWM`, MiB as
+/// perfbench's `peak_rss_mb` reads it), or 0 where `/proc` is unavailable.
+pub fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+        .map_or(0.0, |kb| kb as f64 / 1024.0)
+}
+
 /// Build the standard bench observatory (seeded, small scale so a full
 /// Criterion run stays in CI-friendly time).
 pub fn bench_observatory(seed: u64) -> Observatory {
@@ -93,6 +104,16 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn peak_rss_reads_vm_hwm() {
+        let peak = peak_rss_mb();
+        if Path::new("/proc/self/status").exists() {
+            assert!(peak > 0.0, "{peak}");
+        } else {
+            assert_eq!(peak, 0.0);
+        }
     }
 
     #[test]

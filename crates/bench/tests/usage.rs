@@ -55,6 +55,7 @@ fn bench_wire_runs() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     let record = std::fs::read_to_string(&out_path).expect("record written");
     assert!(record.contains(r#""identical_output":true"#), "{record}");
+    assert!(record.contains(r#""peak_rss_mb":"#), "{record}");
 }
 
 #[test]
@@ -73,4 +74,9 @@ fn repro_prints_the_computed_report() {
     let obs = Observatory::new(Generator::generate_world(WorldConfig::tiny(42)));
     assert_eq!(block, format!("\n{}", Report::compute(&obs, true).render()));
     assert!(stdout.ends_with("\n19 checks, 0 failed\n"), "{stdout}");
+    let peak = stderr.lines().last().unwrap_or_default();
+    assert!(
+        peak.starts_with("peak RSS ") && peak.ends_with(" MB"),
+        "{stderr}"
+    );
 }

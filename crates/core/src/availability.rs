@@ -14,7 +14,7 @@ use fediscope_model::certs::CertificateAuthority;
 use fediscope_model::scale::ScaleTier;
 use fediscope_monitor::asn::AsFailureRow;
 use fediscope_monitor::certs::{attribute_cert_outages, ca_footprint, CertOutageReport};
-use fediscope_monitor::daily::SizeBin;
+use fediscope_monitor::daily::{DailyCounts, SizeBin};
 use fediscope_monitor::downtime::{headlines, DowntimeHeadlines};
 use fediscope_monitor::{MonitorSweep, SweepConfig, SweepOutput};
 use fediscope_stats::{BoxStats, Ecdf};
@@ -99,9 +99,9 @@ pub struct Section4 {
     pub table1: Vec<AsFailureRow>,
 }
 
-/// Shape a [`SweepOutput`] into the per-figure §4 structs, with Fig. 8's
-/// Twitter baseline taken from the world.
-fn section4_from_sweep(obs: &Observatory, out: SweepOutput) -> Section4 {
+/// Shape a counted [`SweepOutput`] into the per-figure §4 structs, with
+/// Fig. 8's Twitter baseline taken from the world.
+fn section4_from_sweep(obs: &Observatory, out: SweepOutput<DailyCounts>) -> Section4 {
     let t = &obs.world.twitter.daily_downtime;
     Section4 {
         fig07: Fig07Downtime {
@@ -133,24 +133,20 @@ fn section4_from_sweep(obs: &Observatory, out: SweepOutput) -> Section4 {
 
 /// Compute all of §4 in one sharded pass over the observatory's columnar
 /// arena. `min_as_instances` is Table 1's AS membership threshold (paper:
-/// 8; scale it down for small worlds); `day_stride` subsamples Fig. 8's
-/// days (1 = every day).
-pub fn section4_sweep(obs: &Observatory, min_as_instances: usize, day_stride: u32) -> Section4 {
-    let cfg = SweepConfig {
-        day_stride,
-        min_as_instances,
-    };
+/// 8; scale it down for small worlds). Fig. 8 is folded into exact
+/// per-bin counts ([`MonitorSweep::run_counted`]): its box plots and mean
+/// read every instance-day without holding one sample each.
+pub fn section4_sweep(obs: &Observatory, min_as_instances: usize) -> Section4 {
+    let cfg = SweepConfig { min_as_instances };
     let out = MonitorSweep::new(obs.outage_arena(), &obs.world.instances)
-        .run(&obs.world.providers, &cfg);
+        .run_counted(&obs.world.providers, &cfg);
     section4_from_sweep(obs, out)
 }
 
-/// [`section4_sweep`] with the tier's knobs (paper Table 1 threshold,
-/// full-resolution Fig. 8, via [`SweepConfig::for_tier`]) — the §4 entry
-/// point for tier-scaled worlds.
+/// [`section4_sweep`] with the tier's knobs (paper Table 1 threshold, via
+/// [`SweepConfig::for_tier`]) — the §4 entry point for tier-scaled worlds.
 pub fn section4_tier(obs: &Observatory, tier: ScaleTier) -> Section4 {
-    let cfg = SweepConfig::for_tier(tier);
-    section4_sweep(obs, cfg.min_as_instances, cfg.day_stride)
+    section4_sweep(obs, SweepConfig::for_tier(tier).min_as_instances)
 }
 
 #[cfg(test)]
@@ -165,7 +161,7 @@ mod tests {
     #[test]
     fn fig07_headline_bands() {
         let o = obs();
-        let f = section4_sweep(&o, 3, 1).fig07;
+        let f = section4_sweep(&o, 3).fig07;
         // paper: ~50% below 5% downtime; ~11% above 50%
         assert!((0.30..=0.72).contains(&f.headlines.below_5pct));
         assert!((0.02..=0.25).contains(&f.headlines.above_50pct));
@@ -176,7 +172,7 @@ mod tests {
     #[test]
     fn fig08_twitter_beats_mastodon() {
         let o = obs();
-        let f = section4_sweep(&o, 3, 7).fig08;
+        let f = section4_sweep(&o, 3).fig08;
         assert!(
             f.mastodon_mean > 2.0 * f.twitter_mean,
             "mastodon {} vs twitter {}",
@@ -219,7 +215,7 @@ mod tests {
     #[test]
     fn table1_detects_planned_failures() {
         let o = obs();
-        let rows = section4_sweep(&o, 3, 1).table1;
+        let rows = section4_sweep(&o, 3).table1;
         assert!(!rows.is_empty());
         let total_failures: usize = rows.iter().map(|r| r.failures).sum();
         assert!(total_failures >= 3);
@@ -228,7 +224,7 @@ mod tests {
     #[test]
     fn fig10_shape() {
         let o = obs();
-        let f = section4_sweep(&o, 3, 1).fig10;
+        let f = section4_sweep(&o, 3).fig10;
         assert!(f.any_outage_frac > 0.85, "{}", f.any_outage_frac);
         assert!((0.05..=0.5).contains(&f.day_plus_frac), "{}", f.day_plus_frac);
         assert!(f.month_plus_frac < f.day_plus_frac);
@@ -243,7 +239,7 @@ mod tests {
         let o = obs();
         let tier = ScaleTier::Paper2019;
         let s4 = section4_tier(&o, tier);
-        let direct = section4_sweep(&o, tier.table1_min_instances(), tier.fig08_day_stride());
+        let direct = section4_sweep(&o, tier.table1_min_instances());
         assert!(s4 == direct);
         // the paper threshold prunes small-world ASes: every surviving row
         // respects it

@@ -74,7 +74,7 @@ impl Report {
             fig04: population::fig04_policies(obs),
             fig05: population::fig05_hosting(obs),
             fig06: population::fig06_country_links(obs),
-            section4: availability::section4_sweep(obs, table1_min, 1),
+            section4: availability::section4_sweep(obs, table1_min),
             fig09: availability::fig09_certificates(obs),
             fig11: graphs::fig11_degrees(obs),
             table2: graphs::table2_top_instances(obs),
@@ -704,7 +704,7 @@ mod tests {
         assert!(!render_fig04(&crate::population::fig04_policies(&obs)).is_empty());
         assert!(!render_fig05(&crate::population::fig05_hosting(&obs)).is_empty());
         assert!(!render_fig06(&crate::population::fig06_country_links(&obs)).is_empty());
-        let s4 = crate::availability::section4_sweep(&obs, 2, 30);
+        let s4 = crate::availability::section4_sweep(&obs, 2);
         assert!(!render_fig07(&s4.fig07).is_empty());
         assert!(!render_fig08(&s4.fig08).is_empty());
         assert!(!render_fig09(&crate::availability::fig09_certificates(&obs)).is_empty());

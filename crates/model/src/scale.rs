@@ -163,14 +163,6 @@ impl ScaleTier {
         8
     }
 
-    /// Fig. 8 day-sampling stride for this tier's §4 sweep. The columnar
-    /// interval walk is `O(days + outages)` per instance, cheap enough
-    /// that every tier — including the 30k-instance modern observatory —
-    /// pools every instance-day sample (stride 1).
-    pub fn fig08_day_stride(self) -> u32 {
-        1
-    }
-
     // --- delivery-simulator knobs (simnet::fedsim) ---
 
     /// Toot-emission horizon of the delivery simulation, in 5-minute ticks
@@ -295,7 +287,6 @@ mod tests {
             assert!(tier.fig16_max_instances() > 0);
             assert!(tier.fig16_max_instances() <= tier.n_instances());
             assert_eq!(tier.table1_min_instances(), 8);
-            assert!(tier.fig08_day_stride() >= 1);
             assert!(tier.scenario_shared_fate_groups() > 0);
             assert!(tier.scenario_shared_fate_groups() <= tier.n_providers());
             assert!(tier.scenario_cascade_buckets() > 0);

@@ -5,6 +5,11 @@
 //! Twitter's 2007 per-day downtime. The paper's punchline: the correlation
 //! between size and downtime is ≈ −0.04 — "instance popularity is not a
 //! good predictor of availability".
+//!
+//! The monitor polls every 5 minutes, so a whole day is k/288 dark. The
+//! report reads Fig. 8 as exact counts per distinct value
+//! ([`DailyCounts`]); the naive reference keeps one sample per
+//! instance-day ([`DailyDowntime`]).
 
 use fediscope_model::instance::Instance;
 use fediscope_model::schedule::AvailabilitySchedule;
@@ -60,7 +65,16 @@ impl SizeBin {
     }
 }
 
-/// Pooled per-day downtime samples per bin, plus overall.
+/// The downtime fraction of a day with `down` of its `live` epochs dark:
+/// the one expression every Fig. 8 value comes from.
+fn fraction(down: u32, live: u32) -> f64 {
+    down as f64 / live as f64
+}
+
+/// Fig. 8 in sample form: one instance-day downtime fraction per
+/// instance-day, in instance-then-day order. [`daily_downtime`] (the
+/// naive reference) and `MonitorSweep::run` produce it; the report reads
+/// the counted form, [`DailyCounts`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DailyDowntime {
     /// `(bin, samples)` in figure order; samples are instance-day downtime
@@ -70,21 +84,186 @@ pub struct DailyDowntime {
     pub overall: Vec<f64>,
 }
 
-impl DailyDowntime {
-    /// Box stats per bin (None for empty bins).
+/// Fig. 8 as exact counts: what `MonitorSweep::run_counted` folds, and
+/// what the report's box plots and pooled mean read. Whole days can only
+/// be k/288 dark, so a bin holds a few hundred distinct values where the
+/// sample form holds one `f64` per instance-day.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DailyCounts {
+    /// `(bin, counts)` in figure order; `counts` holds each distinct
+    /// instance-day downtime fraction once, ascending by
+    /// [`f64::total_cmp`], with the number of instance-days at it.
+    pub per_bin: Vec<(SizeBin, Vec<(f64, u64)>)>,
+}
+
+impl DailyCounts {
+    /// Box stats per bin (None for empty bins): [`BoxStats::of`] over the
+    /// bin's instance-day samples.
     pub fn box_stats(&self) -> Vec<(SizeBin, Option<BoxStats>)> {
         self.per_bin
             .iter()
-            .map(|(bin, samples)| (*bin, BoxStats::of(samples)))
+            .map(|(bin, counts)| (*bin, BoxStats::of_counts(counts)))
             .collect()
     }
 
-    /// Mean of the pooled samples.
+    /// Mean instance-day downtime, pooled over every bin (0 when there
+    /// are no instance-days): one `value × count` term per distinct value
+    /// of each bin, summed in figure order, then ascending value order.
     pub fn mean(&self) -> f64 {
-        if self.overall.is_empty() {
+        let pairs = || self.per_bin.iter().flat_map(|(_, counts)| counts);
+        let days: u64 = pairs().map(|&(_, n)| n).sum();
+        if days == 0 {
             return 0.0;
         }
-        self.overall.iter().sum::<f64>() / self.overall.len() as f64
+        pairs().map(|&(x, n)| x * n as f64).sum::<f64>() / days as f64
+    }
+}
+
+impl From<&DailyDowntime> for DailyCounts {
+    /// Count the samples: the counted form of the same instance-days.
+    fn from(d: &DailyDowntime) -> Self {
+        let per_bin = d
+            .per_bin
+            .iter()
+            .map(|(bin, samples)| (*bin, merge_sorted(samples.iter().map(|&x| (x, 1)))))
+            .collect();
+        DailyCounts { per_bin }
+    }
+}
+
+/// Sort `(value, count)` pairs by [`f64::total_cmp`] and merge equal
+/// values. Merging matters: `0/100` and `0/288` are both `0.0`.
+fn merge_sorted(pairs: impl Iterator<Item = (f64, u64)>) -> Vec<(f64, u64)> {
+    let mut pairs: Vec<(f64, u64)> = pairs.collect();
+    pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    pairs.dedup_by(|next, kept| {
+        let equal = next.0.total_cmp(&kept.0).is_eq();
+        if equal {
+            kept.1 += next.1;
+        }
+        equal
+    });
+    pairs
+}
+
+/// Where the §4 sweep's Fig. 8 fold puts its instance-days: the sample
+/// vectors of [`DailyDowntime`] or the counts of [`DailyCounts`]. Each
+/// shard fills its own sink; the shards' sinks are absorbed in shard
+/// (= instance) order and finished once.
+pub(crate) trait DailySink: Send + Sized {
+    /// What the merged sink finishes into.
+    type Output;
+    /// An empty sink.
+    fn new() -> Self;
+    /// Make room for `days[b]` more instance-days in bin `b`.
+    fn reserve(&mut self, days: [usize; 4]);
+    /// Add `days` instance-days of bin `bin`, each `down` of `live`
+    /// epochs dark.
+    fn add(&mut self, bin: usize, down: u32, live: u32, days: usize);
+    /// Append the sink of the next shard.
+    fn absorb(&mut self, next: Self);
+    /// The finished figure input.
+    fn finish(self) -> Self::Output;
+}
+
+/// The sample sink: one `f64` per instance-day, as the naive reference
+/// stores them.
+impl DailySink for DailyDowntime {
+    type Output = Self;
+
+    fn new() -> Self {
+        DailyDowntime {
+            per_bin: SizeBin::ALL.iter().map(|&b| (b, Vec::new())).collect(),
+            overall: Vec::new(),
+        }
+    }
+
+    fn reserve(&mut self, days: [usize; 4]) {
+        self.overall.reserve(days.iter().sum());
+        for ((_, samples), n) in self.per_bin.iter_mut().zip(days) {
+            samples.reserve(n);
+        }
+    }
+
+    fn add(&mut self, bin: usize, down: u32, live: u32, days: usize) {
+        let frac = fraction(down, live);
+        let samples = &mut self.per_bin[bin].1;
+        if days == 1 {
+            samples.push(frac);
+            self.overall.push(frac);
+        } else {
+            samples.resize(samples.len() + days, frac);
+            self.overall.resize(self.overall.len() + days, frac);
+        }
+    }
+
+    fn absorb(&mut self, next: Self) {
+        for ((_, dst), (_, src)) in self.per_bin.iter_mut().zip(next.per_bin) {
+            dst.extend(src);
+        }
+        self.overall.extend(next.overall);
+    }
+
+    fn finish(self) -> Self {
+        self
+    }
+}
+
+/// The counted sink: per bin, whole days counted by dark epochs (k/288,
+/// 289 slots), and the partial birth and death days (at most two per
+/// instance) as `(down, live, days)`. Shards merge by integer addition.
+pub(crate) struct DailyTally {
+    whole: [[u64; EPOCHS_PER_DAY as usize + 1]; 4],
+    partial: [Vec<(u32, u32, u64)>; 4],
+}
+
+impl DailySink for DailyTally {
+    type Output = DailyCounts;
+
+    fn new() -> Self {
+        DailyTally {
+            whole: [[0; EPOCHS_PER_DAY as usize + 1]; 4],
+            partial: Default::default(),
+        }
+    }
+
+    fn reserve(&mut self, _days: [usize; 4]) {}
+
+    fn add(&mut self, bin: usize, down: u32, live: u32, days: usize) {
+        if live == EPOCHS_PER_DAY {
+            self.whole[bin][down as usize] += days as u64;
+        } else {
+            self.partial[bin].push((down, live, days as u64));
+        }
+    }
+
+    fn absorb(&mut self, next: Self) {
+        for (dst, src) in self.whole.iter_mut().zip(&next.whole) {
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d += s;
+            }
+        }
+        for (dst, src) in self.partial.iter_mut().zip(next.partial) {
+            dst.extend(src);
+        }
+    }
+
+    fn finish(self) -> DailyCounts {
+        let per_bin = SizeBin::ALL
+            .iter()
+            .zip(self.whole.iter().zip(&self.partial))
+            .map(|(&bin, (whole, partial))| {
+                let whole = (0u32..)
+                    .zip(whole)
+                    .filter(|&(_, &n)| n > 0)
+                    .map(|(down, &n)| (fraction(down, EPOCHS_PER_DAY), n));
+                let partial = partial
+                    .iter()
+                    .map(|&(down, live, n)| (fraction(down, live), n));
+                (bin, merge_sorted(whole.chain(partial)))
+            })
+            .collect();
+        DailyCounts { per_bin }
     }
 }
 
@@ -100,12 +279,10 @@ pub(crate) fn daily_walk(
     death: u32,
     n_outages: usize,
     bound: impl Fn(usize) -> (u32, u32),
-    day_stride: u32,
     mut emit: impl FnMut(f64),
 ) {
     let mut cursor = 0usize; // first outage that can still affect a day
-    let mut d = 0;
-    while d < WINDOW_DAYS {
+    for d in 0..WINDOW_DAYS {
         let day = Day(d);
         let lo = day.start_epoch().0.max(birth);
         let hi = day.end_epoch().0.min(death);
@@ -125,33 +302,32 @@ pub(crate) fn daily_walk(
                 down += end.min(hi) - start.max(lo);
                 k += 1;
             }
-            emit(down as f64 / (hi - lo) as f64);
+            emit(fraction(down, hi - lo));
         }
-        d += day_stride;
     }
 }
 
-/// Run-length daily downtime fold: like [`daily_walk`] but day-runs with a
-/// *uniform* fraction (0.0 between outages, 1.0 inside a multi-day outage)
-/// come out as one `emit_run(frac, sampled_day_count)` call instead of one
-/// call per day, so the cost is `O(outage-boundary days + runs)` rather
-/// than `O(days)` per instance. Only days where an outage starts or ends
-/// (or a lifetime boundary cuts the day) compute a division — with the
-/// **identical** accumulation order and expression as the per-day walk, so
-/// emitted samples are bit-identical to [`daily_walk`]'s:
+/// Run-length daily downtime fold: like [`daily_walk`] but in integers,
+/// and day-runs with a *uniform* fraction come out as one
+/// `emit_run(down, live, days)` call instead of one call per day, so the
+/// cost is `O(outage-boundary days + runs)` rather than `O(days)` per
+/// instance:
 ///
-/// - gap days have `down == 0`, and the walk's `0 / live` is exactly `0.0`;
-/// - interior days of a multi-day outage have `down == live`, and
-///   `live / live` is exactly `1.0`;
-/// - boundary days sum the same clipped integer contributions in the same
-///   outage order before the one division.
+/// - a run of clean days is `(0, 288, n)` (`0 / live` is `0.0` for any
+///   `live`, so a partial death day may ride in it);
+/// - a run of whole dark days inside a multi-day outage is `(288, 288, n)`;
+/// - a boundary day (an outage starts or ends in it, or a lifetime
+///   boundary cuts it) is `(down, live, 1)`, summing the same clipped
+///   integer contributions in the same outage order as the per-day walk.
+///
+/// So `fraction(down, live)` of every run is bit-identical to
+/// [`daily_walk`]'s samples for those days.
 pub(crate) fn daily_runs(
     birth: u32,
     death: u32,
     n_outages: usize,
     bound: impl Fn(usize) -> (u32, u32),
-    stride: u32,
-    mut emit_run: impl FnMut(f64, usize),
+    mut emit_run: impl FnMut(u32, u32, usize),
 ) {
     if birth >= death {
         return;
@@ -159,23 +335,16 @@ pub(crate) fn daily_runs(
     let e = EPOCHS_PER_DAY;
     let first_day = birth / e;
     let last_day = (death - 1) / e; // inclusive
-    // sampled days (d % stride == 0) in [a, b)
-    let samples_in = |a: u32, b: u32| -> usize {
-        if a >= b {
-            0
-        } else {
-            (b.div_ceil(stride) - a.div_ceil(stride)) as usize
-        }
-    };
+
+    // days in [a, b); a run never starts past its end
+    let days_in = |a: u32, b: u32| (b - a) as usize;
     let mut d = first_day;
     let mut pending = 0u32; // down epochs accumulated for day `d`
     macro_rules! flush {
         () => {
-            if d % stride == 0 {
-                let lo = (d * e).max(birth);
-                let hi = ((d + 1) * e).min(death);
-                emit_run(pending as f64 / (hi - lo) as f64, 1);
-            }
+            let lo = (d * e).max(birth);
+            let hi = ((d + 1) * e).min(death);
+            emit_run(pending, hi - lo, 1);
         };
     }
     for k in 0..n_outages {
@@ -185,7 +354,7 @@ pub(crate) fn daily_runs(
         if s_day > d {
             flush!();
             pending = 0;
-            emit_run(0.0, samples_in(d + 1, s_day));
+            emit_run(0, e, days_in(d + 1, s_day));
             d = s_day;
         }
         if e_day == d {
@@ -195,7 +364,7 @@ pub(crate) fn daily_runs(
             pending += (d + 1) * e - start;
             flush!();
             // … interior days are fully dark …
-            emit_run(1.0, samples_in(d + 1, e_day));
+            emit_run(e, e, days_in(d + 1, e_day));
             // … tail fragment opens day e_day
             d = e_day;
             pending = end - e_day * e;
@@ -203,24 +372,17 @@ pub(crate) fn daily_runs(
     }
     flush!();
     if d < last_day {
-        emit_run(0.0, samples_in(d + 1, last_day + 1));
+        emit_run(0, e, days_in(d + 1, last_day + 1));
     }
 }
 
-/// Collect instance-day downtime samples. `day_stride` subsamples days
-/// (1 = every day; kept for compatibility — the interval walk below is
-/// cheap enough that Fig. 8 no longer needs subsampling at full scale).
+/// Collect instance-day downtime samples: the naive Fig. 8 reference.
 ///
 /// Per instance this walks the sorted outage list with a cursor instead of
 /// re-scanning it for every day (`AvailabilitySchedule::daily_downtime`
 /// starts from the first outage each call): `O(days + outages)` per
 /// instance rather than `O(days · outages)`.
-pub fn daily_downtime(
-    instances: &[Instance],
-    schedules: &[AvailabilitySchedule],
-    day_stride: u32,
-) -> DailyDowntime {
-    assert!(day_stride >= 1);
+pub fn daily_downtime(instances: &[Instance], schedules: &[AvailabilitySchedule]) -> DailyDowntime {
     let mut bins: [Vec<f64>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
     let mut overall = Vec::new();
     for (inst, sched) in instances.iter().zip(schedules) {
@@ -231,7 +393,6 @@ pub fn daily_downtime(
             sched.death_epoch().0,
             outages.len(),
             |k| (outages[k].start.0, outages[k].end.0),
-            day_stride,
             |frac| {
                 samples.push(frac);
                 overall.push(frac);
@@ -320,7 +481,7 @@ mod tests {
         let mut bad = AvailabilitySchedule::always_up();
         bad.add_outage(Epoch(0), Day(1).start_epoch(), OutageCause::Organic);
         let schedules = vec![bad, AvailabilitySchedule::always_up()];
-        let dd = daily_downtime(&instances, &schedules, 1);
+        let dd = daily_downtime(&instances, &schedules);
         let small = &dd.per_bin.iter().find(|(b, _)| *b == SizeBin::Small).unwrap().1;
         let medium = &dd.per_bin.iter().find(|(b, _)| *b == SizeBin::Medium).unwrap().1;
         assert_eq!(small.len(), WINDOW_DAYS as usize);
@@ -333,11 +494,32 @@ mod tests {
     }
 
     #[test]
-    fn stride_subsamples() {
-        let instances = vec![mk_inst(0, 100)];
-        let schedules = vec![AvailabilitySchedule::always_up()];
-        let dd = daily_downtime(&instances, &schedules, 7);
-        assert_eq!(dd.overall.len(), WINDOW_DAYS.div_ceil(7) as usize);
+    fn tally_merges_equal_fractions_across_denominators() {
+        // (bin, down, live, days): 0/100 and 0/288 are both 0.0, 50/100
+        // and 144/288 both 0.5
+        let runs = [
+            (0, 0, 288, 3),
+            (0, 0, 100, 1),
+            (0, 50, 100, 1),
+            (0, 144, 288, 2),
+            (0, 288, 288, 4),
+            (2, 7, 288, 1),
+        ];
+        let mut tally = DailyTally::new();
+        let mut samples = DailyDowntime::new();
+        for (bin, down, live, days) in runs {
+            tally.add(bin, down, live, days);
+            samples.add(bin, down, live, days);
+        }
+        let counts = tally.finish();
+        let small = vec![(0.0, 4), (0.5, 3), (1.0, 4)];
+        assert_eq!(counts.per_bin[0], (SizeBin::Small, small));
+        assert!(counts.per_bin[1].1.is_empty());
+        assert_eq!(counts.per_bin[2].1, vec![(7.0 / 288.0, 1)]);
+        assert_eq!(counts, DailyCounts::from(&samples.finish()));
+        let mean = (1.5 + 4.0 + 7.0 / 288.0) / 12.0;
+        assert!((counts.mean() - mean).abs() < 1e-15);
+        assert_eq!(counts.box_stats()[1], (SizeBin::Medium, None));
     }
 
     #[test]
@@ -363,27 +545,23 @@ mod tests {
         let s3 = AvailabilitySchedule::always_up();
         let schedules = vec![s0, s1, s2, s3];
 
-        for stride in [1u32, 7, 30] {
-            let dd = daily_downtime(&instances, &schedules, stride);
-            // reference: the old per-day formulation
-            let mut expect_overall = Vec::new();
-            let mut expect_bins: Vec<Vec<f64>> = vec![Vec::new(); 4];
-            for (inst, sched) in instances.iter().zip(&schedules) {
-                let bin = SizeBin::of(inst.toot_count).index();
-                let mut d = 0;
-                while d < WINDOW_DAYS {
-                    if let Some(frac) = sched.daily_downtime(Day(d)) {
-                        expect_bins[bin].push(frac);
-                        expect_overall.push(frac);
-                    }
-                    d += stride;
+        let dd = daily_downtime(&instances, &schedules);
+        // reference: the old per-day formulation
+        let mut expect_overall = Vec::new();
+        let mut expect_bins: Vec<Vec<f64>> = vec![Vec::new(); 4];
+        for (inst, sched) in instances.iter().zip(&schedules) {
+            let bin = SizeBin::of(inst.toot_count).index();
+            for d in 0..WINDOW_DAYS {
+                if let Some(frac) = sched.daily_downtime(Day(d)) {
+                    expect_bins[bin].push(frac);
+                    expect_overall.push(frac);
                 }
             }
-            assert_eq!(dd.overall, expect_overall, "stride {stride}");
-            for (i, (bin, samples)) in dd.per_bin.iter().enumerate() {
-                assert_eq!(*bin, SizeBin::ALL[i]);
-                assert_eq!(samples, &expect_bins[i], "stride {stride} bin {i}");
-            }
+        }
+        assert_eq!(dd.overall, expect_overall);
+        for (i, (bin, samples)) in dd.per_bin.iter().enumerate() {
+            assert_eq!(*bin, SizeBin::ALL[i]);
+            assert_eq!(samples, &expect_bins[i], "bin {i}");
         }
     }
 

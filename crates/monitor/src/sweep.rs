@@ -10,10 +10,16 @@
 //! 1. an **instance-sharded fold**: the instance range splits into
 //!    contiguous shards fanned out via `par::parallel_map`; each shard
 //!    streams its slice of the arena's flat interval columns once,
-//!    producing per-instance sample vectors (concatenated back in shard =
+//!    producing per-instance vectors (concatenated back in shard =
 //!    instance order) and integer (`u64`/`i64` epoch-and-toot)
 //!    accumulators (merged by exact addition) — so the merged output is
-//!    **bit-identical to the naive reference at any shard count**;
+//!    **bit-identical to the naive reference at any shard count**.
+//!    Fig. 8 goes to a sink chosen by the caller:
+//!    [`MonitorSweep::run_counted`], the report's path, counts
+//!    instance-days per size bin by downtime fraction (a whole day is
+//!    k/288 dark, so a bin holds a few hundred distinct values), and
+//!    [`MonitorSweep::run`] keeps one `f64` sample per instance-day, as
+//!    the naive reference does;
 //! 2. a **group-sharded fold** for Table 1: AS groups fan out across
 //!    threads, each running the same boundary-event sweep as the naive
 //!    detector.
@@ -27,7 +33,10 @@
 //! the differential tests and `bench monitor` compare against.
 
 use crate::asn::{as_failure_table, as_failure_table_arena, AsFailureRow};
-use crate::daily::{daily_downtime, daily_runs, size_downtime_correlation, DailyDowntime, SizeBin};
+use crate::daily::{
+    daily_downtime, daily_runs, size_downtime_correlation, DailyCounts, DailyDowntime, DailySink,
+    DailyTally, SizeBin,
+};
 use crate::downtime::{downtime_report, failure_exposure, DowntimeReport, FailureExposure};
 use crate::outages::{
     blackout_span_add, outage_durations, worst_day_blackout, worst_day_from_histogram,
@@ -43,8 +52,6 @@ use fediscope_stats::{pearson, Ecdf};
 /// Knobs shared by the sweep and the naive reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepConfig {
-    /// Fig. 8 day subsampling stride (1 = every day).
-    pub day_stride: u32,
     /// Table 1 membership threshold (paper: ASes hosting ≥ 8 instances).
     pub min_as_instances: usize,
 }
@@ -57,27 +64,28 @@ impl Default for SweepConfig {
 
 impl SweepConfig {
     /// The tier's §4 knobs — [`fediscope_model::scale::ScaleTier`] is the
-    /// single source for the Table 1 threshold and the Fig. 8 stride
-    /// (identical across tiers today, but a future tier change lands in
-    /// one place).
+    /// single source for the Table 1 threshold (identical across tiers
+    /// today, but a future tier change lands in one place).
     pub fn for_tier(tier: fediscope_model::scale::ScaleTier) -> Self {
         Self {
-            day_stride: tier.fig08_day_stride(),
             min_as_instances: tier.table1_min_instances(),
         }
     }
 }
 
 /// Everything §4 needs (Figs. 7, 8, 10 + the blackout day + Table 1), in
-/// one comparable bundle.
+/// one comparable bundle. `D` is Fig. 8's form: the per-instance-day
+/// samples ([`DailyDowntime`], from [`MonitorSweep::run`] and
+/// [`naive_section4`]) or their exact counts ([`DailyCounts`], from
+/// [`MonitorSweep::run_counted`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SweepOutput {
+pub struct SweepOutput<D = DailyDowntime> {
     /// Fig. 7 blue line: per-instance lifetime downtime + its ECDF.
     pub downtime: DowntimeReport,
     /// Fig. 7 red lines: user/toot/boost exposure of failing instances.
     pub exposure: FailureExposure,
-    /// Fig. 8: pooled instance-day downtime samples per size bin.
-    pub daily: DailyDowntime,
+    /// Fig. 8: instance-day downtime per size bin.
+    pub daily: D,
     /// Fig. 8 inset: toot-count vs downtime correlation.
     pub size_correlation: Option<f64>,
     /// Fig. 10: continuous-outage durations and exposure.
@@ -88,38 +96,54 @@ pub struct SweepOutput {
     pub as_table: Vec<AsFailureRow>,
 }
 
+impl SweepOutput {
+    /// The same output with Fig. 8 counted: what
+    /// [`MonitorSweep::run_counted`] returns for the input `run` saw.
+    pub fn into_counted(self) -> SweepOutput<DailyCounts> {
+        SweepOutput {
+            downtime: self.downtime,
+            exposure: self.exposure,
+            daily: DailyCounts::from(&self.daily),
+            size_correlation: self.size_correlation,
+            outages: self.outages,
+            worst_day: self.worst_day,
+            as_table: self.as_table,
+        }
+    }
+}
+
 /// The columnar §4 engine. Borrow an arena and the instance table, pick a
-/// shard budget, [`run`](Self::run).
+/// shard budget, [`run_counted`](Self::run_counted) (or
+/// [`run`](Self::run) for Fig. 8's samples).
 pub struct MonitorSweep<'a> {
     arena: &'a OutageArena,
     instances: &'a [Instance],
     shards: Option<usize>,
 }
 
-/// Per-shard accumulator. Sample vectors are per-instance-ordered within
-/// the shard; integer counters merge exactly.
-struct ShardAcc {
+/// Per-shard accumulator. Per-instance vectors are instance-ordered
+/// within the shard; integer counters merge exactly; `daily` is Fig. 8's
+/// sink.
+struct ShardAcc<S> {
     fraction: Vec<Option<f64>>,
     exp_users: Vec<f64>,
     exp_toots: Vec<f64>,
     exp_boosts: Vec<f64>,
-    bins: [Vec<f64>; 4],
-    overall: Vec<f64>,
+    daily: S,
     corr_toots: Vec<f64>,
     corr_down: Vec<f64>,
     durations: DurationAcc,
     black_diff: Vec<i64>,
 }
 
-impl ShardAcc {
+impl<S: DailySink> ShardAcc<S> {
     fn new() -> Self {
         Self {
             fraction: Vec::new(),
             exp_users: Vec::new(),
             exp_toots: Vec::new(),
             exp_boosts: Vec::new(),
-            bins: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
-            overall: Vec::new(),
+            daily: S::new(),
             corr_toots: Vec::new(),
             corr_down: Vec::new(),
             durations: DurationAcc::default(),
@@ -152,9 +176,30 @@ impl<'a> MonitorSweep<'a> {
         self
     }
 
-    /// Fold the whole §4 workload out of one pass over the arena.
+    /// Fold the whole §4 workload out of one pass over the arena, with
+    /// Fig. 8 as one sample per instance-day, in the naive reference's
+    /// order.
     pub fn run(&self, providers: &ProviderCatalog, cfg: &SweepConfig) -> SweepOutput {
-        assert!(cfg.day_stride >= 1);
+        self.sweep::<DailyDowntime>(providers, cfg)
+    }
+
+    /// [`run`](Self::run) with Fig. 8 folded into exact per-bin counts
+    /// instead of samples: the report's path. Shards merge the counts by
+    /// integer addition, so the output is the same at any shard count and
+    /// equals `run(..).into_counted()`.
+    pub fn run_counted(
+        &self,
+        providers: &ProviderCatalog,
+        cfg: &SweepConfig,
+    ) -> SweepOutput<DailyCounts> {
+        self.sweep::<DailyTally>(providers, cfg)
+    }
+
+    fn sweep<S: DailySink>(
+        &self,
+        providers: &ProviderCatalog,
+        cfg: &SweepConfig,
+    ) -> SweepOutput<S::Output> {
         let n = self.instances.len();
         let shards = self.shards.unwrap_or_else(par::thread_budget).max(1);
         let chunk = n.div_ceil(shards.min(n.max(1)).max(1)).max(1);
@@ -163,7 +208,7 @@ impl<'a> MonitorSweep<'a> {
             .map(|lo| (lo, (lo + chunk).min(n)))
             .collect();
 
-        let accs = par::parallel_map(&ranges, |&(lo, hi)| self.fold_range(lo, hi, cfg.day_stride));
+        let accs = par::parallel_map(&ranges, |&(lo, hi)| self.fold_range::<S>(lo, hi));
         let as_table =
             as_failure_table_arena(self.instances, self.arena, providers, cfg.min_as_instances);
         self.merge(accs, as_table)
@@ -171,10 +216,10 @@ impl<'a> MonitorSweep<'a> {
 
     /// Stream one contiguous instance range through every per-instance
     /// figure fold.
-    fn fold_range(&self, lo: usize, hi: usize, day_stride: u32) -> ShardAcc {
-        let mut acc = ShardAcc::new();
-        // Exact reservations from the arena's geometry: sample counts per
-        // bin (one per sampled live day) and one duration per interval.
+    fn fold_range<S: DailySink>(&self, lo: usize, hi: usize) -> ShardAcc<S> {
+        let mut acc = ShardAcc::<S>::new();
+        // Exact reservations from the arena's geometry: instance-days per
+        // bin (one per live day) and one duration per interval.
         acc.fraction.reserve(hi - lo);
         let mut n_outages = 0usize;
         let mut bin_days = [0usize; 4];
@@ -184,16 +229,12 @@ impl<'a> MonitorSweep<'a> {
             if v.birth.0 < v.death.0 {
                 let first = v.birth.0 / EPOCHS_PER_DAY;
                 let last = (v.death.0 - 1) / EPOCHS_PER_DAY + 1;
-                let sampled =
-                    (last.div_ceil(day_stride) - first.div_ceil(day_stride)) as usize;
-                bin_days[SizeBin::of(self.instances[i].toot_count).index()] += sampled;
+                bin_days[SizeBin::of(self.instances[i].toot_count).index()] +=
+                    (last - first) as usize;
             }
         }
         acc.durations.durations.reserve(n_outages);
-        acc.overall.reserve(bin_days.iter().sum());
-        for (b, days) in acc.bins.iter_mut().zip(bin_days) {
-            b.reserve(days);
-        }
+        acc.daily.reserve(bin_days);
 
         for i in lo..hi {
             let v = self.arena.view(i);
@@ -214,25 +255,16 @@ impl<'a> MonitorSweep<'a> {
                 acc.exp_boosts.push(inst.boosted_toots as f64);
             }
 
-            // Fig. 8: daily samples via the run-length interval fold
+            // Fig. 8: instance-days via the run-length interval fold
             // (never per-day interval queries).
-            let samples = &mut acc.bins[SizeBin::of(inst.toot_count).index()];
-            let overall = &mut acc.overall;
+            let bin = SizeBin::of(inst.toot_count).index();
+            let daily = &mut acc.daily;
             daily_runs(
                 v.birth.0,
                 v.death.0,
                 v.outage_count(),
                 |k| (v.starts[k].0, v.ends[k].0),
-                day_stride,
-                |frac, count| {
-                    if count == 1 {
-                        samples.push(frac);
-                        overall.push(frac);
-                    } else {
-                        samples.resize(samples.len() + count, frac);
-                        overall.resize(overall.len() + count, frac);
-                    }
-                },
+                |down, live, days| daily.add(bin, down, live, days),
             );
 
             // Fig. 8 inset: correlation inputs (same guard as
@@ -267,7 +299,11 @@ impl<'a> MonitorSweep<'a> {
     /// Merge shard accumulators in shard order (= instance order) and
     /// finalise every figure. The first shard's vectors are *moved* (at
     /// one shard no sample byte is copied); later shards append in order.
-    fn merge(&self, accs: Vec<ShardAcc>, as_table: Vec<AsFailureRow>) -> SweepOutput {
+    fn merge<S: DailySink>(
+        &self,
+        accs: Vec<ShardAcc<S>>,
+        as_table: Vec<AsFailureRow>,
+    ) -> SweepOutput<S::Output> {
         let mut accs = accs.into_iter();
         let first = accs.next().unwrap_or_else(ShardAcc::new);
         let ShardAcc {
@@ -275,8 +311,7 @@ impl<'a> MonitorSweep<'a> {
             mut exp_users,
             mut exp_toots,
             mut exp_boosts,
-            mut bins,
-            mut overall,
+            mut daily,
             mut corr_toots,
             mut corr_down,
             mut durations,
@@ -287,10 +322,7 @@ impl<'a> MonitorSweep<'a> {
             exp_users.extend(acc.exp_users);
             exp_toots.extend(acc.exp_toots);
             exp_boosts.extend(acc.exp_boosts);
-            for (dst, src) in bins.iter_mut().zip(acc.bins) {
-                dst.extend(src);
-            }
-            overall.extend(acc.overall);
+            daily.absorb(acc.daily);
             corr_toots.extend(acc.corr_toots);
             corr_down.extend(acc.corr_down);
             durations.absorb(acc.durations);
@@ -307,14 +339,6 @@ impl<'a> MonitorSweep<'a> {
             toots: Ecdf::new(exp_toots),
             boosts: Ecdf::new(exp_boosts),
         };
-        let mut bins = bins.into_iter();
-        let daily = DailyDowntime {
-            per_bin: SizeBin::ALL
-                .iter()
-                .map(|&b| (b, bins.next().unwrap()))
-                .collect(),
-            overall,
-        };
         let size_correlation = pearson(&corr_toots, &corr_down);
 
         let total_toots: u64 = self.instances.iter().map(|i| i.toot_count).sum();
@@ -328,7 +352,7 @@ impl<'a> MonitorSweep<'a> {
         SweepOutput {
             downtime,
             exposure,
-            daily,
+            daily: daily.finish(),
             size_correlation,
             outages: durations.finish(),
             worst_day,
@@ -339,8 +363,9 @@ impl<'a> MonitorSweep<'a> {
 
 /// The kept naive §4 reference: the per-schedule module functions composed
 /// exactly as the pre-arena pipeline ran them, bundled into the same
-/// [`SweepOutput`] so differential tests and `bench monitor` can compare
-/// the engines with one `==`.
+/// [`SweepOutput`] so differential tests can compare it with
+/// [`MonitorSweep::run`] by one `==`, and `bench monitor` with
+/// [`MonitorSweep::run_counted`] after [`SweepOutput::into_counted`].
 pub fn naive_section4(
     instances: &[Instance],
     schedules: &[AvailabilitySchedule],
@@ -350,7 +375,7 @@ pub fn naive_section4(
     SweepOutput {
         downtime: downtime_report(schedules),
         exposure: failure_exposure(instances, schedules),
-        daily: daily_downtime(instances, schedules, cfg.day_stride),
+        daily: daily_downtime(instances, schedules),
         size_correlation: size_downtime_correlation(instances, schedules),
         outages: outage_durations(instances, schedules),
         worst_day: worst_day_blackout(instances, schedules),
@@ -362,10 +387,11 @@ pub fn naive_section4(
 mod tests {
     use super::*;
     use fediscope_model::schedule::OutageCause;
-    use fediscope_model::time::Epoch;
+    use fediscope_model::time::{Epoch, WINDOW_EPOCHS};
     use fediscope_worldgen::{Generator, WorldConfig};
 
-    /// The sweep at 1, 2, 3 and 8 shards must equal [`naive_section4`].
+    /// The sweep at 1, 2, 3 and 8 shards must equal [`naive_section4`],
+    /// and its counted run must equal the sample run with Fig. 8 counted.
     fn assert_matches_naive(
         instances: &[Instance],
         schedules: &[AvailabilitySchedule],
@@ -375,10 +401,14 @@ mod tests {
         let naive = naive_section4(instances, schedules, providers, cfg);
         let arena = OutageArena::from_schedules(schedules);
         for shards in [1usize, 2, 3, 8] {
-            let got = MonitorSweep::new(&arena, instances)
-                .with_shards(shards)
-                .run(providers, cfg);
+            let sweep = MonitorSweep::new(&arena, instances).with_shards(shards);
+            let got = sweep.run(providers, cfg);
             assert!(got == naive, "diverged at {shards} shards, {cfg:?}");
+            let counted = sweep.run_counted(providers, cfg);
+            assert!(
+                counted == got.into_counted(),
+                "counted run diverged at {shards} shards, {cfg:?}"
+            );
         }
     }
 
@@ -425,7 +455,6 @@ mod tests {
     #[test]
     fn sweep_matches_naive_on_generated_world() {
         let sweep_cfg = SweepConfig {
-            day_stride: 1,
             min_as_instances: 3,
         };
         for (seed, n_instances, n_users) in [(31, 300, 2_000), (53, 250, 1_500), (59, 250, 1_500)] {
@@ -437,29 +466,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sweep_matches_naive_with_stride() {
-        let mut cfg = WorldConfig::tiny(37);
-        cfg.n_instances = 150;
-        cfg.n_users = 1_000;
-        let w = Generator::generate_world(cfg);
-        let arena = OutageArena::from_schedules(&w.schedules);
-        let sweep_cfg = SweepConfig {
-            day_stride: 7,
-            min_as_instances: 2,
-        };
-        let naive = naive_section4(&w.instances, &w.schedules, &w.providers, &sweep_cfg);
-        let got = MonitorSweep::new(&arena, &w.instances)
-            .with_shards(4)
-            .run(&w.providers, &sweep_cfg);
-        assert!(got == naive);
-    }
-
-    /// Two hand-built worlds at strides 1, 7 and 30. The first has one
-    /// instance per size bin: mixed lifetimes, sub-day blips, multi-day and
-    /// month-long outages, outage chains sharing a boundary day. The second
-    /// has overlapping whole-day blackouts, outages clipped at birth and
-    /// retirement, and a toot-less instance.
+    /// Two hand-built worlds. The first has one instance per size bin:
+    /// mixed lifetimes, sub-day blips, multi-day and month-long outages,
+    /// outage chains sharing a boundary day. The second has overlapping
+    /// whole-day blackouts, outages clipped at birth and retirement, and a
+    /// toot-less instance.
     #[test]
     fn sweep_matches_naive_on_mixed_lifetimes() {
         let instances = [
@@ -510,14 +521,71 @@ mod tests {
         ];
 
         let providers = ProviderCatalog::with_tail(3);
-        for day_stride in [1u32, 7, 30] {
-            let cfg = SweepConfig {
-                day_stride,
-                min_as_instances: 2,
-            };
-            assert_matches_naive(&instances, &daily, &providers, &cfg);
-            assert_matches_naive(&blackout_instances, &blackout, &providers, &cfg);
+        let cfg = SweepConfig {
+            min_as_instances: 2,
+        };
+        assert_matches_naive(&instances, &daily, &providers, &cfg);
+        assert_matches_naive(&blackout_instances, &blackout, &providers, &cfg);
+    }
+
+    /// Lifetimes that start or end mid-day exist only in arenas (a
+    /// schedule lives whole days), so the naive reference never sees a
+    /// partial day. Here the sample sweep's Fig. 8 must equal the arena's
+    /// own per-day queries, and the counted sweep must count exactly those
+    /// samples, at every shard count.
+    #[test]
+    fn counted_sweep_counts_partial_days() {
+        let at = |day: u32, off: u32| Epoch(Day(day).start_epoch().0 + off);
+        let mut b = OutageArena::builder(4, 5);
+        // born late on day 2, retired early on day 9: 100 live epochs on
+        // each partial day, half of them dark, and a multi-day outage
+        b.push_instance(at(2, 188), at(9, 100));
+        b.push_outage(at(2, 200), at(2, 250), OutageCause::Organic);
+        b.push_outage(at(4, 10), at(6, 0), OutageCause::Organic);
+        b.push_outage(at(9, 40), at(9, 90), OutageCause::Organic);
+        // born and retired inside one day
+        b.push_instance(at(5, 10), at(5, 110));
+        b.push_outage(at(5, 20), at(5, 30), OutageCause::Organic);
+        // clean partial birth day (0/100), then whole clean days (0/288)
+        b.push_instance(at(0, 188), Epoch(WINDOW_EPOCHS));
+        // whole-day outage, retired 7 epochs into day 300
+        b.push_instance(Day(0).start_epoch(), at(300, 7));
+        b.push_outage(at(100, 0), at(101, 0), OutageCause::Organic);
+        let arena = b.finish();
+        let instances = [
+            mk_inst(0, 100),
+            mk_inst(1, 100),
+            mk_inst(2, 50_000),
+            mk_inst(3, 500_000),
+        ];
+
+        let mut expect = vec![Vec::new(); 4];
+        for (i, inst) in instances.iter().enumerate() {
+            let v = arena.view(i);
+            let bin = &mut expect[SizeBin::of(inst.toot_count).index()];
+            bin.extend((0..WINDOW_DAYS).filter_map(|d| v.daily_downtime(Day(d))));
         }
+        let providers = ProviderCatalog::with_tail(3);
+        let cfg = SweepConfig {
+            min_as_instances: 2,
+        };
+        for shards in [1usize, 2, 3] {
+            let sweep = MonitorSweep::new(&arena, &instances).with_shards(shards);
+            let run = sweep.run(&providers, &cfg);
+            for ((_, got), want) in run.daily.per_bin.iter().zip(&expect) {
+                assert_eq!(got, want, "{shards} shards");
+            }
+            let counted = sweep.run_counted(&providers, &cfg);
+            assert!(counted == run.into_counted(), "{shards} shards");
+        }
+        // 0/100 and 0/288 are one value: the medium bin's live days all
+        // count as 0.0, partial birth day included
+        let medium = &MonitorSweep::new(&arena, &instances)
+            .run_counted(&providers, &cfg)
+            .daily
+            .per_bin[1]
+            .1;
+        assert_eq!(medium, &vec![(0.0, u64::from(WINDOW_DAYS))]);
     }
 
     #[test]

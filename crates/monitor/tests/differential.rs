@@ -45,8 +45,8 @@ fn mk_inst(i: u32, users: u32, toots: u64, asn: u32) -> Instance {
 proptest! {
     /// Random synthetic worlds: per instance a random lifetime, outage
     /// soup, size, and AS assignment (few ASes, so Table 1 groups form);
-    /// the sweep must equal the naive reference at 1/2/3/7 shards with
-    /// Fig. 8 strides 1 and 11.
+    /// the sweep must equal the naive reference at 1/2/3/7 shards, and the
+    /// counted sweep must equal it with Fig. 8's samples counted.
     #[test]
     fn sweep_equals_naive_everywhere(
         per_inst in proptest::collection::vec(
@@ -56,7 +56,6 @@ proptest! {
              (0u32..4,            // AS assignment out of 3 small ASes
               proptest::collection::vec((0u32..135_000, 1u32..20_000), 0..10))),
             0..14),
-        stride_pick in 0usize..2,
     ) {
         let mut instances = Vec::new();
         let mut schedules = Vec::new();
@@ -71,16 +70,20 @@ proptest! {
         }
         let providers = ProviderCatalog::with_tail(6);
         let cfg = SweepConfig {
-            day_stride: [1u32, 11][stride_pick],
             min_as_instances: 2,
         };
         let naive = naive_section4(&instances, &schedules, &providers, &cfg);
         let arena = OutageArena::from_schedules(&schedules);
         for shards in [1usize, 2, 3, 7] {
-            let got = MonitorSweep::new(&arena, &instances)
-                .with_shards(shards)
-                .run(&providers, &cfg);
+            let sweep = MonitorSweep::new(&arena, &instances).with_shards(shards);
+            let got = sweep.run(&providers, &cfg);
             prop_assert!(got == naive, "diverged at {} shards", shards);
+            let counted = sweep.run_counted(&providers, &cfg);
+            prop_assert!(
+                counted == got.into_counted(),
+                "counted run diverged at {} shards",
+                shards
+            );
         }
     }
 }
@@ -110,7 +113,6 @@ fn sweep_on_reconstructed_polls_matches_naive_on_them() {
     assert_eq!(arena, OutageArena::from_schedules(&reconstructed));
 
     let sweep_cfg = SweepConfig {
-        day_stride: 1,
         min_as_instances: 2,
     };
     let naive = naive_section4(&w.instances, &reconstructed, &w.providers, &sweep_cfg);

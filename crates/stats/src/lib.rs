@@ -49,15 +49,23 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
         return None;
     }
     debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input must be sorted");
+    Some(quantile_by_rank(sorted.len(), q, |r| sorted[r]))
+}
+
+/// The R-7 quantile of `n >= 1` sorted values that `at(rank)` reads by
+/// 0-based rank: [`quantile_sorted`]'s arithmetic for data that is not
+/// held as one slice (such as [`BoxStats::of_counts`]' counted values).
+pub(crate) fn quantile_by_rank(n: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
+    debug_assert!(n >= 1, "quantile of no values");
     let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * (n - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        return Some(sorted[lo]);
+        return at(lo);
     }
     let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    at(lo) * (1.0 - frac) + at(hi) * frac
 }
 
 /// Convenience: sort a copy of `data` and take a quantile.

@@ -15,7 +15,7 @@ fn main() {
     let obs = Observatory::new(world);
     // One sweep computes all of §4; Table 1 counts ASes hosting at least 3
     // instances.
-    let s4 = availability::section4_sweep(&obs, 3, 1);
+    let s4 = availability::section4_sweep(&obs, 3);
 
     // Downtime landscape (Fig. 7).
     println!("{}", report::render_fig07(&s4.fig07));

@@ -137,7 +137,6 @@ async fn crawl_under(
 /// lowered to suit a 15-instance world).
 fn pipeline_sweep_cfg() -> SweepConfig {
     SweepConfig {
-        day_stride: 1,
         min_as_instances: 3,
     }
 }
