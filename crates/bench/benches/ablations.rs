@@ -26,17 +26,13 @@ fn bench_ablation_dht(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_dht_lookup");
     for ring_size in [100u32, 1_000, 4_328] {
         let ring = HashRing::new(0..ring_size, 32);
-        g.bench_with_input(
-            BenchmarkId::from_parameter(ring_size),
-            &ring,
-            |b, ring| {
-                let mut key = 0u64;
-                b.iter(|| {
-                    key = key.wrapping_add(1);
-                    ring.lookup(key, 3)
-                })
-            },
-        );
+        g.bench_with_input(BenchmarkId::from_parameter(ring_size), &ring, |b, ring| {
+            let mut key = 0u64;
+            b.iter(|| {
+                key = key.wrapping_add(1);
+                ring.lookup(key, 3)
+            })
+        });
     }
     g.finish();
 }

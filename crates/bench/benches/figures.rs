@@ -43,9 +43,7 @@ fn bench_fig04(c: &mut Criterion) {
 
 fn bench_fig05(c: &mut Criterion) {
     let o = obs();
-    c.bench_function("fig05_hosting", |b| {
-        b.iter(|| population::fig05_hosting(o))
-    });
+    c.bench_function("fig05_hosting", |b| b.iter(|| population::fig05_hosting(o)));
 }
 
 fn bench_fig06(c: &mut Criterion) {

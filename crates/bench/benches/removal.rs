@@ -25,9 +25,7 @@ fn bench_iterative_incremental(c: &mut Criterion) {
         b.iter(|| RemovalSweep::new(g).iterative_fraction(0.01, 25, RankBy::DegreeIterative))
     });
     grp.bench_function("naive_25_rounds", |b| {
-        b.iter(|| {
-            RemovalSweep::new(g).iterative_fraction_naive(0.01, 25, RankBy::DegreeIterative)
-        })
+        b.iter(|| RemovalSweep::new(g).iterative_fraction_naive(0.01, 25, RankBy::DegreeIterative))
     });
     grp.finish();
 }

@@ -152,10 +152,10 @@ fn cmd_serve(o: &Opts) {
             o.ticks,
             o.tick_ms
         );
-        let ticker = net.state.clock.run_ticker(
-            std::time::Duration::from_millis(o.tick_ms),
-            Epoch(o.ticks),
-        );
+        let ticker = net
+            .state
+            .clock
+            .run_ticker(std::time::Duration::from_millis(o.tick_ms), Epoch(o.ticks));
         let _ = ticker.await;
         println!("virtual clock reached epoch {}; shutting down", o.ticks);
         net.shutdown().await;
@@ -258,14 +258,18 @@ fn cmd_crawl(o: &Opts) {
                     (sweep + 1) as u64,
                     &serde::Serialize::to_json_value(&ckpt),
                 );
-                store.put((sweep + 1) as u64, &frame).expect("write checkpoint");
+                store
+                    .put((sweep + 1) as u64, &frame)
+                    .expect("write checkpoint");
             }
         }
         // The loop leaves the world clock at the final sweep's epoch — but
         // a resume that lands past the last sweep skips the loop entirely,
         // so pin it explicitly or the toot crawl below would run against
         // the boot epoch's availability instead.
-        net.state.clock.set(Epoch(BASE_EPOCH + (SWEEPS - 1) * SWEEP_STRIDE));
+        net.state
+            .clock
+            .set(Epoch(BASE_EPOCH + (SWEEPS - 1) * SWEEP_STRIDE));
         let up = monitor
             .dataset()
             .series
@@ -277,12 +281,8 @@ fn cmd_crawl(o: &Opts) {
             seeds.len()
         );
 
-        let dataset = toots::crawl_toots(
-            &seeds,
-            &politeness,
-            &fediscope_httpwire::Client::default(),
-        )
-        .await;
+        let dataset =
+            toots::crawl_toots(&seeds, &politeness, &fediscope_httpwire::Client::default()).await;
         println!(
             "toot crawl: {} instances crawled, {} toots, {:.1}% coverage",
             dataset.crawled_instances(),

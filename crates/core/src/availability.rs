@@ -191,8 +191,7 @@ mod tests {
                 .and_then(|(_, s)| s.as_ref())
                 .map(|s| s.median)
         };
-        if let (Some(small), Some(large)) = (median_of(SizeBin::Small), median_of(SizeBin::Large))
-        {
+        if let (Some(small), Some(large)) = (median_of(SizeBin::Small), median_of(SizeBin::Large)) {
             assert!(small >= large);
         }
     }
@@ -226,7 +225,11 @@ mod tests {
         let o = obs();
         let f = section4_sweep(&o, 3).fig10;
         assert!(f.any_outage_frac > 0.85, "{}", f.any_outage_frac);
-        assert!((0.05..=0.5).contains(&f.day_plus_frac), "{}", f.day_plus_frac);
+        assert!(
+            (0.05..=0.5).contains(&f.day_plus_frac),
+            "{}",
+            f.day_plus_frac
+        );
         assert!(f.month_plus_frac < f.day_plus_frac);
         assert!(f.worst_day.1 > 0.0, "some day must lose toots");
         assert!(f.users_affected > 0);

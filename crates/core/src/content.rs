@@ -112,9 +112,8 @@ pub fn fig15_replication(
     let as_plan = RemovalPlan::from_groups(view.n_instances, &as_groups);
     let (by_instance, by_as) = evaluate_plans_fused(view, &inst_plan, &as_plan, &[]);
 
-    let loss_at = |curve: &[AvailabilityPoint], k: usize| {
-        1.0 - curve[k.min(curve.len() - 1)].availability
-    };
+    let loss_at =
+        |curve: &[AvailabilityPoint], k: usize| 1.0 - curve[k.min(curve.len() - 1)].availability;
     Fig15Replication {
         none_top10_instance_loss: loss_at(&by_instance.none, 10),
         none_top10_as_loss: loss_at(&by_as.none, 10),
@@ -172,10 +171,7 @@ pub fn fig15_replication_tier(obs: &Observatory, tier: ScaleTier) -> Fig15Replic
 }
 
 /// Compute Fig. 16 at a named scale tier.
-pub fn fig16_random_replication_tier(
-    obs: &Observatory,
-    tier: ScaleTier,
-) -> Fig16RandomReplication {
+pub fn fig16_random_replication_tier(obs: &Observatory, tier: ScaleTier) -> Fig16RandomReplication {
     fig16_random_replication(obs, tier.fig16_max_instances())
 }
 
@@ -247,7 +243,11 @@ mod tests {
         );
         // n ≥ 4 keeps availability very high
         let n4 = &f.random.iter().find(|(n, _)| *n == 4).unwrap().1;
-        assert!(n4[k].availability > 0.95, "n=4 availability {}", n4[k].availability);
+        assert!(
+            n4[k].availability > 0.95,
+            "n=4 availability {}",
+            n4[k].availability
+        );
         // replication-skew facts
         assert!(f.unreplicated_frac > 0.0);
         assert!(f.over10_frac > 0.0);

@@ -283,10 +283,7 @@ pub fn fig12_user_removal_tier(obs: &Observatory, tier: ScaleTier) -> Fig12UserR
 
 /// Compute Fig. 13 at a named scale tier: sweep depth and AS count follow
 /// the tier tables (a quarter of the tier's instances, 30–50 ASes).
-pub fn fig13_federation_removal_tier(
-    obs: &Observatory,
-    tier: ScaleTier,
-) -> Fig13FederationRemoval {
+pub fn fig13_federation_removal_tier(obs: &Observatory, tier: ScaleTier) -> Fig13FederationRemoval {
     fig13_federation_removal(obs, tier.fig13_max_instances(), tier.fig13_max_ases())
 }
 
@@ -437,10 +434,10 @@ mod tests {
     fn fig13_user_ranked_as_removal_kills_more_users() {
         let o = obs();
         let f = fig13_federation_removal(&o, 10, 8);
-        let k = 5.min(f.by_as_users.len() - 1).min(f.by_as_instances.len() - 1);
+        let k = 5
+            .min(f.by_as_users.len() - 1)
+            .min(f.by_as_instances.len() - 1);
         // ranking ASes by users must remove at least as much user weight
-        assert!(
-            f.by_as_users[k].lcc_weight_frac <= f.by_as_instances[k].lcc_weight_frac + 0.05
-        );
+        assert!(f.by_as_users[k].lcc_weight_frac <= f.by_as_instances[k].lcc_weight_frac + 0.05);
     }
 }

@@ -22,8 +22,8 @@
 #![warn(missing_docs)]
 
 pub mod availability;
-pub mod delivery;
 pub mod content;
+pub mod delivery;
 pub mod graphs;
 pub mod observatory;
 pub mod population;

@@ -178,15 +178,12 @@ mod tests {
     fn caches_are_consistent() {
         let o = obs();
         assert_eq!(o.user_graph().node_count(), o.world.users.len());
-        assert_eq!(
-            o.user_graph().edge_count(),
-            {
-                let mut e: Vec<_> = o.world.follows.clone();
-                e.sort_unstable();
-                e.dedup();
-                e.len()
-            }
-        );
+        assert_eq!(o.user_graph().edge_count(), {
+            let mut e: Vec<_> = o.world.follows.clone();
+            e.sort_unstable();
+            e.dedup();
+            e.len()
+        });
         assert_eq!(
             o.federation_graph().edge_count(),
             o.content_view().federation_edges().len()

@@ -456,7 +456,11 @@ mod tests {
         // users grow through the plateau, instances barely
         assert!(f.plateau_user_growth > f.plateau_instance_growth);
         // H1-2018 re-acceleration
-        assert!(f.h1_2018_instance_growth > 0.2, "{}", f.h1_2018_instance_growth);
+        assert!(
+            f.h1_2018_instance_growth > 0.2,
+            "{}",
+            f.h1_2018_instance_growth
+        );
     }
 
     #[test]
@@ -472,9 +476,7 @@ mod tests {
         assert!(f.top5_user_share > 0.6, "{}", f.top5_user_share);
         assert!(f.top5_toot_share > 0.6);
         // activity medians ordered (closed more engaged)
-        assert!(
-            f.activity_closed.median().unwrap() > f.activity_open.median().unwrap()
-        );
+        assert!(f.activity_closed.median().unwrap() > f.activity_open.median().unwrap());
         assert!(f.mean_users.0 > f.mean_users.1);
     }
 

@@ -246,7 +246,13 @@ pub fn render_fig04(f: &Fig04Policies) -> String {
         pct(f.some_prohibition_share),
         pct(f.some_permission_share),
         table(
-            &["activity", "prohibited", "allowed", "users@allowed", "toots@allowed"],
+            &[
+                "activity",
+                "prohibited",
+                "allowed",
+                "users@allowed",
+                "toots@allowed"
+            ],
             &rows
         ),
     )
@@ -320,12 +326,7 @@ pub fn render_fig08(f: &Fig08DailyDowntime) -> String {
         .bins
         .iter()
         .map(|(bin, stats)| match stats {
-            Some(s) => vec![
-                bin.label().to_string(),
-                pct(s.median),
-                pct(s.q1),
-                pct(s.q3),
-            ],
+            Some(s) => vec![bin.label().to_string(), pct(s.median), pct(s.q1), pct(s.q3)],
             None => vec![bin.label().to_string(), "-".into(), "-".into(), "-".into()],
         })
         .collect();
@@ -379,7 +380,17 @@ pub fn render_table1(rows: &[AsFailureRow]) -> String {
     format!(
         "Table 1 — AS failures\n{}",
         table(
-            &["ASN", "Instances", "Failures", "IPs", "Users", "Toots", "Org.", "Rank", "Peers"],
+            &[
+                "ASN",
+                "Instances",
+                "Failures",
+                "IPs",
+                "Users",
+                "Toots",
+                "Org.",
+                "Rank",
+                "Peers"
+            ],
             &body
         ),
     )
@@ -505,7 +516,15 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
     format!(
         "Table 2 — top 10 instances by home toots\n{}",
         table(
-            &["Domain", "Toots", "Users", "OD", "ID", "Run by", "AS (Country)"],
+            &[
+                "Domain",
+                "Toots",
+                "Users",
+                "OD",
+                "ID",
+                "Run by",
+                "AS (Country)"
+            ],
             &body
         ),
     )
@@ -527,7 +546,13 @@ pub fn render_fig12(f: &Fig12UserRemoval) -> String {
         "Figure 12 — iterative top-1% user removal (Mastodon vs Twitter)\n{}\
          headline: intact {} → after 1% {} (Twitter after 10%: {})\n",
         table(
-            &["removed", "mastodon LCC", "components", "twitter LCC", "components"],
+            &[
+                "removed",
+                "mastodon LCC",
+                "components",
+                "twitter LCC",
+                "components"
+            ],
             &rows
         ),
         pct(f.mastodon_initial_lcc),
@@ -564,9 +589,18 @@ pub fn render_fig13(f: &Fig13FederationRemoval) -> String {
          (b') AS removal by users hosted:\n{}",
         pct(f.initial_lcc_instances),
         pct(f.initial_lcc_users),
-        table(&["removed", "LCC inst", "LCC users", "components"], &sample(&f.by_instance_users)),
-        table(&["ASes", "LCC inst", "LCC users", "components"], &sample(&f.by_as_instances)),
-        table(&["ASes", "LCC inst", "LCC users", "components"], &sample(&f.by_as_users)),
+        table(
+            &["removed", "LCC inst", "LCC users", "components"],
+            &sample(&f.by_instance_users)
+        ),
+        table(
+            &["ASes", "LCC inst", "LCC users", "components"],
+            &sample(&f.by_as_instances)
+        ),
+        table(
+            &["ASes", "LCC inst", "LCC users", "components"],
+            &sample(&f.by_as_users)
+        ),
     )
 }
 

@@ -81,7 +81,13 @@ pub fn section5_scenarios_tier(
     seed: u64,
     rebirth: Option<Vec<Option<Day>>>,
 ) -> Section5Scenarios {
-    section5_scenarios(obs, &tier_specs(tier), &frontier_strategies(), seed, rebirth)
+    section5_scenarios(
+        obs,
+        &tier_specs(tier),
+        &frontier_strategies(),
+        seed,
+        rebirth,
+    )
 }
 
 #[cfg(test)]

@@ -101,8 +101,7 @@ pub fn evaluate(report: &Report) -> Vec<Verdict> {
         "tech: 55.2% of instances but only 24.5% of toots",
         24.5 / 55.2,
         cat(Category::Tech).toot_share / cat(Category::Tech).instance_share.max(1e-9),
-        !fig03_meaningful
-            || cat(Category::Tech).toot_share < cat(Category::Tech).instance_share,
+        !fig03_meaningful || cat(Category::Tech).toot_share < cat(Category::Tech).instance_share,
     );
 
     // --- §4.3 ---------------------------------------------------------------
@@ -343,8 +342,7 @@ mod tests {
     fn verdicts_stable_across_seeds() {
         for seed in [7u64, 1234] {
             let verdicts = evaluate(&report(WorldConfig::small(seed), true));
-            let failures: Vec<&str> =
-                verdicts.iter().filter(|v| !v.pass).map(|v| v.id).collect();
+            let failures: Vec<&str> = verdicts.iter().filter(|v| !v.pass).map(|v| v.id).collect();
             assert!(failures.is_empty(), "seed {seed}: failed {failures:?}");
         }
     }

@@ -86,8 +86,7 @@ pub async fn scrape_user(
     let mut page = 1u64;
     loop {
         let path = format!("/users/u{}/followers?page={page}", user.0);
-        let Some(body) = get_with_retry(client, politeness, seed, user, page, &path).await
-        else {
+        let Some(body) = get_with_retry(client, politeness, seed, user, page, &path).await else {
             return out;
         };
         let Some((items, next)) = parse_followers_page(&body) else {

@@ -145,7 +145,15 @@ pub async fn poll_instance(
     seed: &Seed,
 ) -> PollResult {
     let token = u64::from(seed.instance.0);
-    match fetch_with_retry(client, politeness, breakers, seed, token, "/api/v1/instance").await
+    match fetch_with_retry(
+        client,
+        politeness,
+        breakers,
+        seed,
+        token,
+        "/api/v1/instance",
+    )
+    .await
     {
         FetchResult::Ok(resp) => match parse_instance_info(&resp.text()) {
             Some(info) => PollResult::Up(info),
@@ -215,7 +223,10 @@ mod tests {
         };
         let max = u64::from(u32::MAX);
         let info = parse_instance_info(&body(max, max, max)).unwrap();
-        assert_eq!((info.users, info.subscriptions, info.logins), (u32::MAX, u32::MAX, u32::MAX));
+        assert_eq!(
+            (info.users, info.subscriptions, info.logins),
+            (u32::MAX, u32::MAX, u32::MAX)
+        );
         // 2^32 + 1 is what an `as u32` cast reads as 1
         let over = max + 2;
         assert!(parse_instance_info(&body(over, 1, 1)).is_none());

@@ -353,6 +353,9 @@ mod tests {
         assert!(is_transient(StatusCode(502)));
         assert!(!is_transient(StatusCode(503)), "503 is real downtime");
         assert!(!is_transient(StatusCode(403)));
-        assert!(!is_transient(StatusCode::TOO_MANY_REQUESTS), "429 has its own path");
+        assert!(
+            !is_transient(StatusCode::TOO_MANY_REQUESTS),
+            "429 has its own path"
+        );
     }
 }

@@ -103,10 +103,8 @@ pub async fn crawl_instance(
         }
     }
     record.tooting_users = per_user.len() as u32;
-    let mut user_toots: Vec<(UserId, u32)> = per_user
-        .into_iter()
-        .map(|(u, c)| (UserId(u), c))
-        .collect();
+    let mut user_toots: Vec<(UserId, u32)> =
+        per_user.into_iter().map(|(u, c)| (UserId(u), c)).collect();
     user_toots.sort_unstable();
     record.user_toots = user_toots;
     record
@@ -170,8 +168,22 @@ mod tests {
         ]"#;
         let toots = parse_timeline(body).unwrap();
         assert_eq!(toots.len(), 2);
-        assert_eq!(toots[0], TimelineToot { id: 41, author: 7, remote: false });
-        assert_eq!(toots[1], TimelineToot { id: 40, author: 9, remote: true });
+        assert_eq!(
+            toots[0],
+            TimelineToot {
+                id: 41,
+                author: 7,
+                remote: false
+            }
+        );
+        assert_eq!(
+            toots[1],
+            TimelineToot {
+                id: 40,
+                author: 9,
+                remote: true
+            }
+        );
     }
 
     #[test]

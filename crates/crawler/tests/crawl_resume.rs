@@ -42,7 +42,12 @@ struct CrawlCheckpoint {
 }
 
 fn frame_for(ckpt: &CrawlCheckpoint) -> Vec<u8> {
-    encode_frame(KIND, STATE_VERSION, ckpt.sweeps_done as u64, &ckpt.to_json_value())
+    encode_frame(
+        KIND,
+        STATE_VERSION,
+        ckpt.sweeps_done as u64,
+        &ckpt.to_json_value(),
+    )
 }
 
 fn checkpoint(net: &SimNetHandle, monitor: &InstanceMonitor, sweeps_done: u32) -> CrawlCheckpoint {
@@ -59,7 +64,10 @@ fn recover(store: &MemStore) -> (Option<CrawlCheckpoint>, u32) {
     let rec = recover_latest(store, KIND, STATE_VERSION);
     let ckpt = rec.good.as_ref().map(|(meta, value)| {
         let c = CrawlCheckpoint::from_json_value(value).expect("checksummed frame decodes");
-        assert_eq!(c.sweeps_done as u64, meta.tick, "frame header lies about its tick");
+        assert_eq!(
+            c.sweeps_done as u64, meta.tick,
+            "frame header lies about its tick"
+        );
         c
     });
     (ckpt, rec.torn_skipped)
@@ -141,9 +149,15 @@ fn crash_then_resume(
     crash: CrashPlan,
 ) -> (InstancesDataset, Option<u32>, u32) {
     let mut store = MemStore::new();
-    if let Some(done) =
-        run_crawl(world.clone(), plan.clone(), injector_seed, &mut store, interval, Some(crash), None)
-    {
+    if let Some(done) = run_crawl(
+        world.clone(),
+        plan.clone(),
+        injector_seed,
+        &mut store,
+        interval,
+        Some(crash),
+        None,
+    ) {
         // the drawn crash tick sat at the campaign's natural end: nothing
         // to resume, the "crashed" run simply completed
         return (done, None, 0);
@@ -156,8 +170,16 @@ fn crash_then_resume(
 }
 
 fn uninterrupted(world: Arc<World>, plan: FaultPlan, injector_seed: u64) -> InstancesDataset {
-    run_crawl(world, plan, injector_seed, &mut MemStore::new(), u32::MAX, None, None)
-        .expect("uninterrupted run completes")
+    run_crawl(
+        world,
+        plan,
+        injector_seed,
+        &mut MemStore::new(),
+        u32::MAX,
+        None,
+        None,
+    )
+    .expect("uninterrupted run completes")
 }
 
 proptest! {
@@ -198,10 +220,16 @@ proptest! {
 fn torn_final_crawl_checkpoint_falls_back() {
     let world = tiny_world(77);
     let plan = FaultPlan::harsh();
-    let crash = CrashPlan { crash_tick: 12, torn_final: true };
+    let crash = CrashPlan {
+        crash_tick: 12,
+        torn_final: true,
+    };
     let (resumed, resumed_from, torn_skipped) =
         crash_then_resume(world.clone(), plan.clone(), 9, 4, crash);
-    assert_eq!(torn_skipped, 1, "the mid-write frame at sweep 12 must read as torn");
+    assert_eq!(
+        torn_skipped, 1,
+        "the mid-write frame at sweep 12 must read as torn"
+    );
     assert_eq!(resumed_from, Some(8), "fall back to the sweep-8 frame");
     assert_eq!(resumed, uninterrupted(world, plan, 9));
 }
@@ -214,7 +242,13 @@ fn all_torn_crawl_store_restarts_from_scratch() {
     let plan = FaultPlan::harsh();
     let mut store = MemStore::new();
     let crashed = run_crawl(
-        world.clone(), plan.clone(), 5, &mut store, 3, Some(CrashPlan::at(10)), None,
+        world.clone(),
+        plan.clone(),
+        5,
+        &mut store,
+        3,
+        Some(CrashPlan::at(10)),
+        None,
     );
     assert!(crashed.is_none(), "the plan must kill the first run");
     let n_frames = store.len() as u32;

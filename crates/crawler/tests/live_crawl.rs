@@ -34,7 +34,9 @@ fn tiny_world(seed: u64, always_up: bool) -> World {
 #[tokio::test]
 async fn monitor_matches_ground_truth_availability() {
     let world = Arc::new(tiny_world(101, false));
-    let net = launch(world.clone(), FaultPlan::default(), 5).await.unwrap();
+    let net = launch(world.clone(), FaultPlan::default(), 5)
+        .await
+        .unwrap();
     let seeds = SeedList::for_simnet(&world, net.addr());
     let mut monitor = InstanceMonitor::new(seeds, Politeness::fast());
 
@@ -63,7 +65,9 @@ async fn monitor_matches_ground_truth_availability() {
 #[tokio::test]
 async fn monitor_payload_reflects_instance_metadata() {
     let world = Arc::new(tiny_world(102, true));
-    let net = launch(world.clone(), FaultPlan::default(), 5).await.unwrap();
+    let net = launch(world.clone(), FaultPlan::default(), 5)
+        .await
+        .unwrap();
     let seeds = SeedList::for_simnet(&world, net.addr());
     let mut monitor = InstanceMonitor::new(seeds, Politeness::fast());
     monitor.poll_all(Epoch(0)).await;
@@ -86,7 +90,9 @@ async fn monitor_payload_reflects_instance_metadata() {
 #[tokio::test]
 async fn toot_crawl_recovers_public_toot_counts_exactly() {
     let world = Arc::new(tiny_world(103, true));
-    let net = launch(world.clone(), FaultPlan::default(), 5).await.unwrap();
+    let net = launch(world.clone(), FaultPlan::default(), 5)
+        .await
+        .unwrap();
     let seeds = SeedList::for_simnet(&world, net.addr());
     let dataset = toots::crawl_toots(&seeds, &Politeness::fast(), &Client::default()).await;
 
@@ -103,10 +109,7 @@ async fn toot_crawl_recovers_public_toot_counts_exactly() {
             );
             // per-user counts match the public ground truth
             for &(user, count) in &record.user_toots {
-                let expect = fediscope_simnet::timelines::public_toots_of(
-                    &world,
-                    user.index(),
-                );
+                let expect = fediscope_simnet::timelines::public_toots_of(&world, user.index());
                 assert_eq!(count as u64, expect, "user {user}");
             }
         } else {
@@ -156,7 +159,9 @@ async fn toot_crawl_survives_fault_injection() {
 #[tokio::test]
 async fn follower_scrape_recovers_ego_networks() {
     let world = Arc::new(tiny_world(105, true));
-    let net = launch(world.clone(), FaultPlan::default(), 5).await.unwrap();
+    let net = launch(world.clone(), FaultPlan::default(), 5)
+        .await
+        .unwrap();
     let seeds = SeedList::for_simnet(&world, net.addr());
 
     // scrape the ego networks of all tooting users (the paper's targets)
@@ -189,7 +194,9 @@ async fn follower_scrape_recovers_ego_networks() {
 #[tokio::test]
 async fn full_survey_bundles_all_three_datasets() {
     let world = Arc::new(tiny_world(106, true));
-    let net = launch(world.clone(), FaultPlan::default(), 5).await.unwrap();
+    let net = launch(world.clone(), FaultPlan::default(), 5)
+        .await
+        .unwrap();
     let seeds = SeedList::for_simnet(&world, net.addr());
     let clock = net.state.clock.clone();
     let survey = fediscope_crawler::run_survey(
@@ -202,11 +209,7 @@ async fn full_survey_bundles_all_three_datasets() {
 
     // monitoring: one series per seed, three polls each
     assert_eq!(survey.instances.series.len(), seeds.len());
-    assert!(survey
-        .instances
-        .series
-        .iter()
-        .all(|s| s.polls.len() == 3));
+    assert!(survey.instances.series.iter().all(|s| s.polls.len() == 3));
     // toots: crawlable instances covered exactly
     let timelines = TimelineIndex::build_all(&world);
     for record in survey.toots.records.iter().filter(|r| r.crawled) {

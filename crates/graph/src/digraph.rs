@@ -275,13 +275,17 @@ mod tests {
         for v in 0..n {
             let mut targets: Vec<u32> = Vec::new();
             for _ in 0..(s % 7) {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let t = (s >> 33) as u32 % n;
                 if t != v {
                     targets.push(t);
                 }
             }
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             targets.sort_unstable();
             targets.dedup();
             adjacency.push(targets);
@@ -309,7 +313,9 @@ mod tests {
             }
             let g = DiGraph::from_sorted_blocks(
                 n,
-                blocks.iter().map(|(s, o, t)| (*s, o.as_slice(), t.as_slice())),
+                blocks
+                    .iter()
+                    .map(|(s, o, t)| (*s, o.as_slice(), t.as_slice())),
             );
             assert_eq!(g, reference, "block size {block}");
         }

@@ -163,10 +163,7 @@ impl<'g> RemovalSweep<'g> {
     }
 
     fn total_weight(&self) -> f64 {
-        self.weights
-            .as_ref()
-            .map(|w| w.iter().sum())
-            .unwrap_or(0.0)
+        self.weights.as_ref().map(|w| w.iter().sum()).unwrap_or(0.0)
     }
 
     /// Reference evaluation used only by the naive engine. Deliberately
@@ -197,7 +194,11 @@ impl<'g> RemovalSweep<'g> {
             removed,
             groups_removed: groups,
             lcc_nodes,
-            lcc_node_frac: if n > 0 { lcc_nodes as f64 / n as f64 } else { 0.0 },
+            lcc_node_frac: if n > 0 {
+                lcc_nodes as f64 / n as f64
+            } else {
+                0.0
+            },
             lcc_weight,
             lcc_weight_frac,
             wcc_count: wcc.count(),
@@ -306,9 +307,7 @@ impl<'g> RemovalSweep<'g> {
                     // evaluation can observe.
                     if k < cands.len() {
                         cands.select_nth_unstable_by(k - 1, |&a, &b| {
-                            deg[b as usize]
-                                .cmp(&deg[a as usize])
-                                .then(a.cmp(&b))
+                            deg[b as usize].cmp(&deg[a as usize]).then(a.cmp(&b))
                         });
                         cands.truncate(k);
                     }
@@ -378,7 +377,9 @@ impl<'g> RemovalSweep<'g> {
             if alive_count == 0 {
                 break;
             }
-            let k = ((alive_count as f64 * frac).round() as usize).max(1).min(alive_count);
+            let k = ((alive_count as f64 * frac).round() as usize)
+                .max(1)
+                .min(alive_count);
             let victims: Vec<u32> = match rank {
                 RankBy::DegreeIterative => {
                     // degree within the surviving subgraph
@@ -391,9 +392,7 @@ impl<'g> RemovalSweep<'g> {
                     }
                     let mut cands: Vec<u32> =
                         (0..n as u32).filter(|&v| alive[v as usize]).collect();
-                    cands.sort_by(|&a, &b| {
-                        deg[b as usize].cmp(&deg[a as usize]).then(a.cmp(&b))
-                    });
+                    cands.sort_by(|&a, &b| deg[b as usize].cmp(&deg[a as usize]).then(a.cmp(&b)));
                     cands.truncate(k);
                     cands
                 }
@@ -427,10 +426,7 @@ impl<'g> RemovalSweep<'g> {
             checkpoints.windows(2).all(|w| w[0] < w[1]),
             "checkpoints must be strictly ascending"
         );
-        let boundaries: Vec<usize> = checkpoints
-            .iter()
-            .map(|&c| c.min(order.len()))
-            .collect();
+        let boundaries: Vec<usize> = checkpoints.iter().map(|&c| c.min(order.len())).collect();
         self.reverse_sweep(order, &boundaries, None)
     }
 
@@ -557,11 +553,7 @@ impl<'g> RemovalSweep<'g> {
                     0.0
                 },
                 wcc_count: alive_count - sets.merges,
-                scc_count: if self.compute_scc {
-                    scc_counts[bi]
-                } else {
-                    0
-                },
+                scc_count: if self.compute_scc { scc_counts[bi] } else { 0 },
             });
         }
         results.reverse();
@@ -684,9 +676,11 @@ mod tests {
         let pts = sweep.ranked(&[0], &[0, 1]);
         assert_eq!(pts[0].scc_count, 2); // {0,1} and {2}
         assert_eq!(pts[1].scc_count, 2); // {1} and {2}
-        let pts2 = RemovalSweep::new(&g)
-            .with_scc(true)
-            .iterative_fraction(0.4, 1, RankBy::DegreeIterative);
+        let pts2 = RemovalSweep::new(&g).with_scc(true).iterative_fraction(
+            0.4,
+            1,
+            RankBy::DegreeIterative,
+        );
         assert!(pts2[0].scc_count > 0);
     }
 
@@ -797,7 +791,16 @@ mod tests {
     fn incremental_matches_naive_with_scc_and_weights() {
         let g = DiGraph::from_edges(
             8,
-            [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (5, 6), (6, 7)],
+            [
+                (0, 1),
+                (1, 0),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 2),
+                (5, 6),
+                (6, 7),
+            ],
         );
         let weights: Vec<f64> = (0..8).map(|i| (i + 1) as f64).collect();
         let sweep = RemovalSweep::new(&g).with_weights(&weights).with_scc(true);

@@ -46,10 +46,7 @@ fn parse_headers(lines: std::str::Lines<'_>) -> Result<Vec<(String, String)>, Pa
         let (name, value) = line
             .split_once(':')
             .ok_or(ParseError::Invalid("header without colon"))?;
-        headers.push((
-            name.trim().to_ascii_lowercase(),
-            value.trim().to_string(),
-        ));
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
     Ok(headers)
 }
@@ -347,9 +344,8 @@ mod tests {
 
     #[test]
     fn body_waits_for_content_length() {
-        let mut buf = BytesMut::from(
-            &b"POST /x HTTP/1.1\r\nhost: h\r\ncontent-length: 5\r\n\r\nab"[..],
-        );
+        let mut buf =
+            BytesMut::from(&b"POST /x HTTP/1.1\r\nhost: h\r\ncontent-length: 5\r\n\r\nab"[..]);
         assert_eq!(parse_request(&mut buf).unwrap(), None);
         buf.extend_from_slice(b"cde");
         let req = parse_request(&mut buf).unwrap().unwrap();
@@ -364,8 +360,7 @@ mod tests {
         assert!(parse_request(&mut buf).is_err());
         let mut buf = BytesMut::from(&b"GET /x HTTP/1.1\r\nbadheader\r\n\r\n"[..]);
         assert!(parse_request(&mut buf).is_err());
-        let mut buf =
-            BytesMut::from(&b"GET /x HTTP/1.1\r\ncontent-length: banana\r\n\r\n"[..]);
+        let mut buf = BytesMut::from(&b"GET /x HTTP/1.1\r\ncontent-length: banana\r\n\r\n"[..]);
         assert!(parse_request(&mut buf).is_err());
     }
 

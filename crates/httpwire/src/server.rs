@@ -183,10 +183,7 @@ mod tests {
         for i in 0..32 {
             joins.push(tokio::spawn(async move {
                 let client = Client::default();
-                let resp = client
-                    .get(addr, "h", &format!("/page/{i}"))
-                    .await
-                    .unwrap();
+                let resp = client.get(addr, "h", &format!("/page/{i}")).await.unwrap();
                 assert!(resp.text().contains(&format!("/page/{i}")));
             }));
         }

@@ -242,8 +242,7 @@ pub fn percent_decode(s: &str) -> String {
         match bytes[i] {
             b'%' if i + 2 < bytes.len() + 1 && i + 2 < bytes.len() + 1 => {
                 let hex = bytes.get(i + 1..i + 3);
-                match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok())
-                {
+                match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
                     Some(b) => {
                         out.push(b);
                         i += 3;

@@ -229,7 +229,10 @@ mod tests {
         };
         // expiry at 90, fixed after 3 days -> next issue at 93, expiry 183...
         let lapses = c.lapse_days(3, 472);
-        assert_eq!(lapses, vec![Day(90), Day(183), Day(276), Day(369), Day(462)]);
+        assert_eq!(
+            lapses,
+            vec![Day(90), Day(183), Day(276), Day(369), Day(462)]
+        );
     }
 
     #[test]

@@ -283,7 +283,10 @@ mod tests {
             accounts: vec![UserId(2), UserId(0), UserId(1), UserId(1)],
         };
         g.normalise();
-        assert_eq!(g.follows, vec![(UserId(0), UserId(1)), (UserId(2), UserId(1))]);
+        assert_eq!(
+            g.follows,
+            vec![(UserId(0), UserId(1)), (UserId(2), UserId(1))]
+        );
         assert_eq!(g.accounts, vec![UserId(0), UserId(1), UserId(2)]);
     }
 }

@@ -111,7 +111,13 @@ const NAMED: &[(u32, &str, Country, u32, u32)] = &[
     (7506, "GMO Internet, Inc.", Country::Japan, 600, 40),
     // Table 1 additions.
     (20473, "Choopa (Vultr)", Country::UnitedStates, 143, 150),
-    (8075, "Microsoft Corporation", Country::UnitedStates, 2100, 257),
+    (
+        8075,
+        "Microsoft Corporation",
+        Country::UnitedStates,
+        2100,
+        257,
+    ),
     (12322, "Free SAS", Country::France, 3200, 63),
     (2516, "KDDI Corporation", Country::Japan, 70, 123),
     (9371, "SAKURA Internet Inc. (2)", Country::Japan, 2400, 3),
@@ -123,7 +129,13 @@ const NAMED: &[(u32, &str, Country, u32, u32)] = &[
     (197540, "netcup GmbH", Country::Germany, 2500, 15),
     (2519, "ARTERIA Networks", Country::Japan, 900, 30),
     (49981, "WorldStream B.V.", Country::Netherlands, 1300, 45),
-    (60781, "LeaseWeb Netherlands", Country::Netherlands, 220, 150),
+    (
+        60781,
+        "LeaseWeb Netherlands",
+        Country::Netherlands,
+        220,
+        150,
+    ),
 ];
 
 impl ProviderCatalog {

@@ -443,7 +443,12 @@ impl OutageArenaBuilder {
     /// inside the instance lifetime — the invariants every
     /// [`AvailabilitySchedule`] already guarantees.
     pub fn push_outage(&mut self, start: Epoch, end: Epoch, cause: OutageCause) {
-        let i = self.arena.birth.len().checked_sub(1).expect("no instance pushed");
+        let i = self
+            .arena
+            .birth
+            .len()
+            .checked_sub(1)
+            .expect("no instance pushed");
         assert!(start.0 < end.0, "empty outage");
         assert!(
             start.0 >= self.arena.birth[i].0 && end.0 <= self.arena.death[i].0,
@@ -692,7 +697,11 @@ mod tests {
     #[test]
     fn whole_day_outage_detected() {
         let mut s = sched();
-        s.add_outage(Day(3).start_epoch(), Day(5).start_epoch(), OutageCause::Organic);
+        s.add_outage(
+            Day(3).start_epoch(),
+            Day(5).start_epoch(),
+            OutageCause::Organic,
+        );
         assert!(s.down_whole_day(Day(3)));
         assert!(s.down_whole_day(Day(4)));
         assert!(!s.down_whole_day(Day(5)));
@@ -760,8 +769,16 @@ mod tests {
             assert_eq!(v.exists_at(Epoch(e)), s.exists_at(Epoch(e)), "epoch {e}");
         }
         for d in 0..12u32 {
-            assert_eq!(v.daily_downtime(Day(d)), s.daily_downtime(Day(d)), "day {d}");
-            assert_eq!(v.down_whole_day(Day(d)), s.down_whole_day(Day(d)), "day {d}");
+            assert_eq!(
+                v.daily_downtime(Day(d)),
+                s.daily_downtime(Day(d)),
+                "day {d}"
+            );
+            assert_eq!(
+                v.down_whole_day(Day(d)),
+                s.down_whole_day(Day(d)),
+                "day {d}"
+            );
         }
     }
 
@@ -814,7 +831,10 @@ mod tests {
         // merged as expected
         assert_eq!(via_unsorted.view(0).outage_count(), 2);
         assert_eq!(via_unsorted.view(1).outage_count(), 1);
-        assert_eq!(via_unsorted.view(1).outage(0).cause, OutageCause::CertExpiry);
+        assert_eq!(
+            via_unsorted.view(1).outage(0).cause,
+            OutageCause::CertExpiry
+        );
     }
 
     #[test]
@@ -853,8 +873,9 @@ mod tests {
         assert_eq!(arena.view(2).outage(0).cause, OutageCause::Churn);
         // and the schedule route agrees (the proptest covers the general
         // case; this pins the new variants concretely).
-        let mut schedules: Vec<AvailabilitySchedule> =
-            (0..3).map(|_| AvailabilitySchedule::new(Day(0), None)).collect();
+        let mut schedules: Vec<AvailabilitySchedule> = (0..3)
+            .map(|_| AvailabilitySchedule::new(Day(0), None))
+            .collect();
         for &(inst, s, e, c) in &stream {
             schedules[inst as usize].add_outage(s, e, c);
         }

@@ -35,7 +35,10 @@ impl TootArena {
         let events: Vec<(u32, u32)> = events.into_iter().collect();
         let mut counts = vec![0u32; horizon as usize + 1];
         for &(tick, _) in &events {
-            assert!(tick < horizon, "toot event at tick {tick} >= horizon {horizon}");
+            assert!(
+                tick < horizon,
+                "toot event at tick {tick} >= horizon {horizon}"
+            );
             counts[tick as usize] += 1;
         }
         // Exclusive prefix sums become the offsets column.
@@ -57,7 +60,11 @@ impl TootArena {
         for t in 0..horizon as usize {
             authors[offsets[t] as usize..offsets[t + 1] as usize].sort_unstable();
         }
-        TootArena { horizon, offsets, authors }
+        TootArena {
+            horizon,
+            offsets,
+            authors,
+        }
     }
 
     /// The simulation horizon this arena covers (ticks `0..horizon`).

@@ -264,10 +264,8 @@ pub fn as_failure_table(
         if members.len() < min_instances {
             continue;
         }
-        let member_scheds: Vec<&AvailabilitySchedule> = members
-            .iter()
-            .map(|id| &schedules[id.index()])
-            .collect();
+        let member_scheds: Vec<&AvailabilitySchedule> =
+            members.iter().map(|id| &schedules[id.index()]).collect();
         let failures = detect_co_failures(&member_scheds, min_instances.min(members.len()));
         if failures.is_empty() {
             continue;
@@ -316,8 +314,7 @@ pub fn as_failure_table_arena(
         if members.len() < min_instances {
             return None;
         }
-        let failures =
-            detect_co_failures_arena(arena, members, min_instances.min(members.len()));
+        let failures = detect_co_failures_arena(arena, members, min_instances.min(members.len()));
         if failures.is_empty() {
             return None;
         }
@@ -332,7 +329,10 @@ pub fn as_failure_table_arena(
                 .iter()
                 .map(|&i| instances[i as usize].user_count as u64)
                 .sum(),
-            toots: members.iter().map(|&i| instances[i as usize].toot_count).sum(),
+            toots: members
+                .iter()
+                .map(|&i| instances[i as usize].toot_count)
+                .sum(),
             rank: provider.map(|p| p.caida_rank).unwrap_or(0),
             peers: provider.map(|p| p.peers).unwrap_or(0),
         })
@@ -468,10 +468,7 @@ mod tests {
         let w = Generator::generate_world(cfg);
         // use the paper's threshold scaled down (tiny ASes in small worlds)
         let rows = as_failure_table(&w.instances, &w.schedules, &w.providers, 3);
-        assert!(
-            !rows.is_empty(),
-            "planned AS failures should be detectable"
-        );
+        assert!(!rows.is_empty(), "planned AS failures should be detectable");
         // every row has sane content
         for r in &rows {
             assert!(r.failures >= 1);

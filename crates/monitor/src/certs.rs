@@ -18,10 +18,7 @@ pub fn ca_footprint(instances: &[Instance]) -> Vec<(CertificateAuthority, f64)> 
     CertificateAuthority::ALL
         .iter()
         .map(|&ca| {
-            let count = instances
-                .iter()
-                .filter(|i| i.certificate.ca == ca)
-                .count();
+            let count = instances.iter().filter(|i| i.certificate.ca == ca).count();
             (ca, count as f64 / n)
         })
         .collect()
@@ -54,11 +51,7 @@ impl CertOutageReport {
 
     /// Peak number of instances down on one day due to expiry (paper: 105).
     pub fn worst_day_count(&self) -> u32 {
-        self.daily_expiry_outages
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
+        self.daily_expiry_outages.iter().copied().max().unwrap_or(0)
     }
 }
 

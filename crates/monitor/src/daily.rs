@@ -31,7 +31,12 @@ pub enum SizeBin {
 
 impl SizeBin {
     /// All bins in figure order.
-    pub const ALL: [SizeBin; 4] = [SizeBin::Small, SizeBin::Medium, SizeBin::Large, SizeBin::Huge];
+    pub const ALL: [SizeBin; 4] = [
+        SizeBin::Small,
+        SizeBin::Medium,
+        SizeBin::Large,
+        SizeBin::Huge,
+    ];
 
     /// Classify a toot count.
     pub fn of(toots: u64) -> SizeBin {
@@ -482,8 +487,18 @@ mod tests {
         bad.add_outage(Epoch(0), Day(1).start_epoch(), OutageCause::Organic);
         let schedules = vec![bad, AvailabilitySchedule::always_up()];
         let dd = daily_downtime(&instances, &schedules);
-        let small = &dd.per_bin.iter().find(|(b, _)| *b == SizeBin::Small).unwrap().1;
-        let medium = &dd.per_bin.iter().find(|(b, _)| *b == SizeBin::Medium).unwrap().1;
+        let small = &dd
+            .per_bin
+            .iter()
+            .find(|(b, _)| *b == SizeBin::Small)
+            .unwrap()
+            .1;
+        let medium = &dd
+            .per_bin
+            .iter()
+            .find(|(b, _)| *b == SizeBin::Medium)
+            .unwrap()
+            .1;
         assert_eq!(small.len(), WINDOW_DAYS as usize);
         assert_eq!(medium.len(), WINDOW_DAYS as usize);
         // the small instance was down on day 0
@@ -533,8 +548,16 @@ mod tests {
             mk_inst(3, 2_000_000),
         ];
         let mut s0 = AvailabilitySchedule::new(Day(3), Some(Day(200)));
-        s0.add_outage(Epoch(Day(5).start_epoch().0 + 7), Epoch(Day(5).start_epoch().0 + 19), OutageCause::Organic);
-        s0.add_outage(Day(40).start_epoch(), Day(43).start_epoch(), OutageCause::AsFailure);
+        s0.add_outage(
+            Epoch(Day(5).start_epoch().0 + 7),
+            Epoch(Day(5).start_epoch().0 + 19),
+            OutageCause::Organic,
+        );
+        s0.add_outage(
+            Day(40).start_epoch(),
+            Day(43).start_epoch(),
+            OutageCause::AsFailure,
+        );
         let mut s1 = AvailabilitySchedule::always_up();
         for k in 0..30u32 {
             let start = k * 4000 + 13;

@@ -20,9 +20,7 @@ pub struct DowntimeReport {
 pub fn downtime_report(schedules: &[AvailabilitySchedule]) -> DowntimeReport {
     let fraction: Vec<Option<f64>> = schedules
         .iter()
-        .map(|s| {
-            (s.lifetime_epochs() >= EPOCHS_PER_DAY).then(|| s.downtime_fraction())
-        })
+        .map(|s| (s.lifetime_epochs() >= EPOCHS_PER_DAY).then(|| s.downtime_fraction()))
         .collect();
     let cdf = Ecdf::new(fraction.iter().flatten().copied().collect());
     DowntimeReport { fraction, cdf }
@@ -99,11 +97,7 @@ mod tests {
 
     fn sched_with_downtime(days_down: u32, lifetime_days: u32) -> AvailabilitySchedule {
         let mut s = AvailabilitySchedule::new(Day(0), Some(Day(lifetime_days)));
-        s.add_outage(
-            Epoch(0),
-            Day(days_down).start_epoch(),
-            OutageCause::Organic,
-        );
+        s.add_outage(Epoch(0), Day(days_down).start_epoch(), OutageCause::Organic);
         s
     }
 

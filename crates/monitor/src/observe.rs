@@ -389,7 +389,7 @@ mod tests {
         use fediscope_model::schedule::OutageArena;
         let batch = vec![
             series(vec![(0, true), (10, false), (20, true)]),
-            ObservedSeries::default(), // never polled
+            ObservedSeries::default(),            // never polled
             series(vec![(0, false), (5, false)]), // never up
             series(vec![(300, true), (600, false), (900, false)]), // retires
         ];
@@ -440,7 +440,11 @@ mod prop_tests {
             instance: InstanceId(0),
             polls: (from..to)
                 .map(|e| {
-                    let r = if s.is_up(Epoch(e)) { up() } else { PollResult::Down };
+                    let r = if s.is_up(Epoch(e)) {
+                        up()
+                    } else {
+                        PollResult::Down
+                    };
                     (Epoch(e), r)
                 })
                 .collect(),

@@ -370,9 +370,17 @@ mod tests {
     fn worst_day_tie_break_is_first_day() {
         let instances = vec![mk_inst(0, 1, 100), mk_inst(1, 1, 100)];
         let mut s0 = AvailabilitySchedule::always_up();
-        s0.add_outage(Day(9).start_epoch(), Day(10).start_epoch(), OutageCause::Organic);
+        s0.add_outage(
+            Day(9).start_epoch(),
+            Day(10).start_epoch(),
+            OutageCause::Organic,
+        );
         let mut s1 = AvailabilitySchedule::always_up();
-        s1.add_outage(Day(4).start_epoch(), Day(5).start_epoch(), OutageCause::Organic);
+        s1.add_outage(
+            Day(4).start_epoch(),
+            Day(5).start_epoch(),
+            OutageCause::Organic,
+        );
         let schedules = vec![s0, s1];
         // days 4 and 9 each black out exactly half the toots
         let (day, frac) = worst_day_blackout(&instances, &schedules);

@@ -39,8 +39,8 @@ use crate::daily::{
 };
 use crate::downtime::{downtime_report, failure_exposure, DowntimeReport, FailureExposure};
 use crate::outages::{
-    blackout_span_add, outage_durations, worst_day_blackout, worst_day_from_histogram,
-    DurationAcc, OutageDurations,
+    blackout_span_add, outage_durations, worst_day_blackout, worst_day_from_histogram, DurationAcc,
+    OutageDurations,
 };
 use fediscope_graph::par;
 use fediscope_model::geo::ProviderCatalog;

@@ -120,6 +120,9 @@ fn sweep_on_reconstructed_polls_matches_naive_on_them() {
         let got = MonitorSweep::new(&arena, &w.instances)
             .with_shards(shards)
             .run(&w.providers, &sweep_cfg);
-        assert!(got == naive, "observed-data sweep diverged at {shards} shards");
+        assert!(
+            got == naive,
+            "observed-data sweep diverged at {shards} shards"
+        );
     }
 }

@@ -33,7 +33,10 @@ pub struct CrashPlan {
 impl CrashPlan {
     /// Kill at exactly `tick`, clean (no torn checkpoint).
     pub fn at(tick: u64) -> Self {
-        CrashPlan { crash_tick: tick, torn_final: false }
+        CrashPlan {
+            crash_tick: tick,
+            torn_final: false,
+        }
     }
 
     /// Kill at a tick drawn deterministically from `mix(seed, counter)`
@@ -76,7 +79,9 @@ mod tests {
 
     #[test]
     fn some_plans_tear_and_some_do_not() {
-        let torn = (0..64).filter(|&c| CrashPlan::drawn(1, c, 10).torn_final).count();
+        let torn = (0..64)
+            .filter(|&c| CrashPlan::drawn(1, c, 10).torn_final)
+            .count();
         assert!(torn > 0 && torn < 64);
     }
 }

@@ -100,7 +100,11 @@ mod tests {
 
     impl Counter {
         fn new(limit: u64) -> Self {
-            Counter { tick: 0, limit, digest: 0xCBF2_9CE4_8422_2325 }
+            Counter {
+                tick: 0,
+                limit,
+                digest: 0xCBF2_9CE4_8422_2325,
+            }
         }
 
         fn resume_from(state: &Value, limit: u64) -> Self {
@@ -165,10 +169,17 @@ mod tests {
         for (crash_tick, interval) in [(1u64, 1u64), (5, 3), (50, 7), (96, 10), (30, 97)] {
             let mut c = Counter::new(97);
             let mut store = MemStore::new();
-            let out =
-                run_checkpointed(&mut c, &mut store, interval, Some(CrashPlan::at(crash_tick)))
-                    .unwrap();
-            assert!(matches!(out, RunOutcome::Crashed { .. }), "plan {crash_tick}");
+            let out = run_checkpointed(
+                &mut c,
+                &mut store,
+                interval,
+                Some(CrashPlan::at(crash_tick)),
+            )
+            .unwrap();
+            assert!(
+                matches!(out, RunOutcome::Crashed { .. }),
+                "plan {crash_tick}"
+            );
 
             let rec = recover_latest(&store, "counter", 1);
             let mut resumed = match &rec.good {
@@ -177,7 +188,11 @@ mod tests {
             };
             let out = run_checkpointed(&mut resumed, &mut store, interval, None).unwrap();
             assert_eq!(out, RunOutcome::Completed);
-            assert_eq!(resumed, uninterrupted(97), "crash {crash_tick} interval {interval}");
+            assert_eq!(
+                resumed,
+                uninterrupted(97),
+                "crash {crash_tick} interval {interval}"
+            );
         }
     }
 
@@ -185,7 +200,10 @@ mod tests {
     fn torn_final_checkpoint_falls_back_to_previous_good() {
         let mut c = Counter::new(50);
         let mut store = MemStore::new();
-        let plan = CrashPlan { crash_tick: 30, torn_final: true };
+        let plan = CrashPlan {
+            crash_tick: 30,
+            torn_final: true,
+        };
         run_checkpointed(&mut c, &mut store, 10, Some(plan)).unwrap();
 
         let rec = recover_latest(&store, "counter", 1);
@@ -201,11 +219,17 @@ mod tests {
     #[test]
     fn run_outcome_round_trips_struct_variant() {
         // satellite: the derive's externally tagged struct variants
-        let out = RunOutcome::Crashed { at_tick: 42, torn_final: true };
+        let out = RunOutcome::Crashed {
+            at_tick: 42,
+            torn_final: true,
+        };
         let v = out.to_json_value();
         assert_eq!(RunOutcome::from_json_value(&v).unwrap(), out);
         let v = RunOutcome::Completed.to_json_value();
-        assert_eq!(RunOutcome::from_json_value(&v).unwrap(), RunOutcome::Completed);
+        assert_eq!(
+            RunOutcome::from_json_value(&v).unwrap(),
+            RunOutcome::Completed
+        );
         // and through the wire format
         let s = serde_json::to_string(&out).unwrap();
         assert_eq!(serde_json::from_str::<RunOutcome>(&s).unwrap(), out);

@@ -329,7 +329,14 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(FrameMeta, Value), FrameError> {
     if pos != payload.len() {
         return Err(FrameError::Malformed("trailing bytes in payload"));
     }
-    Ok((FrameMeta { kind, state_version, tick }, state))
+    Ok((
+        FrameMeta {
+            kind,
+            state_version,
+            tick,
+        },
+        state,
+    ))
 }
 
 #[cfg(test)]
@@ -344,10 +351,16 @@ mod tests {
         inner.insert("f".into(), Value::Number(Number::F(0.25)));
         let mut m = Map::new();
         m.insert("tick".into(), Value::from(9u64));
-        m.insert("queue".into(), Value::Array(vec![Value::Object(inner), Value::Null]));
+        m.insert(
+            "queue".into(),
+            Value::Array(vec![Value::Object(inner), Value::Null]),
+        );
         m.insert("name".into(), Value::String("mastodon.social".into()));
         m.insert("empty".into(), Value::Array(vec![]));
-        m.insert("col".into(), Value::Bytes(vec![0x00, 0xFF, 0x7F, 0x80, 0x09]));
+        m.insert(
+            "col".into(),
+            Value::Bytes(vec![0x00, 0xFF, 0x7F, 0x80, 0x09]),
+        );
         Value::Object(m)
     }
 
@@ -393,7 +406,10 @@ mod tests {
                 // mismatch against the payload — never a silently wrong
                 // successful decode
                 if let Ok((_, v)) = decode_frame(&corrupt) {
-                    panic!("bit flip at byte {i} bit {bit} decoded: {:?} vs {:?}", v, original);
+                    panic!(
+                        "bit flip at byte {i} bit {bit} decoded: {:?} vs {:?}",
+                        v, original
+                    );
                 }
             }
         }
@@ -403,7 +419,10 @@ mod tests {
     fn wrong_magic_and_version_are_incompatible() {
         let mut bytes = encode_frame("fedsim", 1, 0, &Value::Null);
         bytes[0] = b'X';
-        assert!(matches!(decode_frame(&bytes), Err(FrameError::Incompatible(_))));
+        assert!(matches!(
+            decode_frame(&bytes),
+            Err(FrameError::Incompatible(_))
+        ));
 
         let mut bytes = encode_frame("fedsim", 1, 0, &Value::Null);
         bytes[4] = 0xFF;
@@ -412,7 +431,10 @@ mod tests {
         let sum = fnv1a(&bytes[..bytes.len() - 8]);
         let n = bytes.len();
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(decode_frame(&bytes), Err(FrameError::Incompatible(_))));
+        assert!(matches!(
+            decode_frame(&bytes),
+            Err(FrameError::Incompatible(_))
+        ));
     }
 
     #[test]

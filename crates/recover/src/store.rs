@@ -180,11 +180,7 @@ impl Recovery {
 /// Scan `store` newest-first for a good snapshot of the given engine
 /// kind and schema version. Torn, corrupt, or incompatible frames are
 /// skipped (counted, never panicking); the first clean decode wins.
-pub fn recover_latest<S: SnapshotStore>(
-    store: &S,
-    kind: &str,
-    state_version: u32,
-) -> Recovery {
+pub fn recover_latest<S: SnapshotStore>(store: &S, kind: &str, state_version: u32) -> Recovery {
     let mut torn_skipped = 0;
     let mut skipped_ticks = Vec::new();
     for tick in store.ticks().into_iter().rev() {
@@ -201,7 +197,8 @@ pub fn recover_latest<S: SnapshotStore>(
                     skipped_ticks,
                 };
             }
-            Ok(_) | Err(FrameError::Torn(_))
+            Ok(_)
+            | Err(FrameError::Torn(_))
             | Err(FrameError::Incompatible(_))
             | Err(FrameError::Malformed(_)) => {
                 torn_skipped += 1;
@@ -266,8 +263,12 @@ mod tests {
     #[test]
     fn wrong_kind_or_version_is_skipped() {
         let mut store = MemStore::new();
-        store.put(5, &encode_frame("other", 1, 5, &Value::Null)).unwrap();
-        store.put(7, &encode_frame("t", 99, 7, &Value::Null)).unwrap();
+        store
+            .put(5, &encode_frame("other", 1, 5, &Value::Null))
+            .unwrap();
+        store
+            .put(7, &encode_frame("t", 99, 7, &Value::Null))
+            .unwrap();
         store.put(3, &frame(3)).unwrap();
         let r = recover_latest(&store, "t", 1);
         assert_eq!(r.good.as_ref().unwrap().0.tick, 3);

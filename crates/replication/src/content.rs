@@ -288,8 +288,8 @@ mod tests {
             for (row, &u) in (lo..hi).zip(&tooting) {
                 assert_eq!(v.res_users[row], u);
                 assert_eq!(v.res_toots[row], v.toots[u as usize]);
-                let slice = &v.res_holder_data[v.res_holder_offsets[row] as usize
-                    ..v.res_holder_offsets[row + 1] as usize];
+                let slice = &v.res_holder_data
+                    [v.res_holder_offsets[row] as usize..v.res_holder_offsets[row + 1] as usize];
                 assert_eq!(slice, v.follower_instances(u as usize));
             }
             rows = hi;

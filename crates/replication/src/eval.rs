@@ -120,7 +120,10 @@ impl RemovalPlan {
     /// Compile a grouped order: group `g`'s members are all removed at step
     /// `g + 1` (first listing wins for instances appearing twice).
     pub fn from_groups(n_instances: usize, groups: &[Vec<u32>]) -> Self {
-        assert!(groups.len() < NEVER as usize, "too many groups for u32 steps");
+        assert!(
+            groups.len() < NEVER as usize,
+            "too many groups for u32 steps"
+        );
         let mut steps = vec![NEVER; n_instances];
         for (g, members) in groups.iter().enumerate() {
             for &m in members {
@@ -505,8 +508,16 @@ pub fn evaluate_plans_fused(
     plan_b: &RemovalPlan,
     random_ns: &[usize],
 ) -> (AvailabilityBatch, AvailabilityBatch) {
-    assert_eq!(plan_a.steps.len(), view.n_instances, "plan A instance count");
-    assert_eq!(plan_b.steps.len(), view.n_instances, "plan B instance count");
+    assert_eq!(
+        plan_a.steps.len(),
+        view.n_instances,
+        "plan A instance count"
+    );
+    assert_eq!(
+        plan_b.steps.len(),
+        view.n_instances,
+        "plan B instance count"
+    );
     let steps_a = &plan_a.steps[..];
     let steps_b = &plan_b.steps[..];
     let (na, nb) = (plan_a.n_steps(), plan_b.n_steps());

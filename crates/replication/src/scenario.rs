@@ -21,13 +21,13 @@
 use crate::content::ContentView;
 use crate::eval::{instance_shards, user_stream_rng, RemovalPlan, NEVER};
 use fediscope_graph::par;
-use fediscope_recover::{Snapshot, Steppable};
 use fediscope_model::certs::LapseBitset;
 use fediscope_model::geo::Country;
 use fediscope_model::instance::Instance;
-use fediscope_model::time::{Day, WINDOW_DAYS};
 use fediscope_model::schedule::OutageCause;
+use fediscope_model::time::{Day, WINDOW_DAYS};
 use fediscope_model::world::World;
+use fediscope_recover::{Snapshot, Steppable};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -222,15 +222,19 @@ pub struct CompiledScenario {
 /// Compile a [`ScenarioSpec`] against a [`ScenarioWorld`].
 pub fn compile(spec: &ScenarioSpec, world: &ScenarioWorld) -> CompiledScenario {
     let groups: Vec<Vec<u32>> = match *spec {
-        ScenarioSpec::AsSharedFate(n) => {
-            world.as_groups.iter().take(n as usize).cloned().collect()
-        }
-        ScenarioSpec::HosterSharedFate(n) => {
-            world.hoster_groups.iter().take(n as usize).cloned().collect()
-        }
-        ScenarioSpec::RegionWave(n) => {
-            world.region_groups.iter().take(n as usize).cloned().collect()
-        }
+        ScenarioSpec::AsSharedFate(n) => world.as_groups.iter().take(n as usize).cloned().collect(),
+        ScenarioSpec::HosterSharedFate(n) => world
+            .hoster_groups
+            .iter()
+            .take(n as usize)
+            .cloned()
+            .collect(),
+        ScenarioSpec::RegionWave(n) => world
+            .region_groups
+            .iter()
+            .take(n as usize)
+            .cloned()
+            .collect(),
         ScenarioSpec::CertCascade(buckets) => {
             let buckets = buckets.max(1);
             let span = WINDOW_DAYS.div_ceil(buckets);
@@ -249,10 +253,12 @@ pub fn compile(spec: &ScenarioSpec, world: &ScenarioWorld) -> CompiledScenario {
             // instance: the availability model is monotone removal, and a
             // reborn instance's content is back by the end of the window.
             let mut lost: Vec<(u32, u32)> = (0..world.n_instances as u32)
-                .filter_map(|i| match (world.retired[i as usize], world.rebirth[i as usize]) {
-                    (Some(day), None) => Some((day.0, i)),
-                    _ => None,
-                })
+                .filter_map(
+                    |i| match (world.retired[i as usize], world.rebirth[i as usize]) {
+                        (Some(day), None) => Some((day.0, i)),
+                        _ => None,
+                    },
+                )
                 .collect();
             lost.sort_unstable();
             let per = lost.len().div_ceil(steps).max(1);
@@ -424,7 +430,11 @@ fn death_of(strategy: ScenarioStrategy, copies: &[u32], steps: &[u32], buf: &mut
             // content dies when the (n - k + 1)-th fragment dies
             buf[(n - k) as usize]
         }
-        _ => copies.iter().map(|&c| steps[c as usize]).max().unwrap_or(NEVER),
+        _ => copies
+            .iter()
+            .map(|&c| steps[c as usize])
+            .max()
+            .unwrap_or(NEVER),
     }
 }
 
@@ -524,8 +534,8 @@ fn fold_shard(
         for row in row_lo..row_hi {
             let user = view.res_users[row];
             let toots = view.res_toots[row];
-            let holders = &view.res_holder_data[view.res_holder_offsets[row] as usize
-                ..view.res_holder_offsets[row + 1] as usize];
+            let holders = &view.res_holder_data
+                [view.res_holder_offsets[row] as usize..view.res_holder_offsets[row + 1] as usize];
             for (sti, &st) in strategies.iter().enumerate() {
                 place(st, world, seed, user, inst as u32, holders, &mut copies);
                 cost[sti] += toots as u128 * copies.len() as u128;
@@ -584,7 +594,17 @@ pub fn evaluate_grid_chunked(
             .map(|cell| vec![0u64; hist_lens[cell / n_st]])
             .collect();
         let mut cost = vec![0u128; n_st];
-        fold_shard(view, world, strategies, &step_tables, seed, lo, hi, &mut hist, &mut cost);
+        fold_shard(
+            view,
+            world,
+            strategies,
+            &step_tables,
+            seed,
+            lo,
+            hi,
+            &mut hist,
+            &mut cost,
+        );
         (hist, cost)
     });
 
@@ -756,7 +776,13 @@ impl<'a> GridSweep<'a> {
     /// Fold the finished accumulators into the frontier grid.
     pub fn finish(&self) -> Grid<FrontierCell> {
         assert!(self.is_done(), "sweep has shards left");
-        grid_from_accumulators(self.view, self.scenarios, self.strategies, &self.hist, &self.cost)
+        grid_from_accumulators(
+            self.view,
+            self.scenarios,
+            self.strategies,
+            &self.hist,
+            &self.cost,
+        )
     }
 }
 
@@ -849,8 +875,7 @@ pub fn naive_grid(
                 cost_num += toots as u128 * copies.len() as u128;
                 let d = match st {
                     ScenarioStrategy::KOfN(k, _) => {
-                        let mut ds: Vec<u32> =
-                            copies.iter().map(|&c| steps[c as usize]).collect();
+                        let mut ds: Vec<u32> = copies.iter().map(|&c| steps[c as usize]).collect();
                         ds.sort_unstable();
                         let k = k.clamp(1, copies.len() as u32) as usize;
                         ds[copies.len() - k]
@@ -1020,7 +1045,10 @@ mod tests {
         let c = compile(&ScenarioSpec::ChurnRebirth(3), &sw);
         let mut last_max: Option<u32> = None;
         for g in c.groups.iter().filter(|g| !g.is_empty()) {
-            let days: Vec<u32> = g.iter().map(|&i| sw.retired[i as usize].unwrap().0).collect();
+            let days: Vec<u32> = g
+                .iter()
+                .map(|&i| sw.retired[i as usize].unwrap().0)
+                .collect();
             if let Some(prev) = last_max {
                 assert!(days.iter().all(|&d| d >= prev));
             }
@@ -1057,16 +1085,24 @@ mod tests {
         let compiled: Vec<_> = all_specs().iter().map(|s| compile(s, &sw)).collect();
         // chunk_rows = 1: one shard per resident instance, max granularity
         let mut sweep = GridSweep::new(&view, &sw, &compiled, &ALL_STRATEGIES, 99, 1);
-        assert!(sweep.n_shards() > 4, "fixture must yield a multi-shard sweep");
+        assert!(
+            sweep.n_shards() > 4,
+            "fixture must yield a multi-shard sweep"
+        );
         while !sweep.is_done() {
             sweep.step();
         }
-        assert_eq!(sweep.finish(), evaluate_grid(&view, &sw, &compiled, &ALL_STRATEGIES, 99));
+        assert_eq!(
+            sweep.finish(),
+            evaluate_grid(&view, &sw, &compiled, &ALL_STRATEGIES, 99)
+        );
     }
 
     #[test]
     fn grid_sweep_torn_final_checkpoint_falls_back() {
-        use fediscope_recover::{recover_latest, run_checkpointed, CrashPlan, MemStore, RunOutcome};
+        use fediscope_recover::{
+            recover_latest, run_checkpointed, CrashPlan, MemStore, RunOutcome,
+        };
         let world = tiny_world(47);
         let view = ContentView::from_world(&world);
         let sw = ScenarioWorld::from_world(&world);
@@ -1075,18 +1111,33 @@ mod tests {
         let mut sweep = GridSweep::new(&view, &sw, &compiled, &ALL_STRATEGIES, 7, 1);
         assert!(sweep.n_shards() >= 6);
         let mut store = MemStore::new();
-        let plan = CrashPlan { crash_tick: 4, torn_final: true };
+        let plan = CrashPlan {
+            crash_tick: 4,
+            torn_final: true,
+        };
         let out = run_checkpointed(&mut sweep, &mut store, 2, Some(plan)).unwrap();
-        assert_eq!(out, RunOutcome::Crashed { at_tick: 4, torn_final: true });
+        assert_eq!(
+            out,
+            RunOutcome::Crashed {
+                at_tick: 4,
+                torn_final: true
+            }
+        );
 
         let rec = recover_latest(&store, GRID_SWEEP_KIND, GRID_SWEEP_STATE_VERSION);
-        assert_eq!(rec.torn_skipped, 1, "the mid-write shard-4 frame reads as torn");
+        assert_eq!(
+            rec.torn_skipped, 1,
+            "the mid-write shard-4 frame reads as torn"
+        );
         let (meta, value) = rec.good.expect("shard-2 frame survives");
         assert_eq!(meta.tick, 2);
         let state = GridSweepState::from_json_value(&value).unwrap();
         let mut resumed = GridSweep::resume(&view, &sw, &compiled, &ALL_STRATEGIES, 7, 1, &state);
         run_checkpointed(&mut resumed, &mut store, 2, None).unwrap();
-        assert_eq!(resumed.finish(), evaluate_grid(&view, &sw, &compiled, &ALL_STRATEGIES, 7));
+        assert_eq!(
+            resumed.finish(),
+            evaluate_grid(&view, &sw, &compiled, &ALL_STRATEGIES, 7)
+        );
     }
 
     #[test]

@@ -101,7 +101,15 @@ pub fn weighted_random_curve(
     toot_cap: u32,
     seed: u64,
 ) -> Vec<AvailabilityPoint> {
-    weighted_random_curve_chunked(view, capacities, n, groups, toot_cap, seed, WEIGHTED_CHUNK_ROWS)
+    weighted_random_curve_chunked(
+        view,
+        capacities,
+        n,
+        groups,
+        toot_cap,
+        seed,
+        WEIGHTED_CHUNK_ROWS,
+    )
 }
 
 /// [`weighted_random_curve`] with an explicit shard size, exposed so
@@ -343,7 +351,9 @@ mod tests {
         for (caps, label) in [
             (vec![1.0; v.n_instances], "uniform"),
             (
-                (0..v.n_instances).map(|i| 1.0 + (i % 7) as f64).collect::<Vec<_>>(),
+                (0..v.n_instances)
+                    .map(|i| 1.0 + (i % 7) as f64)
+                    .collect::<Vec<_>>(),
                 "mild skew",
             ),
             (

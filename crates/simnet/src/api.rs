@@ -55,9 +55,7 @@ pub async fn handle(state: Arc<SimState>, req: Request) -> Response {
     match state.faults.decide_for(instance.0) {
         FaultDecision::Pass => {}
         FaultDecision::Delay(d) => tokio::time::sleep(d).await,
-        FaultDecision::ServerError => {
-            return Response::status(StatusCode::INTERNAL_SERVER_ERROR)
-        }
+        FaultDecision::ServerError => return Response::status(StatusCode::INTERNAL_SERVER_ERROR),
         FaultDecision::RateLimited => return rate_limited(),
         FaultDecision::Reset => return Response::hangup(),
     }
@@ -78,12 +76,7 @@ fn rate_limited() -> Response {
     Response::status(StatusCode::TOO_MANY_REQUESTS).with_header("retry-after", "1")
 }
 
-async fn route(
-    state: Arc<SimState>,
-    instance: InstanceId,
-    host: &str,
-    req: Request,
-) -> Response {
+async fn route(state: Arc<SimState>, instance: InstanceId, host: &str, req: Request) -> Response {
     let path = req.path.trim_end_matches('/');
     match (req.method, path) {
         (Method::Get, "/api/v1/instance") => {
@@ -295,8 +288,14 @@ mod tests {
         assert_eq!(resp.status, StatusCode::OK);
         let v: serde_json::Value = serde_json::from_str(&resp.text()).unwrap();
         assert_eq!(v["uri"].as_str().unwrap(), inst.domain);
-        assert_eq!(v["stats"]["user_count"].as_u64().unwrap(), inst.user_count as u64);
-        assert_eq!(v["stats"]["status_count"].as_u64().unwrap(), inst.toot_count);
+        assert_eq!(
+            v["stats"]["user_count"].as_u64().unwrap(),
+            inst.user_count as u64
+        );
+        assert_eq!(
+            v["stats"]["status_count"].as_u64().unwrap(),
+            inst.toot_count
+        );
         assert_eq!(v["registrations"].as_bool().unwrap(), inst.is_open());
     }
 
@@ -412,7 +411,11 @@ mod tests {
         let mut got = Vec::new();
         let mut page = 1usize;
         loop {
-            let resp = get(&s, &domain, &format!("/users/u{uidx}/followers?page={page}"));
+            let resp = get(
+                &s,
+                &domain,
+                &format!("/users/u{uidx}/followers?page={page}"),
+            );
             assert_eq!(resp.status, StatusCode::OK);
             let v: serde_json::Value = serde_json::from_str(&resp.text()).unwrap();
             assert_eq!(v["totalItems"].as_u64().unwrap() as usize, total);
@@ -449,9 +452,11 @@ mod tests {
             &format!("/.well-known/webfinger?resource=acct:u0@{domain}"),
         );
         assert_eq!(resp.status, StatusCode::OK);
-        let doc: fediscope_activitypub::WebFingerDoc =
-            serde_json::from_str(&resp.text()).unwrap();
-        assert_eq!(doc.actor_url().unwrap(), format!("https://{domain}/users/u0"));
+        let doc: fediscope_activitypub::WebFingerDoc = serde_json::from_str(&resp.text()).unwrap();
+        assert_eq!(
+            doc.actor_url().unwrap(),
+            format!("https://{domain}/users/u0")
+        );
         // wrong domain → 404
         let other = s
             .world
@@ -477,8 +482,12 @@ mod tests {
             .iter()
             .find(|&&(a, b)| s.world.instance_of(a) != s.world.instance_of(b))
             .expect("cross-instance edge");
-        let a_dom = s.world.instances[s.world.instance_of(a).index()].domain.clone();
-        let b_dom = s.world.instances[s.world.instance_of(b).index()].domain.clone();
+        let a_dom = s.world.instances[s.world.instance_of(a).index()]
+            .domain
+            .clone();
+        let b_dom = s.world.instances[s.world.instance_of(b).index()]
+            .domain
+            .clone();
         let follow = Activity::Follow {
             id: format!("https://{a_dom}/act/1"),
             actor: format!("https://{a_dom}/users/u{}", a.0),

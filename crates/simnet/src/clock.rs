@@ -44,12 +44,10 @@ impl SimClock {
         let mut cur = self.epoch.load(Ordering::Acquire);
         loop {
             let next = cur.saturating_add(n).min(WINDOW_EPOCHS);
-            match self.epoch.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
+            match self
+                .epoch
+                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
+            {
                 Ok(_) => return Epoch(next),
                 Err(actual) => cur = actual,
             }

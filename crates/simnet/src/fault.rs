@@ -499,7 +499,10 @@ mod tests {
         // remaining allowance matches (5 budget, 3 used): 2 more pass
         assert_eq!(a.consume_budget(2), b.consume_budget(2));
         assert_eq!(a.consume_budget(2), b.consume_budget(2));
-        assert!(!b.consume_budget(2), "restored budget window must not refill");
+        assert!(
+            !b.consume_budget(2),
+            "restored budget window must not refill"
+        );
         // a fresh injector WITHOUT restore diverges (proves state matters)
         let fresh = FaultInjector::new(FaultPlan::harsh(), 33);
         assert_eq!(fresh.export_state().counter, 0);

@@ -277,7 +277,15 @@ impl<'a> FedSim<'a> {
                 continue; // the author's instance is down: nothing is posted
             }
             for &dst in self.fanout.dsts(author) {
-                fresh.push((src, Msg { seq: self.next_seq, dst, created: t, attempts: 0 }));
+                fresh.push((
+                    src,
+                    Msg {
+                        seq: self.next_seq,
+                        dst,
+                        created: t,
+                        attempts: 0,
+                    },
+                ));
                 self.next_seq += 1;
             }
         }
@@ -299,21 +307,38 @@ impl<'a> FedSim<'a> {
                     s.park(msg);
                 } else {
                     s.redelivery_attempts += 1;
-                    out.push(Attempt { src: i, msg, probe: false });
+                    out.push(Attempt {
+                        src: i,
+                        msg,
+                        probe: false,
+                    });
                 }
             }
             for (&dst, susp) in s.suspended.iter_mut() {
                 if susp.probe_due <= t {
                     susp.probe_due = t + cfg.probe_interval;
-                    let msg = Msg { seq: PROBE_SEQ, dst, created: t, attempts: 0 };
-                    out.push(Attempt { src: i, msg, probe: true });
+                    let msg = Msg {
+                        seq: PROBE_SEQ,
+                        dst,
+                        created: t,
+                        attempts: 0,
+                    };
+                    out.push(Attempt {
+                        src: i,
+                        msg,
+                        probe: true,
+                    });
                 }
             }
             for &(_, msg) in &fresh[new_mail[k].clone()] {
                 if s.is_suspended(msg.dst) {
                     s.park(msg);
                 } else {
-                    out.push(Attempt { src: i, msg, probe: false });
+                    out.push(Attempt {
+                        src: i,
+                        msg,
+                        probe: false,
+                    });
                 }
             }
             out
@@ -457,10 +482,13 @@ impl<'a> FedSim<'a> {
                         .suspended
                         .iter()
                         .map(|(&dst, susp)| {
-                            (dst, SuspensionSnap {
-                                parked: susp.parked.clone(),
-                                probe_due: susp.probe_due,
-                            })
+                            (
+                                dst,
+                                SuspensionSnap {
+                                    parked: susp.parked.clone(),
+                                    probe_due: susp.probe_due,
+                                },
+                            )
                         })
                         .collect(),
                     breaker: s.breaker.iter().map(|(&d, &c)| (d, c)).collect(),
@@ -557,7 +585,13 @@ impl<'a> FedSim<'a> {
                 .suspended
                 .iter()
                 .map(|(&dst, ss)| {
-                    (dst, Suspension { parked: ss.parked.clone(), probe_due: ss.probe_due })
+                    (
+                        dst,
+                        Suspension {
+                            parked: ss.parked.clone(),
+                            probe_due: ss.probe_due,
+                        },
+                    )
                 })
                 .collect();
             s.breaker = snap.breaker.iter().map(|(&d, &c)| (d, c)).collect();
@@ -689,7 +723,11 @@ impl<'a> FedSim<'a> {
             event_hash: hash.value(),
         };
         assert!(report.conserved(), "conservation violated: {report:?}");
-        SimRun { report, series: self.series, delivered_per_instance }
+        SimRun {
+            report,
+            series: self.series,
+            delivered_per_instance,
+        }
     }
 }
 
@@ -717,7 +755,11 @@ mod tests {
         let (fanout, toots) = tiny();
         let total = toots.horizon() + cfg.drain_epochs;
         let sim = FedSim::new(cfg, &fanout, &toots, &[10, 10, 10], arena_all_up(3, total));
-        let SimRun { report, series, delivered_per_instance } = sim.run();
+        let SimRun {
+            report,
+            series,
+            delivered_per_instance,
+        } = sim.run();
         assert_eq!(report.fanned_out, 4); // 2 toots × 2 follower instances
         assert_eq!(report.delivered_prompt, 4);
         assert_eq!(report.dropped, 0);
@@ -740,7 +782,12 @@ mod tests {
         // instance 1 down for ticks [0, 3)
         let arena = OutageArena::from_unsorted(
             &[(Epoch(0), Epoch(total)); 2],
-            [(1u32, Epoch(0), Epoch(3), fediscope_model::OutageCause::AsFailure)],
+            [(
+                1u32,
+                Epoch(0),
+                Epoch(3),
+                fediscope_model::OutageCause::AsFailure,
+            )],
         );
         let sim = FedSim::new(cfg, &fanout, &toots, &[5, 5], arena);
         let report = sim.run().report;
@@ -764,13 +811,21 @@ mod tests {
         let total = toots.horizon() + cfg.drain_epochs;
         let arena = OutageArena::from_unsorted(
             &[(Epoch(0), Epoch(total)); 2],
-            [(1u32, Epoch(0), Epoch(total), fediscope_model::OutageCause::Organic)],
+            [(
+                1u32,
+                Epoch(0),
+                Epoch(total),
+                fediscope_model::OutageCause::Organic,
+            )],
         );
         let sim = FedSim::new(cfg, &fanout, &toots, &[5, 5], arena);
         let report = sim.run().report;
         assert_eq!(report.suspensions, 1);
         assert_eq!(report.recovered_suspensions, 0);
-        assert!(report.suspended_undeliverable >= 1, "parked mail stays accounted");
+        assert!(
+            report.suspended_undeliverable >= 1,
+            "parked mail stays accounted"
+        );
         assert_eq!(report.delivered_prompt + report.delivered_delayed, 0);
         assert!(report.conserved());
         assert!(!report.drained);

@@ -51,7 +51,12 @@ impl Msg {
     /// Read one record back; `b` must be exactly [`Msg::LE_LEN`] bytes.
     pub fn read_le(b: &[u8]) -> Msg {
         let word = |i: usize| u32::from_le_bytes(b[4 * i..4 * i + 4].try_into().unwrap());
-        Msg { seq: word(0), dst: word(1), created: word(2), attempts: word(3) }
+        Msg {
+            seq: word(0),
+            dst: word(1),
+            created: word(2),
+            attempts: word(3),
+        }
     }
 }
 
@@ -161,8 +166,18 @@ mod tests {
 
     #[test]
     fn msg_order_is_total_by_seq_first() {
-        let a = Msg { seq: 1, dst: 9, created: 0, attempts: 5 };
-        let b = Msg { seq: 2, dst: 0, created: 0, attempts: 0 };
+        let a = Msg {
+            seq: 1,
+            dst: 9,
+            created: 0,
+            attempts: 5,
+        };
+        let b = Msg {
+            seq: 2,
+            dst: 0,
+            created: 0,
+            attempts: 0,
+        };
         assert!(a < b);
     }
 

@@ -48,7 +48,11 @@ impl FanoutArena {
         }
         let key = |a: u32| home[a as usize];
         let dsts = HolderRows::by_followee(home.len(), edges, key, |u| Some(home[u]));
-        FanoutArena { n_instances, home, dsts }
+        FanoutArena {
+            n_instances,
+            home,
+            dsts,
+        }
     }
 
     /// Number of instances in the topology.
@@ -75,7 +79,6 @@ impl FanoutArena {
     pub fn n_pairs(&self) -> usize {
         self.dsts.entries()
     }
-
 }
 
 #[cfg(test)]
@@ -117,7 +120,10 @@ mod tests {
                 assert_eq!(f.dsts(u as u32), &list[..], "seed {seed} user {u}");
             }
             let follows: Vec<(u32, u32)> = w.follow_edges().collect();
-            assert_eq!(FanoutArena::from_follows(f.n_instances(), w.homes(), &follows), f);
+            assert_eq!(
+                FanoutArena::from_follows(f.n_instances(), w.homes(), &follows),
+                f
+            );
         }
     }
 

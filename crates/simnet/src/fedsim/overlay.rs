@@ -17,12 +17,14 @@ use super::OverlaySpec;
 /// Compile `spec` into a sim-clock outage arena over `instances`
 /// (`total_ticks` = toot horizon + drain budget).
 pub fn build(spec: &OverlaySpec, instances: &[Instance], total_ticks: u32) -> OutageArena {
-    let lifetimes: Vec<(Epoch, Epoch)> =
-        vec![(Epoch(0), Epoch(total_ticks)); instances.len()];
+    let lifetimes: Vec<(Epoch, Epoch)> = vec![(Epoch(0), Epoch(total_ticks)); instances.len()];
     let intervals: Vec<(u32, Epoch, Epoch, OutageCause)> = match *spec {
         OverlaySpec::Baseline => Vec::new(),
         OverlaySpec::TopAsOutage(n_ases, start, end) => {
-            assert!(start <= end && end <= total_ticks, "outage window out of range");
+            assert!(
+                start <= end && end <= total_ticks,
+                "outage window out of range"
+            );
             let targets = top_ases_by_users(instances, n_ases as usize);
             instances
                 .iter()

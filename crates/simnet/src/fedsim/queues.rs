@@ -99,7 +99,8 @@ impl DestState {
             } else {
                 self.delivered_delayed += 1;
             }
-            self.digest.fold_all(&[u64::MAX, tick as u64, msg.seq as u64, latency]);
+            self.digest
+                .fold_all(&[u64::MAX, tick as u64, msg.seq as u64, latency]);
         }
         (n as u32, prompt)
     }
@@ -115,7 +116,12 @@ mod tests {
     use super::*;
 
     fn msg(seq: u32, created: u32) -> Msg {
-        Msg { seq, dst: 0, created, attempts: 0 }
+        Msg {
+            seq,
+            dst: 0,
+            created,
+            attempts: 0,
+        }
     }
 
     #[test]

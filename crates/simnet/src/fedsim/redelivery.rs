@@ -52,8 +52,7 @@ impl RetryQueue {
     /// breaks all ties — so this sorted list fully determines future
     /// behaviour.
     pub fn entries(&self) -> Vec<(u32, Msg)> {
-        let mut v: Vec<(u32, Msg)> =
-            self.heap.iter().map(|std::cmp::Reverse(e)| *e).collect();
+        let mut v: Vec<(u32, Msg)> = self.heap.iter().map(|std::cmp::Reverse(e)| *e).collect();
         v.sort_unstable();
         v
     }
@@ -73,7 +72,10 @@ impl RetryQueue {
 /// same delay, on any shard.
 pub fn backoff_delay(base: u32, cap: u32, jitter: u32, seed: u64, msg: Msg) -> u32 {
     let exp = base
-        .saturating_mul(1u32.checked_shl(msg.attempts.saturating_sub(1)).unwrap_or(u32::MAX))
+        .saturating_mul(
+            1u32.checked_shl(msg.attempts.saturating_sub(1))
+                .unwrap_or(u32::MAX),
+        )
         .min(cap)
         .max(1);
     let j = if jitter == 0 {
@@ -89,7 +91,12 @@ mod tests {
     use super::*;
 
     fn msg(seq: u32, attempts: u32) -> Msg {
-        Msg { seq, dst: 0, created: 0, attempts }
+        Msg {
+            seq,
+            dst: 0,
+            created: 0,
+            attempts,
+        }
     }
 
     #[test]

@@ -78,7 +78,10 @@ fn msg_column_back(v: &serde::Value, what: &'static str) -> Result<Vec<Msg>, ser
 
 impl Serialize for SuspensionSnap {
     fn to_json_value(&self) -> serde::Value {
-        serde::Value::Array(vec![msg_column(self.parked.iter()), self.probe_due.to_json_value()])
+        serde::Value::Array(vec![
+            msg_column(self.parked.iter()),
+            self.probe_due.to_json_value(),
+        ])
     }
 }
 
@@ -143,10 +146,17 @@ fn retry_column_back(v: &serde::Value) -> Result<Vec<(u32, Msg)>, serde::Error> 
         .ok_or_else(|| serde::Error::custom("SourceSnap.retry: expected packed bytes"))?;
     const REC: usize = 4 + Msg::LE_LEN;
     if b.len() % REC != 0 {
-        return Err(serde::Error::custom("SourceSnap.retry: ragged retry column"));
+        return Err(serde::Error::custom(
+            "SourceSnap.retry: ragged retry column",
+        ));
     }
     Ok(b.chunks_exact(REC)
-        .map(|r| (u32::from_le_bytes(r[..4].try_into().unwrap()), Msg::read_le(&r[4..])))
+        .map(|r| {
+            (
+                u32::from_le_bytes(r[..4].try_into().unwrap()),
+                Msg::read_le(&r[4..]),
+            )
+        })
         .collect())
 }
 
@@ -176,7 +186,9 @@ impl Deserialize for SourceSnap {
             suspended: Vec::<(u32, SuspensionSnap)>::from_json_value(&a[1])?
                 .into_iter()
                 .collect(),
-            breaker: Vec::<(u32, u32)>::from_json_value(&a[2])?.into_iter().collect(),
+            breaker: Vec::<(u32, u32)>::from_json_value(&a[2])?
+                .into_iter()
+                .collect(),
             dropped: u64::from_json_value(&a[3])?,
             redelivery_attempts: u64::from_json_value(&a[4])?,
             suspensions: u64::from_json_value(&a[5])?,
@@ -321,7 +333,10 @@ pub fn resume_or_restart<'a, S: SnapshotStore>(
     outages: OutageArena,
 ) -> (FedSim<'a>, RecoveryInfo) {
     let rec = recover_latest(store, FEDSIM_KIND, FEDSIM_STATE_VERSION);
-    let mut info = RecoveryInfo { resumed_from: None, torn_skipped: rec.torn_skipped };
+    let mut info = RecoveryInfo {
+        resumed_from: None,
+        torn_skipped: rec.torn_skipped,
+    };
     let mut sim = FedSim::new(cfg, fanout, toots, dest_users, outages);
     if let Some((meta, value)) = &rec.good {
         match FedSimState::from_json_value(value).and_then(|state| sim.restore(&state)) {

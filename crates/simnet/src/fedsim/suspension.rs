@@ -70,7 +70,10 @@ impl SourceState {
     pub fn suspend(&mut self, dst: u32, msg: Msg, probe_due: u32) {
         let prev = self.suspended.insert(
             dst,
-            Suspension { parked: VecDeque::from([msg]), probe_due },
+            Suspension {
+                parked: VecDeque::from([msg]),
+                probe_due,
+            },
         );
         debug_assert!(prev.is_none(), "double suspension for dst {dst}");
         self.suspensions += 1;
@@ -80,7 +83,10 @@ impl SourceState {
     /// parked message into the retry queue due `resume_tick` — the
     /// catch-up burst — and reset the breaker.
     pub fn unsuspend(&mut self, dst: u32, resume_tick: u32) {
-        let susp = self.suspended.remove(&dst).expect("unsuspend requires suspension");
+        let susp = self
+            .suspended
+            .remove(&dst)
+            .expect("unsuspend requires suspension");
         for msg in susp.parked {
             self.retry.push(resume_tick, msg);
         }
@@ -122,7 +128,12 @@ mod tests {
     use super::*;
 
     fn msg(seq: u32, dst: u32) -> Msg {
-        Msg { seq, dst, created: 0, attempts: 1 }
+        Msg {
+            seq,
+            dst,
+            created: 0,
+            attempts: 1,
+        }
     }
 
     #[test]

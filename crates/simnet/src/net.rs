@@ -89,8 +89,14 @@ mod tests {
         let client = Client::default();
         let d0 = net.state.world.instances[0].domain.clone();
         let d1 = net.state.world.instances[1].domain.clone();
-        let r0 = client.get(net.addr(), &d0, "/api/v1/instance").await.unwrap();
-        let r1 = client.get(net.addr(), &d1, "/api/v1/instance").await.unwrap();
+        let r0 = client
+            .get(net.addr(), &d0, "/api/v1/instance")
+            .await
+            .unwrap();
+        let r1 = client
+            .get(net.addr(), &d1, "/api/v1/instance")
+            .await
+            .unwrap();
         let v0: serde_json::Value = serde_json::from_str(&r0.text()).unwrap();
         let v1: serde_json::Value = serde_json::from_str(&r1.text()).unwrap();
         assert_ne!(v0["uri"], v1["uri"]);
@@ -112,16 +118,27 @@ mod tests {
             fediscope_model::schedule::OutageCause::Organic,
         );
         let domain = world.instances[0].domain.clone();
-        let net = launch(Arc::new(world), FaultPlan::default(), 1).await.unwrap();
+        let net = launch(Arc::new(world), FaultPlan::default(), 1)
+            .await
+            .unwrap();
         let client = Client::default();
 
-        let up = client.get(net.addr(), &domain, "/api/v1/instance").await.unwrap();
+        let up = client
+            .get(net.addr(), &domain, "/api/v1/instance")
+            .await
+            .unwrap();
         assert!(up.status.is_success());
         net.state.clock.set(fediscope_model::time::Epoch(5));
-        let down = client.get(net.addr(), &domain, "/api/v1/instance").await.unwrap();
+        let down = client
+            .get(net.addr(), &domain, "/api/v1/instance")
+            .await
+            .unwrap();
         assert_eq!(down.status.0, 503);
         net.state.clock.set(fediscope_model::time::Epoch(10));
-        let back = client.get(net.addr(), &domain, "/api/v1/instance").await.unwrap();
+        let back = client
+            .get(net.addr(), &domain, "/api/v1/instance")
+            .await
+            .unwrap();
         assert!(back.status.is_success());
         net.shutdown().await;
     }
@@ -144,7 +161,10 @@ mod tests {
         let client = Client::default();
         let mut errors = 0;
         for _ in 0..40 {
-            let resp = client.get(net.addr(), &domain, "/api/v1/instance").await.unwrap();
+            let resp = client
+                .get(net.addr(), &domain, "/api/v1/instance")
+                .await
+                .unwrap();
             if resp.status.0 == 500 {
                 errors += 1;
             }

@@ -260,7 +260,11 @@ mod tests {
             let mut cfg = WorldConfig::tiny(seed);
             cfg.n_instances = 25;
             cfg.n_users = 400;
-            SimState::new(Arc::new(Generator::generate_world(cfg)), FaultPlan::default(), 1)
+            SimState::new(
+                Arc::new(Generator::generate_world(cfg)),
+                FaultPlan::default(),
+                1,
+            )
         })
     }
 
@@ -277,8 +281,9 @@ mod tests {
     fn subscription_counts_match_federation_edges() {
         for s in states() {
             // reference: sort and dedup the instance pairs
-            let mut edges: Vec<(u32, u32)> =
-                cross_follows(&s.world).map(|(ia, ib, _)| (ia, ib)).collect();
+            let mut edges: Vec<(u32, u32)> = cross_follows(&s.world)
+                .map(|(ia, ib, _)| (ia, ib))
+                .collect();
             edges.sort_unstable();
             edges.dedup();
             let mut reference = vec![0u32; s.world.instances.len()];
@@ -355,7 +360,13 @@ mod tests {
     #[test]
     fn timeline_caching_is_stable() {
         let s = state();
-        let id = s.world.instances.iter().find(|i| i.user_count > 0).unwrap().id;
+        let id = s
+            .world
+            .instances
+            .iter()
+            .find(|i| i.user_count > 0)
+            .unwrap()
+            .id;
         let a = s.timeline(id) as *const _;
         let b = s.timeline(id) as *const _;
         assert_eq!(a, b, "timeline index must be built once");

@@ -60,10 +60,7 @@ impl TimelineIndex {
     /// pass `u64::MAX` for the first page.
     pub fn page(&self, max_id: u64, limit: usize) -> Vec<u64> {
         let start = max_id.min(self.total_public + 1);
-        (1..start)
-            .rev()
-            .take(limit)
-            .collect()
+        (1..start).rev().take(limit).collect()
     }
 
     /// The author of toot `id` (1-based id).

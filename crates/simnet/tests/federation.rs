@@ -9,7 +9,10 @@ use fediscope_simnet::{launch, FaultPlan};
 use fediscope_worldgen::{Generator, WorldConfig};
 use std::sync::Arc;
 
-async fn boot() -> (Arc<fediscope_model::world::World>, fediscope_simnet::SimNetHandle) {
+async fn boot() -> (
+    Arc<fediscope_model::world::World>,
+    fediscope_simnet::SimNetHandle,
+) {
     let mut cfg = WorldConfig::tiny(606);
     cfg.n_instances = 6;
     cfg.n_users = 120;
@@ -18,7 +21,9 @@ async fn boot() -> (Arc<fediscope_model::world::World>, fediscope_simnet::SimNet
         *s = AvailabilitySchedule::always_up();
     }
     let world = Arc::new(world);
-    let net = launch(world.clone(), FaultPlan::default(), 2).await.unwrap();
+    let net = launch(world.clone(), FaultPlan::default(), 2)
+        .await
+        .unwrap();
     (world, net)
 }
 

@@ -35,9 +35,13 @@ fn fixtures() -> &'static Vec<Fixture> {
                 let world = Generator::generate_world(cfg.clone());
                 let fanout = FanoutArena::from_world(&world);
                 let toot_arena = toots::generate(&cfg, &world.users, HORIZON, 8.0);
-                let dest_users: Vec<u32> =
-                    world.instances.iter().map(|i| i.user_count).collect();
-                Fixture { world, fanout, toots: toot_arena, dest_users }
+                let dest_users: Vec<u32> = world.instances.iter().map(|i| i.user_count).collect();
+                Fixture {
+                    world,
+                    fanout,
+                    toots: toot_arena,
+                    dest_users,
+                }
             })
             .collect()
     })
@@ -68,7 +72,11 @@ fn config(sim_seed: u64, spec: OverlaySpec, tight: bool) -> FedSimConfig {
 }
 
 fn build_arena(fx: &Fixture, cfg: &FedSimConfig) -> OutageArena {
-    overlay::build(&cfg.overlay, &fx.world.instances, HORIZON + cfg.drain_epochs)
+    overlay::build(
+        &cfg.overlay,
+        &fx.world.instances,
+        HORIZON + cfg.drain_epochs,
+    )
 }
 
 proptest! {
@@ -178,5 +186,8 @@ fn outage_overlay_degrades_then_recovers() {
     // during the outage window some ticks see down-rejections; after the
     // window the backlog eventually returns to zero (it heals)
     assert!(series[4..20].iter().any(|s| s.rejected_down > 0));
-    assert!(hit.drained, "a bounded outage must not wedge the federation");
+    assert!(
+        hit.drained,
+        "a bounded outage must not wedge the federation"
+    );
 }

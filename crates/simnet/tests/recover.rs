@@ -81,11 +81,21 @@ fn config(sim_seed: u64, spec: OverlaySpec, tight: bool) -> FedSimConfig {
 }
 
 fn build_arena(fx: &Fixture, cfg: &FedSimConfig) -> OutageArena {
-    overlay::build(&cfg.overlay, &fx.world.instances, HORIZON + cfg.drain_epochs)
+    overlay::build(
+        &cfg.overlay,
+        &fx.world.instances,
+        HORIZON + cfg.drain_epochs,
+    )
 }
 
 fn fresh_sim<'a>(fx: &'a Fixture, cfg: &FedSimConfig) -> FedSim<'a> {
-    FedSim::new(cfg.clone(), &fx.fanout, &fx.toots, &fx.dest_users, build_arena(fx, cfg))
+    FedSim::new(
+        cfg.clone(),
+        &fx.fanout,
+        &fx.toots,
+        &fx.dest_users,
+        build_arena(fx, cfg),
+    )
 }
 
 /// Kill a run per `plan` with checkpoints every `interval` ticks, then
@@ -229,11 +239,24 @@ fn torn_final_checkpoint_falls_back_to_previous_good() {
     let cfg = config(7, overlay_for(1), true);
     let baseline = fresh_sim(fx, &cfg).run();
 
-    let plan = CrashPlan { crash_tick: 20, torn_final: true };
+    let plan = CrashPlan {
+        crash_tick: 20,
+        torn_final: true,
+    };
     let (resumed, outcome, info) = crash_then_resume(fx, &cfg, 5, plan);
-    assert_eq!(outcome, RunOutcome::Crashed { at_tick: 20, torn_final: true });
+    assert_eq!(
+        outcome,
+        RunOutcome::Crashed {
+            at_tick: 20,
+            torn_final: true
+        }
+    );
     assert_eq!(info.torn_skipped, 1, "the in-flight frame is torn");
-    assert_eq!(info.resumed_from, Some(15), "fell back to the previous good");
+    assert_eq!(
+        info.resumed_from,
+        Some(15),
+        "fell back to the previous good"
+    );
     assert_eq!(resumed, baseline);
 }
 
@@ -256,7 +279,12 @@ fn timers_and_counters_do_not_reset_on_resume() {
     assert!(n_breaker > 0, "fixture must exercise the breaker");
 
     let resumed = FedSim::resume(
-        cfg.clone(), &fx.fanout, &fx.toots, &fx.dest_users, build_arena(fx, &cfg), &state,
+        cfg.clone(),
+        &fx.fanout,
+        &fx.toots,
+        &fx.dest_users,
+        build_arena(fx, &cfg),
+        &state,
     )
     .expect("a state resumes in its own world");
     let state2 = resumed.capture();
@@ -266,8 +294,14 @@ fn timers_and_counters_do_not_reset_on_resume() {
     for (a, b) in state.sources.iter().zip(&state2.sources) {
         assert_eq!(a.retry, b.retry, "backoff deadlines must not reset");
         assert_eq!(
-            a.suspended.iter().map(|(d, s)| (*d, s.probe_due)).collect::<Vec<_>>(),
-            b.suspended.iter().map(|(d, s)| (*d, s.probe_due)).collect::<Vec<_>>(),
+            a.suspended
+                .iter()
+                .map(|(d, s)| (*d, s.probe_due))
+                .collect::<Vec<_>>(),
+            b.suspended
+                .iter()
+                .map(|(d, s)| (*d, s.probe_due))
+                .collect::<Vec<_>>(),
             "probe schedules must not reset"
         );
         assert_eq!(a.breaker, b.breaker, "breaker counts must not reset");

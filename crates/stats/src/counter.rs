@@ -53,11 +53,7 @@ impl<K: Eq + Hash + Clone> Counter<K> {
     /// deterministically is NOT guaranteed by HashMap iteration, so callers
     /// needing stable output should use [`Counter::top_k_stable`].
     pub fn ranked(&self) -> Vec<(K, f64)> {
-        let mut v: Vec<(K, f64)> = self
-            .counts
-            .iter()
-            .map(|(k, &c)| (k.clone(), c))
-            .collect();
+        let mut v: Vec<(K, f64)> = self.counts.iter().map(|(k, &c)| (k.clone(), c)).collect();
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN count"));
         v
     }

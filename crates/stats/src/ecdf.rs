@@ -14,10 +14,7 @@ impl Ecdf {
     /// Build an ECDF from samples. NaNs are rejected with a panic because a
     /// CDF over NaN is meaningless and almost always indicates an upstream bug.
     pub fn new(mut samples: Vec<f64>) -> Self {
-        assert!(
-            samples.iter().all(|x| !x.is_nan()),
-            "Ecdf::new: NaN sample"
-        );
+        assert!(samples.iter().all(|x| !x.is_nan()), "Ecdf::new: NaN sample");
         // total_cmp is branch-light and panic-free; with NaN excluded above
         // it orders exactly like partial_cmp.
         samples.sort_unstable_by(f64::total_cmp);

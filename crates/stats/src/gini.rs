@@ -87,7 +87,10 @@ pub fn holders_for_share(values: &[f64], share: f64) -> Option<f64> {
         return None;
     }
     let mut v = values.to_vec();
-    assert!(v.iter().all(|x| !x.is_nan()), "holders_for_share: NaN value");
+    assert!(
+        v.iter().all(|x| !x.is_nan()),
+        "holders_for_share: NaN value"
+    );
     v.sort_unstable_by(|a, b| f64::total_cmp(b, a));
     let target = share.clamp(0.0, 1.0) * total;
     let mut acc = 0.0;

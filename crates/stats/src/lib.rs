@@ -48,7 +48,10 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
     if sorted.is_empty() {
         return None;
     }
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input must be sorted");
+    debug_assert!(
+        sorted.windows(2).all(|w| w[0] <= w[1]),
+        "input must be sorted"
+    );
     Some(quantile_by_rank(sorted.len(), q, |r| sorted[r]))
 }
 

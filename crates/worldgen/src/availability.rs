@@ -210,7 +210,12 @@ impl OutagePlanner {
         // budget draw
         if out.is_empty() && d_target > 0.0 {
             let start = birth + (life * rng.gen::<f64>() * 0.9) as u32;
-            emit(start as f64, (start + 2) as f64, OutageCause::Organic, &mut out);
+            emit(
+                start as f64,
+                (start + 2) as f64,
+                OutageCause::Organic,
+                &mut out,
+            );
         }
 
         // Certificate lapses.

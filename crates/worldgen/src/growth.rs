@@ -8,13 +8,7 @@ use fediscope_model::world::GrowthPoint;
 /// users keep growing through the Jul–Dec 2017 instance plateau ("the user
 /// population continues to grow during this period (by 22%)") and through
 /// the 2018 burst.
-const USER_CDF: [(u32, f64); 5] = [
-    (0, 0.25),
-    (50, 0.45),
-    (81, 0.52),
-    (264, 0.635),
-    (471, 1.00),
-];
+const USER_CDF: [(u32, f64); 5] = [(0, 0.25), (50, 0.45), (81, 0.52), (264, 0.635), (471, 1.00)];
 
 fn interp_cdf(cdf: &[(u32, f64)], day: u32) -> f64 {
     if day <= cdf[0].0 {
@@ -226,10 +220,7 @@ mod tests {
         let schedules = vec![AvailabilitySchedule::always_up(); 1];
         let s = series(&schedules, 100_000, 1);
         let growth = s[264].users as f64 / s[81].users as f64;
-        assert!(
-            (1.1..1.4).contains(&growth),
-            "plateau user growth {growth}"
-        );
+        assert!((1.1..1.4).contains(&growth), "plateau user growth {growth}");
     }
 
     #[test]

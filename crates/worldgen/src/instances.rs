@@ -107,16 +107,8 @@ fn named_provider_prefs(c: Country) -> &'static [(&'static str, f64)] {
             ("Google", 0.04),
             ("Linode", 0.05),
         ],
-        Country::France => &[
-            ("OVH", 0.56),
-            ("Scaleway", 0.34),
-            ("Free SAS", 0.012),
-        ],
-        Country::Germany => &[
-            ("Hetzner", 0.70),
-            ("Contabo", 0.10),
-            ("netcup", 0.07),
-        ],
+        Country::France => &[("OVH", 0.56), ("Scaleway", 0.34), ("Free SAS", 0.012)],
+        Country::Germany => &[("Hetzner", 0.70), ("Contabo", 0.10), ("netcup", 0.07)],
         Country::Netherlands => &[("LeaseWeb", 0.45), ("WorldStream", 0.30)],
         _ => &[],
     }
@@ -159,13 +151,7 @@ const TOP_DOMAINS: [(&str, OperatorKind); 10] = [
 /// base, the Apr–Jun 2017 burst, the Jul–Dec 2017 plateau ("only 6% of
 /// instances were setup between July and December"), and the H1-2018
 /// re-acceleration ("43% growth").
-const CREATION_CDF: [(u32, f64); 5] = [
-    (0, 0.40),
-    (50, 0.56),
-    (81, 0.60),
-    (264, 0.64),
-    (471, 1.00),
-];
+const CREATION_CDF: [(u32, f64); 5] = [(0, 0.40), (50, 0.56), (81, 0.60), (264, 0.64), (471, 1.00)];
 
 fn sample_creation_day<R: Rng>(rng: &mut R) -> Day {
     let u: f64 = rng.gen();
@@ -416,15 +402,35 @@ pub fn generate<R: Rng>(
     }
     const FLAGSHIPS: [Flagship; 5] = [
         // mstdn.jp analogue
-        Flagship { provider: "SAKURA Internet Inc.", declares: false, categories: &[] },
+        Flagship {
+            provider: "SAKURA Internet Inc.",
+            declares: false,
+            categories: &[],
+        },
         // friends.nico analogue
-        Flagship { provider: "GMO", declares: true, categories: &[Category::Anime, Category::Games] },
+        Flagship {
+            provider: "GMO",
+            declares: true,
+            categories: &[Category::Anime, Category::Games],
+        },
         // pawoo.net analogue
-        Flagship { provider: "SAKURA Internet Inc.", declares: true, categories: &[Category::Adult, Category::Art] },
+        Flagship {
+            provider: "SAKURA Internet Inc.",
+            declares: true,
+            categories: &[Category::Adult, Category::Art],
+        },
         // mastodon.social analogue
-        Flagship { provider: "OVH", declares: false, categories: &[] },
+        Flagship {
+            provider: "OVH",
+            declares: false,
+            categories: &[],
+        },
         // mastodon.cloud analogue
-        Flagship { provider: "Amazon", declares: false, categories: &[] },
+        Flagship {
+            provider: "Amazon",
+            declares: false,
+            categories: &[],
+        },
     ];
     for (rank, spec) in FLAGSHIPS.iter().enumerate() {
         let Some(&idx) = perm.get(rank) else { continue };
@@ -576,8 +582,7 @@ mod tests {
         };
         assert!(prohibit_count(Activity::Spam) >= prohibit_count(Activity::PornWithoutNsfw));
         assert!(
-            prohibit_count(Activity::PornWithoutNsfw)
-                >= prohibit_count(Activity::NudityWithNsfw)
+            prohibit_count(Activity::PornWithoutNsfw) >= prohibit_count(Activity::NudityWithNsfw)
         );
     }
 

@@ -51,9 +51,7 @@ pub fn blocks(n: usize, block: usize) -> Vec<(usize, usize)> {
 /// sees the same draws, regardless of which shard visits it.
 pub fn unit_rng(stage_seed: u64, unit: u64) -> rand::rngs::StdRng {
     use rand::SeedableRng;
-    rand::rngs::StdRng::seed_from_u64(
-        stage_seed ^ (unit + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    )
+    rand::rngs::StdRng::seed_from_u64(stage_seed ^ (unit + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// 64-bit FNV-1a over a word stream (each word hashed little-endian).

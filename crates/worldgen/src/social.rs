@@ -354,7 +354,13 @@ impl SocialCursor {
     /// or the uniform Lemire pick. `(slots, members)` are the caller's
     /// [`Self::draw_tables`] for the emitting user.
     #[inline]
-    fn draw_from(&self, slots: &[&[AliasSlot]; 3], members: &[&[u32]; 3], roll: f64, r: u64) -> u32 {
+    fn draw_from(
+        &self,
+        slots: &[&[AliasSlot]; 3],
+        members: &[&[u32]; 3],
+        roll: f64,
+        r: u64,
+    ) -> u32 {
         let dom = self.draw_domain(roll);
         let uniform = (roll - self.base1[dom]) - self.base2[dom] < self.mix[dom];
         if uniform {
@@ -535,7 +541,9 @@ pub fn generate(
     let cursor = SocialCursor::new(cfg, instances, users);
     let mut edges: Vec<(UserId, UserId)> =
         Vec::with_capacity((users.len() as f64 * cfg.mean_out_degree) as usize);
-    cursor.stream(DEFAULT_BLOCK, &mut |a, b| edges.push((UserId(a), UserId(b))));
+    cursor.stream(DEFAULT_BLOCK, &mut |a, b| {
+        edges.push((UserId(a), UserId(b)))
+    });
     edges
 }
 
@@ -547,7 +555,11 @@ mod tests {
     use fediscope_model::geo::ProviderCatalog;
     use rand::rngs::StdRng;
 
-    fn build(seed: u64, n_inst: usize, n_users: usize) -> (Vec<Instance>, Vec<UserProfile>, Vec<(UserId, UserId)>) {
+    fn build(
+        seed: u64,
+        n_inst: usize,
+        n_users: usize,
+    ) -> (Vec<Instance>, Vec<UserProfile>, Vec<(UserId, UserId)>) {
         let mut cfg = WorldConfig::tiny(seed);
         cfg.n_instances = n_inst;
         cfg.n_users = n_users;
@@ -578,7 +590,10 @@ mod tests {
         let (_, _, follows) = build(4, 40, 2_000);
         for w in follows.windows(2) {
             let (a, b) = (w[0], w[1]);
-            assert!(a.0 .0 < b.0 .0 || (a.0 == b.0 && a.1 .0 < b.1 .0), "{a:?} !< {b:?}");
+            assert!(
+                a.0 .0 < b.0 .0 || (a.0 == b.0 && a.1 .0 < b.1 .0),
+                "{a:?} !< {b:?}"
+            );
         }
     }
 
@@ -640,7 +655,9 @@ mod tests {
     fn degree_distribution_is_heavy_tailed() {
         let (_, users, follows) = build(11, 40, 6_000);
         let g = to_graph(users.len(), &follows);
-        let in_degrees: Vec<f64> = (0..users.len() as u32).map(|v| g.in_degree(v) as f64).collect();
+        let in_degrees: Vec<f64> = (0..users.len() as u32)
+            .map(|v| g.in_degree(v) as f64)
+            .collect();
         let max_in = in_degrees.iter().cloned().fold(0.0, f64::max);
         let mean_in = in_degrees.iter().sum::<f64>() / in_degrees.len() as f64;
         // hubs exist: max ≫ mean

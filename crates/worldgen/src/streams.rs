@@ -64,12 +64,7 @@ pub fn rebirth_days_with_block(
     segments.into_iter().flatten().collect()
 }
 
-fn rebirth_one(
-    sch: &AvailabilitySchedule,
-    seed: u64,
-    frac: f64,
-    i: usize,
-) -> Option<Day> {
+fn rebirth_one(sch: &AvailabilitySchedule, seed: u64, frac: f64, i: usize) -> Option<Day> {
     let retired = sch.retired?;
     if retired.0 + 1 >= WINDOW_DAYS {
         return None;
@@ -80,7 +75,6 @@ fn rebirth_one(
     }
     Some(Day(rng.gen_range(retired.0 + 1..WINDOW_DAYS)))
 }
-
 
 #[cfg(test)]
 mod tests {

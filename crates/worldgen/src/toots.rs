@@ -33,7 +33,12 @@ const TOOT_STAGE: u64 = 6;
 /// the population total is unbiased. Event ticks are uniform over the
 /// horizon (the paper gives no intra-day shape; uniformity keeps the
 /// per-tick load interpretable as the mean rate).
-pub fn generate(cfg: &WorldConfig, users: &[UserProfile], horizon: u32, rate_scale: f64) -> TootArena {
+pub fn generate(
+    cfg: &WorldConfig,
+    users: &[UserProfile],
+    horizon: u32,
+    rate_scale: f64,
+) -> TootArena {
     generate_with_block(cfg, users, horizon, rate_scale, crate::shard::DEFAULT_BLOCK)
 }
 
@@ -77,7 +82,12 @@ pub fn generate_with_block(
 
 /// Tier-knob convenience: horizon and rate scale from [`ScaleTier`].
 pub fn generate_for_tier(cfg: &WorldConfig, users: &[UserProfile], tier: ScaleTier) -> TootArena {
-    generate(cfg, users, tier.fedsim_horizon_epochs(), tier.fedsim_rate_scale())
+    generate(
+        cfg,
+        users,
+        tier.fedsim_horizon_epochs(),
+        tier.fedsim_rate_scale(),
+    )
 }
 
 #[cfg(test)]

@@ -184,8 +184,7 @@ pub fn generate_with_block(
         let mut rng = unit_rng(agg_seed, i as u64);
         inst.user_count = user_count[i];
         inst.toot_count = toot_count[i];
-        inst.boosted_toots =
-            (toot_count[i] as f64 * rng.gen_range(0.05..0.25)).round() as u64;
+        inst.boosted_toots = (toot_count[i] as f64 * rng.gen_range(0.05..0.25)).round() as u64;
         // The instance's peak weekly activity: mean member propensity plus a
         // small burst factor, capped at 100%.
         inst.active_user_pct = if user_count[i] == 0 {
@@ -286,7 +285,9 @@ mod tests {
             let (t, u): (u64, u64) = instances
                 .iter()
                 .filter(|i| i.is_open() == open && i.user_count > 0)
-                .fold((0, 0), |(t, u), i| (t + i.toot_count, u + i.user_count as u64));
+                .fold((0, 0), |(t, u), i| {
+                    (t + i.toot_count, u + i.user_count as u64)
+                });
             t as f64 / u.max(1) as f64
         };
         assert!(
@@ -319,7 +320,10 @@ mod tests {
     fn tooting_fraction_near_config() {
         let (_, users) = world_pieces(19, 100, 20_000);
         let tooting = users.iter().filter(|u| u.has_tooted()).count() as f64 / 20_000.0;
-        assert!((tooting - 239.0 / 853.0).abs() < 0.03, "tooting frac {tooting}");
+        assert!(
+            (tooting - 239.0 / 853.0).abs() < 0.03,
+            "tooting frac {tooting}"
+        );
     }
 
     #[test]

@@ -67,11 +67,6 @@ fn main() {
         ring.remove(dead);
     }
     let replicas = ring.lookup(0xfeed_beef, 3);
-    println!(
-        "\nDHT index: after the failures, toot 0xfeedbeef resolves to instances {replicas:?}"
-    );
-    println!(
-        "({} instances remain on the ring)",
-        ring.instance_count()
-    );
+    println!("\nDHT index: after the failures, toot 0xfeedbeef resolves to instances {replicas:?}");
+    println!("({} instances remain on the ring)", ring.instance_count());
 }

@@ -28,7 +28,9 @@ fn pipeline_world(seed: u64) -> WorldConfig {
 #[tokio::test]
 async fn crawled_dataset_matches_direct_analysis() {
     let world = Arc::new(Generator::generate_world(pipeline_world(1001)));
-    let net = launch(world.clone(), FaultPlan::default(), 9).await.unwrap();
+    let net = launch(world.clone(), FaultPlan::default(), 9)
+        .await
+        .unwrap();
     let seeds = SeedList::for_simnet(&world, net.addr());
 
     // crawl at an epoch where the world is maximally alive
@@ -52,7 +54,9 @@ async fn crawled_dataset_matches_direct_analysis() {
 #[tokio::test]
 async fn monitoring_reconstructs_outage_structure() {
     let world = Arc::new(Generator::generate_world(pipeline_world(1002)));
-    let net = launch(world.clone(), FaultPlan::default(), 9).await.unwrap();
+    let net = launch(world.clone(), FaultPlan::default(), 9)
+        .await
+        .unwrap();
     let seeds = SeedList::for_simnet(&world, net.addr());
     let mut monitor = InstanceMonitor::new(seeds, Politeness::fast());
 
@@ -76,11 +80,8 @@ async fn monitoring_reconstructs_outage_structure() {
         // At 6-hour sampling the reconstruction can miss sub-sample blips,
         // so compare coarse downtime fractions.
         let polled: Vec<_> = series.polls.iter().collect();
-        let truth_down = polled
-            .iter()
-            .filter(|(e, _)| !truth.is_up(*e))
-            .count() as f64
-            / polled.len() as f64;
+        let truth_down =
+            polled.iter().filter(|(e, _)| !truth.is_up(*e)).count() as f64 / polled.len() as f64;
         let obs_down = series.downtime_fraction().unwrap_or(0.0);
         assert!(
             (truth_down - obs_down).abs() < 1e-9,
@@ -249,10 +250,6 @@ fn direct_analyses_pass_verdicts() {
     let world = Generator::generate_world(WorldConfig::small(42));
     let report = fediscope::core::Report::compute(&fediscope::core::Observatory::new(world), true);
     let verdicts = fediscope::core::verdicts::evaluate(&report);
-    let failures: Vec<&str> = verdicts
-        .iter()
-        .filter(|v| !v.pass)
-        .map(|v| v.id)
-        .collect();
+    let failures: Vec<&str> = verdicts.iter().filter(|v| !v.pass).map(|v| v.id).collect();
     assert!(failures.is_empty(), "failed: {failures:?}");
 }

@@ -67,18 +67,14 @@ fn subscription_availability_dominated_by_graph_survival() {
 fn federation_lcc_user_weight_matches_world_totals() {
     let o = obs();
     let weights = o.user_weights();
-    let sweep =
-        fediscope::graph::RemovalSweep::new(o.federation_graph()).with_weights(&weights);
+    let sweep = fediscope::graph::RemovalSweep::new(o.federation_graph()).with_weights(&weights);
     let pts = sweep.ranked(&[], &[0]);
     // nothing removed: the LCC weight cannot exceed the world's user count
     let total_users = o.world.users.len() as f64;
     assert!(pts[0].lcc_weight <= total_users);
     assert!(pts[0].lcc_weight_frac <= 1.0);
     // and the federation graph's node count matches the instance table
-    assert_eq!(
-        o.federation_graph().node_count(),
-        o.world.instances.len()
-    );
+    assert_eq!(o.federation_graph().node_count(), o.world.instances.len());
 }
 
 #[test]
