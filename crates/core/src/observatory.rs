@@ -1,6 +1,6 @@
 //! The observatory: a world plus lazily derived analysis artefacts.
 
-use fediscope_graph::{DiGraph, GraphBuilder};
+use fediscope_graph::DiGraph;
 use fediscope_model::schedule::OutageArena;
 use fediscope_model::world::World;
 use fediscope_replication::ContentView;
@@ -54,12 +54,11 @@ impl Observatory {
         }
     }
 
-    /// The social follower graph `G(V, E)`.
+    /// The social follower graph `G(V, E)`, counting-sorted straight from
+    /// the world's follow list (no copy of it).
     pub fn user_graph(&self) -> &DiGraph {
         self.user_graph.get_or_init(|| {
-            let mut b = GraphBuilder::new(self.world.users.len() as u32);
-            b.extend(self.world.follow_edges());
-            b.build()
+            DiGraph::from_edges(self.world.users.len() as u32, self.world.follow_edges())
         })
     }
 
@@ -69,7 +68,7 @@ impl Observatory {
         self.federation_graph.get_or_init(|| {
             DiGraph::from_edges(
                 self.world.instances.len() as u32,
-                self.content_view().federation_edges(),
+                self.content_view().federation_edges().iter().copied(),
             )
         })
     }

@@ -47,53 +47,10 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Freeze into a [`DiGraph`], deduplicating parallel edges.
-    pub fn build(mut self) -> DiGraph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let n = self.n as usize;
-        let m = self.edges.len();
-
-        // One scratch cursor vector serves both CSR fill passes instead of
-        // cloning each (n+1)-length offset array.
-        let mut cursor = vec![0u32; n];
-
-        let mut out_offsets = vec![0u32; n + 1];
-        for &(a, _) in &self.edges {
-            out_offsets[a as usize + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-        let mut out_targets = vec![0u32; m];
-        cursor.copy_from_slice(&out_offsets[..n]);
-        for &(a, b) in &self.edges {
-            out_targets[cursor[a as usize] as usize] = b;
-            cursor[a as usize] += 1;
-        }
-
-        // In-adjacency (reverse CSR).
-        let mut in_offsets = vec![0u32; n + 1];
-        for &(_, b) in &self.edges {
-            in_offsets[b as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut in_sources = vec![0u32; m];
-        cursor.copy_from_slice(&in_offsets[..n]);
-        for &(a, b) in &self.edges {
-            in_sources[cursor[b as usize] as usize] = a;
-            cursor[b as usize] += 1;
-        }
-
-        DiGraph {
-            n: self.n,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
-        }
+    /// Freeze into a [`DiGraph`], deduplicating parallel edges (by
+    /// [`DiGraph::from_edges`]'s counting sort over the buffered edges).
+    pub fn build(self) -> DiGraph {
+        DiGraph::from_edges(self.n, self.edges.iter().copied())
     }
 }
 
@@ -108,12 +65,71 @@ pub struct DiGraph {
 }
 
 impl DiGraph {
-    /// Build directly from an edge list over `0..n`.
-    pub fn from_edges(n: u32, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
-        let iter = edges.into_iter();
-        let mut b = GraphBuilder::with_capacity(n, iter.size_hint().0);
-        b.extend(iter);
-        b.build()
+    /// Build directly from an edge list over `0..n`, dropping self-loops
+    /// (the follower semantics of the study have no self-follows) and
+    /// parallel edges. Out-of-range endpoints panic.
+    ///
+    /// The out-CSR is a counting sort on the source, with no copy of the
+    /// list: one pass over `edges` counts each row, a second scatters the
+    /// targets into their rows, and each row is then sorted and
+    /// deduplicated in place. A row that is already strictly ascending, as
+    /// every row of a lexicographically sorted list is, is only checked.
+    /// The in-CSR is derived from the out-CSR. The graph equals the one a
+    /// lexicographic sort and dedup of the pairs fills in, bit for bit.
+    ///
+    /// `edges` is iterated twice, so its iterator must be `Clone`; pass a
+    /// borrowing one (`list.iter().copied()`), as cloning a
+    /// `vec::IntoIter` copies the list.
+    pub fn from_edges<I>(n: u32, edges: I) -> Self
+    where
+        I: IntoIterator<Item = (u32, u32)>,
+        I::IntoIter: Clone,
+    {
+        let edges = edges.into_iter();
+        let nodes = n as usize;
+        let mut out_offsets = vec![0u32; nodes + 1];
+        for (a, b) in edges.clone() {
+            assert!(a < n && b < n, "edge ({a},{b}) out of range");
+            out_offsets[a as usize + 1] += (a != b) as u32;
+        }
+        prefix_sum(&mut out_offsets);
+        let mut out_targets = vec![0u32; out_offsets[nodes] as usize];
+        let mut cursor = out_offsets[..nodes].to_vec();
+        for (a, b) in edges {
+            if a != b {
+                let slot = &mut cursor[a as usize];
+                out_targets[*slot as usize] = b;
+                *slot += 1;
+            }
+        }
+        drop(cursor);
+        // Sort and dedup each row, moving it down over the duplicates
+        // dropped before it (`kept <= lo`, so no write passes a read).
+        let (mut kept, mut lo) = (0, 0);
+        for end in &mut out_offsets[1..] {
+            let hi = *end as usize;
+            let row = &mut out_targets[lo..hi];
+            if row.windows(2).all(|w| w[0] < w[1]) {
+                if kept != lo {
+                    out_targets.copy_within(lo..hi, kept);
+                }
+                kept += hi - lo;
+            } else {
+                row.sort_unstable();
+                let first = kept;
+                for i in lo..hi {
+                    let t = out_targets[i];
+                    if kept == first || out_targets[kept - 1] != t {
+                        out_targets[kept] = t;
+                        kept += 1;
+                    }
+                }
+            }
+            *end = kept as u32;
+            lo = hi;
+        }
+        out_targets.truncate(kept);
+        Self::with_in_csr(n, out_offsets, out_targets)
     }
 
     /// Assemble a CSR graph from pre-sorted per-node adjacency blocks —
@@ -124,64 +140,63 @@ impl DiGraph {
     /// canonical per-user form the social cursor emits). Blocks must
     /// arrive in node order and cover `0..n` exactly.
     ///
-    /// Because [`GraphBuilder::build`] sorts edges lexicographically, its
-    /// out-CSR is exactly the concatenation of such blocks and its
-    /// in-CSR fill visits sources in ascending order — so this
-    /// constructor reproduces `build()`'s output bit-for-bit with no
-    /// global sort (differential-tested below and in the worldgen
-    /// sharding proptests).
+    /// Such blocks are exactly the rows [`Self::from_edges`] sorts and
+    /// deduplicates, so their concatenation is its out-CSR, and the
+    /// in-CSR is derived the same way: this constructor reproduces
+    /// `from_edges`'s output bit-for-bit with no sort (differential-tested
+    /// below and in the worldgen sharding proptests).
     pub fn from_sorted_blocks<'a>(
         n: u32,
         blocks: impl IntoIterator<Item = (u32, &'a [u32], &'a [u32])> + Clone,
     ) -> Self {
-        let n = n as usize;
-        let mut out_offsets = Vec::with_capacity(n + 1);
+        let m: usize = blocks.clone().into_iter().map(|(_, _, t)| t.len()).sum();
+        let mut out_offsets = Vec::with_capacity(n as usize + 1);
         out_offsets.push(0u32);
-        let mut m = 0usize;
-        for (start, offsets, targets) in blocks.clone() {
+        let mut out_targets = Vec::with_capacity(m);
+        for (start, offsets, targets) in blocks {
             assert_eq!(
                 start as usize + 1,
                 out_offsets.len(),
                 "blocks out of order or non-contiguous"
             );
             debug_assert_eq!(*offsets.last().unwrap() as usize, targets.len());
-            let base = m as u32;
+            let base = out_targets.len() as u32;
             for w in offsets.windows(2) {
                 debug_assert!(w[0] <= w[1]);
                 out_offsets.push(base + w[1]);
             }
-            m += targets.len();
-        }
-        assert_eq!(out_offsets.len(), n + 1, "blocks must cover every node");
-
-        let mut out_targets = Vec::with_capacity(m);
-        let mut in_offsets = vec![0u32; n + 1];
-        for (_, _, targets) in blocks.clone() {
-            for &t in targets {
-                debug_assert!((t as usize) < n, "target {t} out of range");
-                in_offsets[t as usize + 1] += 1;
-            }
             out_targets.extend_from_slice(targets);
         }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
+        assert_eq!(
+            out_offsets.len(),
+            n as usize + 1,
+            "blocks must cover every node"
+        );
+        Self::with_in_csr(n, out_offsets, out_targets)
+    }
+
+    /// Complete an out-CSR with ascending rows by its in-CSR. Sources are
+    /// visited in ascending order, so each in-row comes out ascending. A
+    /// target out of `0..n` panics on its count.
+    fn with_in_csr(n: u32, out_offsets: Vec<u32>, out_targets: Vec<u32>) -> Self {
+        let nodes = n as usize;
+        let mut in_offsets = vec![0u32; nodes + 1];
+        for &t in &out_targets {
+            in_offsets[t as usize + 1] += 1;
         }
-        // Sources are visited in ascending order, so each target's source
-        // list comes out ascending — the same order build()'s
-        // lexicographic edge sort produces.
-        let mut in_sources = vec![0u32; m];
-        let mut cursor: Vec<u32> = in_offsets[..n].to_vec();
-        for (start, offsets, targets) in blocks {
-            for k in 0..offsets.len() - 1 {
-                let a = start + k as u32;
-                for &t in &targets[offsets[k] as usize..offsets[k + 1] as usize] {
-                    in_sources[cursor[t as usize] as usize] = a;
-                    cursor[t as usize] += 1;
-                }
+        prefix_sum(&mut in_offsets);
+        let mut in_sources = vec![0u32; out_targets.len()];
+        let mut cursor = in_offsets[..nodes].to_vec();
+        for a in 0..nodes {
+            let row = &out_targets[out_offsets[a] as usize..out_offsets[a + 1] as usize];
+            for &t in row {
+                let slot = &mut cursor[t as usize];
+                in_sources[*slot as usize] = a as u32;
+                *slot += 1;
             }
         }
         DiGraph {
-            n: n as u32,
+            n,
             out_offsets,
             out_targets,
             in_offsets,
@@ -241,6 +256,16 @@ impl DiGraph {
     /// All node ids.
     pub fn nodes(&self) -> impl Iterator<Item = u32> {
         0..self.n
+    }
+}
+
+/// Turn per-row counts in `offsets[1..]` into row offsets. The edge
+/// count must fit the `u32` offsets.
+fn prefix_sum(offsets: &mut [u32]) {
+    for i in 1..offsets.len() {
+        offsets[i] = offsets[i]
+            .checked_add(offsets[i - 1])
+            .expect("more than u32::MAX edges");
     }
 }
 
@@ -378,7 +403,83 @@ mod prop_tests {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
+    /// Reference build: drop self-loops, sort and dedup the pairs, fill
+    /// the out-CSR in that order and the in-CSR from the pairs re-sorted
+    /// by `(target, source)`.
+    fn sort_build(n: u32, edges: &[(u32, u32)]) -> DiGraph {
+        let mut pairs: Vec<(u32, u32)> = edges.iter().copied().filter(|&(a, b)| a != b).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let offsets = |key: &dyn Fn(&(u32, u32)) -> u32| {
+            let mut offsets = vec![0u32; n as usize + 1];
+            for e in &pairs {
+                offsets[key(e) as usize + 1] += 1;
+            }
+            for i in 0..n as usize {
+                offsets[i + 1] += offsets[i];
+            }
+            offsets
+        };
+        let (out_offsets, in_offsets) = (offsets(&|e| e.0), offsets(&|e| e.1));
+        let out_targets = pairs.iter().map(|&(_, b)| b).collect();
+        let mut by_target = pairs.clone();
+        by_target.sort_unstable_by_key(|&(a, b)| (b, a));
+        DiGraph {
+            n,
+            out_offsets,
+            out_targets,
+            in_offsets,
+            in_sources: by_target.iter().map(|&(a, _)| a).collect(),
+        }
+    }
+
     proptest! {
+        /// The counting-sort build equals the sort + dedup reference on
+        /// unsorted input with duplicates, self-loops and empty rows (the
+        /// trailing nodes have none), and on the same input sorted, where
+        /// every row is only checked. `from_sorted_blocks` over the
+        /// reference's rows, cut into blocks, equals it too.
+        #[test]
+        fn counting_build_matches_sort_build(
+            edges in proptest::collection::vec((0u32..20, 0u32..20), 0..160),
+            repeats in proptest::collection::vec(any::<u32>(), 0..40),
+            extra in 0u32..4
+        ) {
+            let n = 20 + extra;
+            let mut input = edges.clone();
+            if !edges.is_empty() {
+                input.extend(repeats.iter().map(|&i| edges[i as usize % edges.len()]));
+            }
+            let reference = sort_build(n, &input);
+            prop_assert_eq!(&DiGraph::from_edges(n, input.iter().copied()), &reference);
+            let mut sorted = input.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(&DiGraph::from_edges(n, sorted.iter().copied()), &reference);
+            let mut builder = GraphBuilder::new(n);
+            builder.extend(input.iter().copied());
+            prop_assert_eq!(&builder.build(), &reference);
+            for block in [1, 3, n] {
+                let blocks: Vec<(u32, Vec<u32>, Vec<u32>)> = (0..n)
+                    .step_by(block as usize)
+                    .map(|lo| {
+                        let hi = (lo + block).min(n);
+                        let base = reference.out_offsets[lo as usize];
+                        let offsets = reference.out_offsets[lo as usize..=hi as usize]
+                            .iter()
+                            .map(|&o| o - base)
+                            .collect();
+                        let targets = (lo..hi).flat_map(|v| reference.out_neighbors(v).to_vec()).collect();
+                        (lo, offsets, targets)
+                    })
+                    .collect();
+                let g = DiGraph::from_sorted_blocks(
+                    n,
+                    blocks.iter().map(|(s, o, t)| (*s, o.as_slice(), t.as_slice())),
+                );
+                prop_assert_eq!(&g, &reference, "block {}", block);
+            }
+        }
+
         /// CSR round-trips an arbitrary edge set exactly (after dedup and
         /// self-loop removal).
         #[test]

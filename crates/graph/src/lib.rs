@@ -9,6 +9,7 @@
 //! the identity in practice).
 //!
 //! - [`DiGraph`] / [`GraphBuilder`]: CSR storage with out- and in-adjacency,
+//!   built by a counting sort on source,
 //! - [`components`]: weakly connected components via union-find, strongly
 //!   connected components via an iterative Tarjan,
 //! - [`degree`]: degree sequences and CDFs (Fig. 11),

@@ -83,20 +83,34 @@ fn shuffle_prefix<R: RngCore + ?Sized>(a: &mut [u32], k: usize, rng: &mut R) {
     }
 }
 
-/// Drop the dead ids from `ids`, keeping their order. Every id is written
-/// and the write index advances by `alive[v]`, so there is no branch to
-/// mispredict on a random mask.
-fn retain_alive(ids: &mut Vec<u32>, alive: &[bool]) {
+/// Drop the dead ids from `ids`, keeping their order, and copy the kept
+/// ids into `copy`, the next round's shuffle buffer (at least as long as
+/// `ids`). Every id is written and the write index advances by
+/// `alive[v]`, so there is no branch to mispredict on a random mask.
+fn retain_alive(ids: &mut Vec<u32>, alive: &[bool], copy: &mut Vec<u32>) {
     let mut kept = 0;
     for i in 0..ids.len() {
         let v = ids[i];
         ids[kept] = v;
+        copy[kept] = v;
         kept += alive[v as usize] as usize;
     }
     ids.truncate(kept);
+    copy.truncate(kept);
 }
 
+/// Nodes removed in a round of `frac` of `alive` survivors: at least one,
+/// at most all.
+fn round_size(alive: usize, frac: f64) -> usize {
+    ((alive as f64 * frac).round() as usize).max(1).min(alive)
+}
+
+/// `deg` entry of a removed node in the degree attack. Real degrees are
+/// at most `2·(n − 1)`, and `n` fits an `i32`.
+const GONE: u32 = u32::MAX;
+
 /// The reverse pass's sets, with the running metrics its merges move.
+/// A removed node is `kill`ed in the union-find itself.
 struct Rejoin {
     uf: WeightedUnionFind,
     merges: usize,
@@ -105,11 +119,12 @@ struct Rejoin {
 }
 
 impl Rejoin {
-    /// Merge every alive node of `nbrs` into the set rooted at `root`, one
-    /// `find` per neighbour, and return the root of the result.
-    fn absorb(&mut self, alive: &[bool], mut root: u32, nbrs: &[u32]) -> u32 {
+    /// Merge every live node of `nbrs` into the set rooted at `root`, one
+    /// `find` per neighbour, and return the root of the result. The
+    /// liveness check reads the cell that `find` reads next.
+    fn absorb(&mut self, mut root: u32, nbrs: &[u32]) -> u32 {
         for &w in nbrs {
-            if alive[w as usize] {
+            if self.uf.is_live(w) {
                 if let Some((r, size, weight)) = self.uf.union(root, w) {
                     root = r;
                     self.merges += 1;
@@ -230,16 +245,10 @@ impl<'g> RemovalSweep<'g> {
     ///
     /// The engine is incremental and two-phase:
     ///
-    /// 1. **Victim selection.** [`RankBy::DegreeIterative`] maintains
-    ///    survivor degrees by decrementing the CSR neighbours of each
-    ///    removed node (`O(k·d̄)` per round instead of an `O(E)` edge
-    ///    rescan) and picks the top-`k` with `select_nth_unstable`
-    ///    (`O(survivors)` instead of a full sort). [`RankBy::Random`] reads
-    ///    no degrees, so it keeps none: it draws a full Fisher–Yates over
-    ///    the survivor list but stores only what the kept `k`-prefix needs
-    ///    (`shuffle_prefix`). The selection never depends on component
-    ///    metrics, so the whole removal schedule is known before anything
-    ///    is evaluated.
+    /// 1. **Victim selection** (`Self::degree_schedule`,
+    ///    `Self::random_schedule`). The selection never depends on
+    ///    component metrics, so the whole removal schedule is known before
+    ///    anything is evaluated.
     /// 2. **Evaluation**: all rounds — weighted or not — are evaluated in
     ///    one serial reverse union-find pass costing `O((E+N)·α)` *total*,
     ///    at two `find`s per merge; the per-root weight accumulators ride
@@ -253,103 +262,132 @@ impl<'g> RemovalSweep<'g> {
     /// the same weight multisets (exactly the same bits whenever weights
     /// are integer-valued, as all the paper's user/toot counts are — the
     /// reverse pass merges accumulators in union order rather than node
-    /// order, which is invisible below 2^53). The differential property
-    /// tests below pin equality in all configurations.
+    /// order, which is invisible below 2^53). Victims within a round may
+    /// come in any order: the pass evaluates only at round boundaries. The
+    /// differential property tests below pin equality in all
+    /// configurations.
     pub fn iterative_fraction(&self, frac: f64, steps: usize, rank: RankBy) -> Vec<SweepPoint> {
         assert!((0.0..=1.0).contains(&frac), "frac out of range");
-        let n = self.g.node_count();
-        let mut alive = vec![true; n];
-        let mut alive_count = n;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(match rank {
-            RankBy::Random { seed } => seed,
-            RankBy::DegreeIterative => 0,
-        });
-
-        // ---- phase 1: removal schedule via incremental degrees ----------
-        // With every node alive, per-node total degree equals the edge-scan
-        // count the naive implementation starts from. Random ranking never
-        // reads degrees, so it skips their upkeep entirely.
-        let by_degree = rank == RankBy::DegreeIterative;
-        let mut deg: Vec<u32> = if by_degree {
-            (0..n as u32).map(|v| self.g.degree(v)).collect()
-        } else {
-            Vec::new()
+        let (order, boundaries) = match rank {
+            RankBy::DegreeIterative => self.degree_schedule(frac, steps),
+            RankBy::Random { seed } => self.random_schedule(frac, steps, seed),
         };
-        // Survivor ids, ascending, maintained incrementally: compacting
-        // them after each round keeps exactly the nodes an `(0..n).filter`
-        // rescan would produce (same order, same content), but costs
-        // `O(survivors)` instead of `O(N)` per round.
+        self.reverse_sweep(&order, &boundaries, None)
+    }
+
+    /// The attack's removal schedule: the concatenated victims of every
+    /// round, and the cumulative removal count after round `r` at
+    /// `boundaries[r]` (`boundaries[0] = 0` is the intact baseline).
+    ///
+    /// Survivor degrees are decremented through the CSR neighbours of each
+    /// victim (`O(k·d̄)` per round instead of an `O(E)` edge rescan), and a
+    /// histogram of them rides alongside: `hist[d]` survivors have degree
+    /// `d`. A round walks the histogram down from the top to the threshold
+    /// `t` with `#{deg > t} < k <= #{deg >= t}`, then makes one ascending
+    /// pass over the survivors that takes every node above `t` and the
+    /// first `k − #{deg > t}` at `t`, compacting the rest in the same pass.
+    /// Ties at `t` thus go to the lowest ids, so each round's victim set is
+    /// the `(degree desc, id asc)` top-`k` the naive sort picks. The walks
+    /// cost `O(max degree + steps)` in all, since no survivor stays above a
+    /// round's threshold.
+    fn degree_schedule(&self, frac: f64, steps: usize) -> (Vec<u32>, Vec<usize>) {
+        let n = self.g.node_count();
+        // With every node alive, total degree equals the edge-scan count
+        // the naive implementation starts from.
+        let mut deg: Vec<u32> = (0..n as u32).map(|v| self.g.degree(v)).collect();
+        let mut top = deg.iter().copied().max().unwrap_or(0) as usize;
+        let mut hist = vec![0usize; top + 1];
+        for &d in &deg {
+            hist[d as usize] += 1;
+        }
+        // Survivor ids, ascending, compacted in each round's pass.
         let mut survivors: Vec<u32> = (0..n as u32).collect();
-        // Reused candidate buffer: cleared, never shrunk.
-        let mut cands: Vec<u32> = Vec::with_capacity(n);
-        // Concatenated victims of every round, plus the cumulative removal
-        // count after round r at boundaries[r] (boundaries[0] = 0 is the
-        // intact baseline).
         let mut order: Vec<u32> = Vec::new();
         let mut boundaries: Vec<usize> = Vec::with_capacity(steps + 1);
         boundaries.push(0);
 
         for _ in 0..steps {
-            if alive_count == 0 {
+            if survivors.is_empty() {
                 break;
             }
-            let k = ((alive_count as f64 * frac).round() as usize)
-                .max(1)
-                .min(alive_count);
-            cands.clear();
-            cands.extend_from_slice(&survivors);
-            match rank {
-                RankBy::DegreeIterative => {
-                    // Partition so cands[..k] holds the k highest-degree
-                    // survivors (ties broken by ascending id). The selected
-                    // *set* equals the full-sort-then-truncate set because
-                    // the comparator is a total order, which is all the
-                    // evaluation can observe.
-                    if k < cands.len() {
-                        cands.select_nth_unstable_by(k - 1, |&a, &b| {
-                            deg[b as usize].cmp(&deg[a as usize]).then(a.cmp(&b))
-                        });
-                        cands.truncate(k);
-                    }
-                }
-                RankBy::Random { .. } => {
-                    // Every draw of a full shuffle, so the RNG stream
-                    // matches the naive implementation's.
-                    shuffle_prefix(&mut cands, k, &mut rng);
-                    cands.truncate(k);
+            let k = round_size(survivors.len(), frac);
+            while hist[top] == 0 {
+                top -= 1;
+            }
+            let (mut t, mut above) = (top, 0);
+            while above + hist[t] < k {
+                above += hist[t];
+                t -= 1;
+            }
+            let (t, mut ties) = (t as u32, k - above);
+            let first = order.len();
+            let mut kept = 0;
+            for i in 0..survivors.len() {
+                let v = survivors[i];
+                let d = deg[v as usize];
+                if d > t || (d == t && ties > 0) {
+                    ties -= (d == t) as usize;
+                    hist[d as usize] -= 1;
+                    deg[v as usize] = GONE;
+                    order.push(v);
+                } else {
+                    survivors[kept] = v;
+                    kept += 1;
                 }
             }
-            for &v in &cands {
-                alive[v as usize] = false;
-            }
-            // Decrement surviving neighbours once per incident edge. Edges
-            // between two victims touch no survivor and are skipped by the
-            // alive check, matching the naive both-endpoints-alive count.
-            if by_degree {
-                for &v in &cands {
-                    for &w in self.g.out_neighbors(v) {
-                        if alive[w as usize] {
-                            deg[w as usize] -= 1;
-                        }
-                    }
-                    for &w in self.g.in_neighbors(v) {
-                        if alive[w as usize] {
-                            deg[w as usize] -= 1;
+            survivors.truncate(kept);
+            // Decrement surviving neighbours once per incident edge. Every
+            // victim is already `GONE`, so edges between two victims touch
+            // no survivor, matching the naive both-endpoints-alive count.
+            for &v in &order[first..] {
+                for nbrs in [self.g.out_neighbors(v), self.g.in_neighbors(v)] {
+                    for &w in nbrs {
+                        let d = deg[w as usize];
+                        if d != GONE {
+                            hist[d as usize] -= 1;
+                            hist[d as usize - 1] += 1;
+                            deg[w as usize] = d - 1;
                         }
                     }
                 }
             }
-            alive_count -= k;
-            retain_alive(&mut survivors, &alive);
-            order.extend_from_slice(&cands);
             boundaries.push(order.len());
         }
+        (order, boundaries)
+    }
 
-        // ---- phase 2: evaluate every round ------------------------------
-        // One near-linear reverse union-find pass over all boundaries; the
-        // weighted metrics ride along in per-root accumulators and SCC
-        // counts (when enabled) fan out across threads.
-        self.reverse_sweep(&order, &boundaries, None)
+    /// The random baseline's removal schedule, shaped as
+    /// `Self::degree_schedule`'s. It reads no degrees, so it keeps none: each
+    /// round draws a full Fisher–Yates over the survivor list, so the RNG
+    /// stream matches the naive implementation's, but stores only what the
+    /// kept `k`-prefix needs (`shuffle_prefix`). The survivors stay
+    /// ascending: compacting them after each round keeps exactly the nodes
+    /// an `(0..n).filter` rescan would produce, at `O(survivors)` per round,
+    /// and refills the shuffle buffer in the same pass.
+    fn random_schedule(&self, frac: f64, steps: usize, seed: u64) -> (Vec<u32>, Vec<usize>) {
+        let n = self.g.node_count();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut alive = vec![true; n];
+        let mut survivors: Vec<u32> = (0..n as u32).collect();
+        let mut cands = survivors.clone();
+        let mut order: Vec<u32> = Vec::new();
+        let mut boundaries: Vec<usize> = Vec::with_capacity(steps + 1);
+        boundaries.push(0);
+
+        for _ in 0..steps {
+            if survivors.is_empty() {
+                break;
+            }
+            let k = round_size(survivors.len(), frac);
+            shuffle_prefix(&mut cands, k, &mut rng);
+            for &v in &cands[..k] {
+                alive[v as usize] = false;
+            }
+            order.extend_from_slice(&cands[..k]);
+            retain_alive(&mut survivors, &alive, &mut cands);
+            boundaries.push(order.len());
+        }
+        (order, boundaries)
     }
 
     /// Reference implementation of [`Self::iterative_fraction`]: rescans
@@ -475,16 +513,25 @@ impl<'g> RemovalSweep<'g> {
             Vec::new()
         };
 
+        let mut sets = Rejoin {
+            uf: match self.weights {
+                Some(w) => WeightedUnionFind::new(w),
+                None => WeightedUnionFind::unweighted(n),
+            },
+            merges: 0,
+            max_size: 0,
+            max_weight: 0.0,
+        };
         // Start fully removed at max boundary, then add nodes back. A
         // repeated id stays removed from its first occurrence, as direct
         // masking of each prefix has it, so it re-enters only there: the
         // dead count falls short of `max_removed` exactly when ids repeat.
-        let mut alive = vec![true; n];
         let mut alive_count = n;
         for &v in &order[..max_removed] {
-            alive_count -= alive[v as usize] as usize;
-            alive[v as usize] = false;
+            alive_count -= sets.uf.is_live(v) as usize;
+            sets.uf.kill(v);
         }
+        sets.max_size = (alive_count > 0) as u32;
         let first_occurrence: Vec<bool> = if alive_count + max_removed == n {
             Vec::new()
         } else {
@@ -494,26 +541,16 @@ impl<'g> RemovalSweep<'g> {
                 .map(|&v| !std::mem::replace(&mut seen[v as usize], true))
                 .collect()
         };
-
-        let mut sets = Rejoin {
-            uf: match self.weights {
-                Some(w) => WeightedUnionFind::new(w),
-                None => WeightedUnionFind::unweighted(n),
-            },
-            merges: 0,
-            max_size: if alive_count > 0 { 1 } else { 0 },
-            max_weight: 0.0,
-        };
         // A singleton's weight is its node's own; merged sets report theirs
         // as they form.
         let own_weight = |v: u32| self.weights.map_or(0.0, |w| w[v as usize]);
 
         // Edges among initially-alive nodes: each alive source's out-list.
         for a in 0..n as u32 {
-            if alive[a as usize] {
+            if sets.uf.is_live(a) {
                 sets.max_weight = sets.max_weight.max(own_weight(a));
                 let root = sets.uf.find(a);
-                sets.absorb(&alive, root, self.g.out_neighbors(a));
+                sets.absorb(root, self.g.out_neighbors(a));
             }
         }
 
@@ -528,13 +565,13 @@ impl<'g> RemovalSweep<'g> {
                     continue;
                 }
                 let v = order[cursor];
-                alive[v as usize] = true;
+                sets.uf.revive(v);
                 alive_count += 1;
                 sets.max_size = sets.max_size.max(1);
                 sets.max_weight = sets.max_weight.max(own_weight(v));
                 // `v` re-enters as a singleton root.
-                let root = sets.absorb(&alive, v, self.g.out_neighbors(v));
-                sets.absorb(&alive, root, self.g.in_neighbors(v));
+                let root = sets.absorb(v, self.g.out_neighbors(v));
+                sets.absorb(root, self.g.in_neighbors(v));
             }
             let lcc_nodes = if alive_count == 0 { 0 } else { sets.max_size };
             results.push(SweepPoint {
@@ -830,7 +867,91 @@ mod prop_tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Tie-heavy graphs for the attack's histogram selection: `copies`
+    /// disjoint `size`-cliques (both directions), directed `size`-rings,
+    /// stars of `size` leaves, or `copies` hubs that all follow the same
+    /// `size` leaves (hubs of equal degree), plus `isolated` degree-0
+    /// nodes. Ids are scrambled by `perm_seed`, so tied nodes spread over
+    /// the id range and the tie-break decides which of them go.
+    fn tie_heavy(shape: usize, size: u32, copies: u32, isolated: u32, perm_seed: u64) -> DiGraph {
+        let mut edges = Vec::new();
+        let mut n = 0;
+        match shape {
+            0 => {
+                for _ in 0..copies {
+                    for a in 0..size {
+                        edges.extend((0..size).map(|b| (n + a, n + b)));
+                    }
+                    n += size;
+                }
+            }
+            1 => {
+                for _ in 0..copies {
+                    edges.extend((0..size).map(|a| (n + a, n + (a + 1) % size)));
+                    n += size;
+                }
+            }
+            2 => {
+                for _ in 0..copies {
+                    edges.extend((1..=size).map(|leaf| (n, n + leaf)));
+                    n += size + 1;
+                }
+            }
+            _ => {
+                for hub in 0..copies {
+                    edges.extend((0..size).map(|leaf| (hub, copies + leaf)));
+                }
+                n = copies + size;
+            }
+        }
+        n += isolated;
+        let mut perm: Vec<u32> = (0..n).collect();
+        let mut s = perm_seed;
+        for i in (1..perm.len()).rev() {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            perm.swap(i, (s >> 33) as usize % (i + 1));
+        }
+        DiGraph::from_edges(
+            n,
+            edges
+                .iter()
+                .map(|&(a, b)| (perm[a as usize], perm[b as usize])),
+        )
+    }
+
     proptest! {
+        /// The histogram selection picks the naive `(degree desc, id asc)`
+        /// top-k on graphs where most nodes tie, at small and large round
+        /// fractions. Weights that vary by id make a wrong tie-break
+        /// visible even where the graph is symmetric.
+        #[test]
+        fn degree_attack_ties_match_naive(
+            size in 1u32..9,
+            copies in 1u32..7,
+            isolated in 0u32..4,
+            perm_seed in any::<u64>()
+        ) {
+            for shape in 0..4 {
+                let g = tie_heavy(shape, size, copies, isolated, perm_seed);
+                let weights: Vec<f64> =
+                    (0..g.node_count()).map(|i| ((i * 7) % 11) as f64).collect();
+                for frac in [0.01, 0.1, 0.34, 1.0] {
+                    for scc in [false, true] {
+                        let plain = RemovalSweep::new(&g).with_scc(scc);
+                        let weighted = RemovalSweep::new(&g).with_scc(scc).with_weights(&weights);
+                        for sweep in [&plain, &weighted] {
+                            let fast = sweep.iterative_fraction(frac, 6, RankBy::DegreeIterative);
+                            let slow =
+                                sweep.iterative_fraction_naive(frac, 6, RankBy::DegreeIterative);
+                            prop_assert_eq!(&fast, &slow, "shape {} frac {} scc {}", shape, frac, scc);
+                        }
+                    }
+                }
+            }
+        }
+
         /// The fast reverse sweep agrees with direct per-checkpoint masking
         /// (weights exactly: they are integers, so summation order is
         /// unobservable).

@@ -14,11 +14,24 @@
 //! The merge path is `#[inline]`: the sweeps call it once per edge from
 //! another module, and without the hint it compiled to an outlined call
 //! returning its tuple through memory.
+//!
+//! **Liveness.** The reverse removal sweeps mark a removed node in the
+//! same cell: `WeightedUnionFind::kill` stores the `DEAD` sentinel there,
+//! `revive` puts the node back as a singleton root, and `is_live` reads
+//! the cell that the following `find` reads, so the liveness check costs
+//! no second load. These methods are crate-private: only a node no merge
+//! has touched may be killed, which the sweeps guarantee by killing before
+//! any union.
+
+/// Cell of a removed node: `i32::MIN` is below every negated size (sizes
+/// are at most `i32::MAX`) and is never a parent.
+const DEAD: i32 = i32::MIN;
 
 /// Union-find over `0..n`.
 #[derive(Debug, Clone, Default)]
 pub struct UnionFind {
-    /// Parent of each node, or `-size` at a root.
+    /// Parent of each node, `-size` at a root, or `DEAD` for a removed
+    /// node.
     link: Vec<i32>,
 }
 
@@ -144,6 +157,30 @@ impl WeightedUnionFind {
         };
         Some((root, size, weight))
     }
+
+    /// Mark `x` removed. `x` must be a singleton: live and never merged,
+    /// or already dead.
+    #[inline]
+    pub(crate) fn kill(&mut self, x: u32) {
+        let cell = &mut self.uf.link[x as usize];
+        debug_assert!(*cell == -1 || *cell == DEAD, "killed a merged node");
+        *cell = DEAD;
+    }
+
+    /// Bring removed `x` back as a singleton root. Its weight is its own,
+    /// as a killed node was never merged.
+    #[inline]
+    pub(crate) fn revive(&mut self, x: u32) {
+        let cell = &mut self.uf.link[x as usize];
+        debug_assert_eq!(*cell, DEAD, "revived a live node");
+        *cell = -1;
+    }
+
+    /// Whether `x` is live (never killed, or revived since).
+    #[inline]
+    pub(crate) fn is_live(&self, x: u32) -> bool {
+        self.uf.link[x as usize] != DEAD
+    }
 }
 
 #[cfg(test)]
@@ -233,7 +270,91 @@ mod prop_tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Component label of every live node under the applied merges (a
+    /// label is the smallest id in the component), by repeated relaxation.
+    fn naive_labels(live: &[bool], merges: &[(u32, u32)]) -> Vec<u32> {
+        let mut label: Vec<u32> = (0..live.len() as u32).collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &(a, b) in merges {
+                let low = label[a as usize].min(label[b as usize]);
+                for x in [a, b] {
+                    if label[x as usize] != low {
+                        label[x as usize] = low;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        label
+    }
+
     proptest! {
+        /// `kill`, `revive` and `union` interleaved as the reverse sweep
+        /// uses them (a node is killed only while a singleton, merged only
+        /// while live) keep liveness, set membership, and every size and
+        /// weight a merge returns equal to a naive recount over the live
+        /// nodes and the merges applied so far.
+        #[test]
+        fn kill_revive_union_match_recount(
+            ops in proptest::collection::vec((0u32..3, 0u32..24, 0u32..24), 0..160),
+            raw in proptest::collection::vec(0u32..1000, 24)
+        ) {
+            let n = 24;
+            let weights: Vec<f64> = raw.iter().map(|&w| w as f64).collect();
+            let mut uf = WeightedUnionFind::new(&weights);
+            let mut live = vec![true; n];
+            let mut merges: Vec<(u32, u32)> = Vec::new();
+            for &(op, a, b) in &ops {
+                let label = naive_labels(&live, &merges);
+                let singleton = label.iter().filter(|&&l| l == label[a as usize]).count() == 1;
+                match op {
+                    0 if singleton => {
+                        uf.kill(a);
+                        live[a as usize] = false;
+                    }
+                    1 if !live[a as usize] => {
+                        uf.revive(a);
+                        live[a as usize] = true;
+                    }
+                    2 if live[a as usize] && live[b as usize] => {
+                        let joined = label[a as usize] != label[b as usize];
+                        let got = uf.union(a, b);
+                        prop_assert_eq!(got.is_some(), joined);
+                        merges.push((a, b));
+                        if let Some((root, size, weight)) = got {
+                            let label = naive_labels(&live, &merges);
+                            let set: Vec<u32> = (0..n as u32)
+                                .filter(|&y| label[y as usize] == label[a as usize])
+                                .collect();
+                            prop_assert_eq!(size as usize, set.len());
+                            let sum: f64 = set.iter().map(|&y| weights[y as usize]).sum();
+                            prop_assert_eq!(weight, sum);
+                            prop_assert_eq!(uf.find(a), root);
+                        }
+                    }
+                    _ => {}
+                }
+                // Liveness, and one root per naive component among the
+                // live nodes.
+                let label = naive_labels(&live, &merges);
+                let mut root_of_label = vec![u32::MAX; n];
+                let mut label_of_root = vec![u32::MAX; n];
+                for x in 0..n as u32 {
+                    prop_assert_eq!(uf.is_live(x), live[x as usize], "node {}", x);
+                    if !live[x as usize] {
+                        continue;
+                    }
+                    let (r, l) = (uf.find(x), label[x as usize]);
+                    prop_assert!(root_of_label[l as usize] == u32::MAX || root_of_label[l as usize] == r);
+                    prop_assert!(label_of_root[r as usize] == u32::MAX || label_of_root[r as usize] == l);
+                    root_of_label[l as usize] = r;
+                    label_of_root[r as usize] = l;
+                }
+            }
+        }
+
         /// roots + merges == n, find is idempotent, and the size `union`
         /// returns equals a recount of the merged set.
         #[test]
