@@ -55,8 +55,9 @@ pub fn bench_observatory(seed: u64) -> Observatory {
 /// Build a config's follower graph straight into CSR form: the social
 /// cursor's sharded segments (no intermediate edge list, no
 /// availability/growth/Twitter stages) feed
-/// [`DiGraph::from_sorted_blocks`], which skips `GraphBuilder`'s global
-/// edge sort — the cheapest way to stand up a million-user graph.
+/// [`DiGraph::from_sorted_blocks`], which needs no edge list to count
+/// and no row to check — the cheapest way to stand up a million-user
+/// graph.
 pub fn streamed_user_graph(cfg: &WorldConfig) -> DiGraph {
     let cursor = Generator::social_cursor(cfg);
     let n = cursor.n_users() as u32;
