@@ -1,59 +1,5 @@
 //! Compressed sparse-row directed graph.
 
-/// Incrementally collects edges, then freezes them into a [`DiGraph`].
-#[derive(Debug, Clone, Default)]
-pub struct GraphBuilder {
-    n: u32,
-    edges: Vec<(u32, u32)>,
-}
-
-impl GraphBuilder {
-    /// Builder for a graph with `n` nodes (`0..n`).
-    pub fn new(n: u32) -> Self {
-        Self {
-            n,
-            edges: Vec::new(),
-        }
-    }
-
-    /// Builder with room for `edges` edges pre-reserved, avoiding
-    /// reallocation churn during bulk loads.
-    pub fn with_capacity(n: u32, edges: usize) -> Self {
-        Self {
-            n,
-            edges: Vec::with_capacity(edges),
-        }
-    }
-
-    /// Add a directed edge `a → b`. Self-loops are ignored (the follower
-    /// semantics of the study have no self-follows). Out-of-range endpoints
-    /// panic.
-    pub fn add_edge(&mut self, a: u32, b: u32) {
-        assert!(a < self.n && b < self.n, "edge ({a},{b}) out of range");
-        if a != b {
-            self.edges.push((a, b));
-        }
-    }
-
-    /// Bulk-add edges.
-    pub fn extend<I: IntoIterator<Item = (u32, u32)>>(&mut self, iter: I) {
-        for (a, b) in iter {
-            self.add_edge(a, b);
-        }
-    }
-
-    /// Number of edges buffered so far (before dedup).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Freeze into a [`DiGraph`], deduplicating parallel edges (by
-    /// [`DiGraph::from_edges`]'s counting sort over the buffered edges).
-    pub fn build(self) -> DiGraph {
-        DiGraph::from_edges(self.n, self.edges.iter().copied())
-    }
-}
-
 /// An immutable directed graph in CSR form with both directions indexed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiGraph {
@@ -392,8 +338,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 5);
+        DiGraph::from_edges(2, [(0, 5)]);
     }
 }
 
@@ -455,9 +400,6 @@ mod prop_tests {
             let mut sorted = input.clone();
             sorted.sort_unstable();
             prop_assert_eq!(&DiGraph::from_edges(n, sorted.iter().copied()), &reference);
-            let mut builder = GraphBuilder::new(n);
-            builder.extend(input.iter().copied());
-            prop_assert_eq!(&builder.build(), &reference);
             for block in [1, 3, n] {
                 let blocks: Vec<(u32, Vec<u32>, Vec<u32>)> = (0..n)
                     .step_by(block as usize)

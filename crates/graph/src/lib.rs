@@ -8,8 +8,8 @@
 //! `InstanceId` ↔ node mappings (they are dense already, so the mapping is
 //! the identity in practice).
 //!
-//! - [`DiGraph`] / [`GraphBuilder`]: CSR storage with out- and in-adjacency,
-//!   built by a counting sort on source,
+//! - [`DiGraph`]: CSR storage with out- and in-adjacency, built by a
+//!   counting sort on source,
 //! - [`components`]: weakly connected components via union-find, strongly
 //!   connected components via an iterative Tarjan,
 //! - [`degree`]: degree sequences and CDFs (Fig. 11),
@@ -36,6 +36,6 @@ pub mod unionfind;
 pub use components::{
     strongly_connected, weakly_connected, ComponentInfo, ComponentScratch, WccSummary,
 };
-pub use digraph::{DiGraph, GraphBuilder};
+pub use digraph::DiGraph;
 pub use removal::{RemovalSweep, SweepPoint};
 pub use unionfind::{UnionFind, WeightedUnionFind};

@@ -1072,52 +1072,46 @@ mod prop_tests {
             }
         }
 
-        /// Incrementally maintained survivor degrees agree with a full
-        /// recount after every round of removals.
+        /// Every round of the attack's schedule (`degree_schedule`, with
+        /// its incremental degrees and histogram) removes the `(degree
+        /// desc, id asc)` top-k of a full degree recount over the
+        /// survivors, with `k` from the survivor count, until the rounds or
+        /// the nodes run out.
         #[test]
         fn incremental_degrees_match_recount(
             edges in proptest::collection::vec((0u32..20, 0u32..20), 0..120),
-            kill_seed in 0u64..1000
+            frac in 0.0f64..0.4
         ) {
-            let n = 20u32;
-            let g = DiGraph::from_edges(n, edges);
-            let mut alive = vec![true; n as usize];
-            let mut deg: Vec<u32> = (0..n).map(|v| g.degree(v)).collect();
-            let mut s = kill_seed;
-            for _round in 0..6 {
-                // pick ~3 pseudo-random victims among survivors
-                let survivors: Vec<u32> =
-                    (0..n).filter(|&v| alive[v as usize]).collect();
-                if survivors.is_empty() { break; }
-                let mut victims = Vec::new();
-                for _ in 0..3usize.min(survivors.len()) {
-                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    let v = survivors[(s >> 33) as usize % survivors.len()];
-                    if !victims.contains(&v) { victims.push(v); }
-                }
-                for &v in &victims { alive[v as usize] = false; }
-                for &v in &victims {
-                    for &w in g.out_neighbors(v) {
-                        if alive[w as usize] { deg[w as usize] -= 1; }
-                    }
-                    for &w in g.in_neighbors(v) {
-                        if alive[w as usize] { deg[w as usize] -= 1; }
-                    }
-                }
-                // recount from scratch, the way the naive sweep does
-                let mut expect = vec![0u32; n as usize];
+            let n = 20usize;
+            let g = DiGraph::from_edges(n as u32, edges);
+            let steps = 8;
+            let (order, boundaries) = RemovalSweep::new(&g).degree_schedule(frac, steps);
+            prop_assert_eq!(boundaries[0], 0);
+            prop_assert_eq!(*boundaries.last().unwrap(), order.len());
+            let mut alive = vec![true; n];
+            let mut survivors = n;
+            for (round, w) in boundaries.windows(2).enumerate() {
+                let mut deg = vec![0u32; n];
                 for (a, b) in g.edges() {
                     if alive[a as usize] && alive[b as usize] {
-                        expect[a as usize] += 1;
-                        expect[b as usize] += 1;
+                        deg[a as usize] += 1;
+                        deg[b as usize] += 1;
                     }
                 }
-                for v in 0..n as usize {
-                    if alive[v] {
-                        prop_assert_eq!(deg[v], expect[v], "node {}", v);
-                    }
+                let mut want: Vec<u32> = (0..n as u32).filter(|&v| alive[v as usize]).collect();
+                want.sort_by_key(|&v| (std::cmp::Reverse(deg[v as usize]), v));
+                want.truncate(round_size(survivors, frac));
+                want.sort_unstable();
+                let mut got = order[w[0]..w[1]].to_vec();
+                got.sort_unstable();
+                prop_assert_eq!(&got, &want, "round {}", round);
+                for &v in &got {
+                    alive[v as usize] = false;
                 }
+                survivors -= got.len();
             }
+            let rounds = boundaries.len() - 1;
+            prop_assert!(rounds == steps || (rounds < steps && survivors == 0));
         }
 
         /// LCC never grows as more nodes are removed along a fixed order.

@@ -36,9 +36,11 @@
 //! the next phase's instance; within a group events keep the order the
 //! previous phase emitted them in. `shard_map` splits an active list
 //! into `shards` contiguous runs, so one code path serves every shard
-//! count. `engine/dense.rs` (test build only) holds the dense reference
-//! tick — every instance, every phase — that a differential proptest
-//! compares this loop against after every tick.
+//! count; each run pushes its attempts, outcomes or held ids into one
+//! list, and the lists join in run order. `engine/dense.rs` (test build
+//! only) holds the dense reference tick — every instance, every phase —
+//! that a differential proptest compares this loop against after every
+//! tick.
 
 use std::ops::Range;
 
@@ -58,22 +60,34 @@ use super::FedSimConfig;
 #[cfg(test)]
 mod dense;
 
-/// Run `f(k, id, state)` for the `k`-th id of the strictly ascending list
-/// `ids`, split into `shards` contiguous runs: the first run on the
-/// calling thread, the others on scoped threads. Each run owns the slice
-/// of `states` from its first id up to the next run's first id, so runs
-/// never share a state, and results come back in `ids` order at any shard
-/// count.
-fn shard_map<S, R, F>(shards: usize, ids: &[u32], states: &mut [S], f: F) -> Vec<R>
+/// Run `f(k, id, state, out)` for the `k`-th id of the strictly ascending
+/// list `ids`, split into `shards` contiguous runs: one run on the calling
+/// thread, the others on scoped threads. Each run owns the slice of
+/// `states` from its first id up to the next run's first id, so runs never
+/// share a state, and each run has one emit list `out` that `f` may push
+/// any number of items to. Returns `f`'s results and the runs' emit lists
+/// concatenated, both in `ids` order at any shard count.
+fn shard_map<S, R, E, F>(shards: usize, ids: &[u32], states: &mut [S], f: F) -> (Vec<R>, Vec<E>)
 where
     S: Send,
     R: Send,
-    F: Fn(usize, u32, &mut S) -> R + Sync,
+    E: Send,
+    F: Fn(usize, u32, &mut S, &mut Vec<E>) -> R + Sync,
 {
     let Some(&first) = ids.first() else {
-        return Vec::new();
+        return (Vec::new(), Vec::new());
+    };
+    let work = |k0: usize, run: &[u32], lo: usize, owned: &mut [S]| {
+        let (mut results, mut out) = (Vec::with_capacity(run.len()), Vec::new());
+        for (k, &id) in run.iter().enumerate() {
+            results.push(f(k0 + k, id, &mut owned[id as usize - lo], &mut out));
+        }
+        (results, out)
     };
     let per_run = ids.len().div_ceil(shards.max(1));
+    if per_run == ids.len() {
+        return work(0, ids, 0, states);
+    }
     let mut runs = Vec::with_capacity(ids.len().div_ceil(per_run));
     let mut rest = &mut states[first as usize..];
     let mut lo = first as usize;
@@ -86,23 +100,20 @@ where
         rest = tail;
         lo = hi;
     }
-    let work = |(k0, run, lo, owned): (usize, &[u32], usize, &mut [S])| -> Vec<R> {
-        let mut out = Vec::with_capacity(run.len());
-        for (k, &id) in run.iter().enumerate() {
-            out.push(f(k0 + k, id, &mut owned[id as usize - lo]));
-        }
-        out
-    };
     std::thread::scope(|scope| {
         let work = &work;
         let mut runs = runs.into_iter();
-        let head = runs.next().expect("ids is not empty");
-        let handles: Vec<_> = runs.map(|run| scope.spawn(move || work(run))).collect();
-        let mut out = work(head);
+        let (k0, run, lo, owned) = runs.next().expect("ids is not empty");
+        let handles: Vec<_> = runs
+            .map(|(k0, run, lo, owned)| scope.spawn(move || work(k0, run, lo, owned)))
+            .collect();
+        let (mut results, mut out) = work(k0, run, lo, owned);
         for h in handles {
-            out.append(&mut h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            let (r, e) = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            results.extend(r);
+            out.extend(e);
         }
-        out
+        (results, out)
     })
 }
 
@@ -297,10 +308,9 @@ impl<'a> FedSim<'a> {
         // Phase S — by source: emit attempts in canonical order.
         let outages = &self.outages;
         let cfg = &self.cfg;
-        let emitted = shard_map(shards, &senders, &mut self.sources, |k, i, s| {
-            let mut out: Vec<Attempt> = Vec::new();
+        let (_, mut attempts) = shard_map(shards, &senders, &mut self.sources, |k, i, s, out| {
             if !outages.view(i as usize).is_up(Epoch(t)) {
-                return out; // a down instance's delivery workers are paused
+                return; // a down instance's delivery workers are paused
             }
             while let Some(msg) = s.retry.pop_due(t) {
                 if s.is_suspended(msg.dst) {
@@ -341,9 +351,7 @@ impl<'a> FedSim<'a> {
                     });
                 }
             }
-            out
         });
-        let mut attempts: Vec<Attempt> = emitted.into_iter().flatten().collect();
         let probes = attempts.iter().filter(|a| a.probe).count() as u32;
         stat.probes = probes;
         stat.attempts = attempts.len() as u32 - probes;
@@ -353,22 +361,19 @@ impl<'a> FedSim<'a> {
         // Phase D — by destination: admit + service.
         sort_by_instance(&mut attempts, n, |a| a.msg.dst);
         let (targets, inbound) = activate(&self.held_dests, &attempts, |a| a.msg.dst);
-        let dest_out = shard_map(shards, &targets, &mut self.dests, |k, j, d| {
-            let down = !outages.view(j as usize).is_up(Epoch(t));
-            let slice = &attempts[inbound[k].clone()];
-            let mut outs = Vec::with_capacity(slice.len());
-            for &attempt in slice {
-                let verdict = d.admit(t, attempt.msg, attempt.probe, down);
-                outs.push(Outcome { attempt, verdict });
-            }
-            let (delivered, _) = if down { (0, 0) } else { d.service(t) };
-            (outs, delivered, d.backlog() > 0)
-        });
-        let mut outcomes: Vec<Outcome> = Vec::with_capacity(attempts.len());
+        let (dest_out, mut outcomes) =
+            shard_map(shards, &targets, &mut self.dests, |k, j, d, out| {
+                let down = !outages.view(j as usize).is_up(Epoch(t));
+                for &attempt in &attempts[inbound[k].clone()] {
+                    let verdict = d.admit(t, attempt.msg, attempt.probe, down);
+                    out.push(Outcome { attempt, verdict });
+                }
+                let (delivered, _) = if down { (0, 0) } else { d.service(t) };
+                (delivered, d.backlog() > 0)
+            });
         self.held_dests.clear();
-        for (&j, (outs, delivered, queued)) in targets.iter().zip(dest_out) {
+        for (&j, (delivered, queued)) in targets.iter().zip(dest_out) {
             stat.delivered += delivered;
-            outcomes.extend(outs);
             if queued {
                 self.held_dests.push(j);
             }
@@ -388,8 +393,13 @@ impl<'a> FedSim<'a> {
         // outcome's source sent this tick, so `senders` is the active list.
         sort_by_instance(&mut outcomes, n, |o| o.attempt.src);
         let (senders, verdicts) = activate(&senders, &outcomes, |o| o.attempt.src);
-        let source_out = shard_map(shards, &senders, &mut self.sources, |k, _, s| {
+        let (dropped, held) = shard_map(shards, &senders, &mut self.sources, |k, i, s, held| {
             let mut dropped_now = 0u32;
+            // The destination whose breaker entry this source last set to
+            // 0, with no failure toward it since: resetting it again would
+            // write the 0 it holds. The sort by source leaves each source's
+            // outcomes grouped by destination, so repeats are common.
+            let mut reset = None;
             for &Outcome { attempt, verdict } in &outcomes[verdicts[k].clone()] {
                 let dst = attempt.msg.dst;
                 s.digest.fold_all(&[
@@ -408,8 +418,14 @@ impl<'a> FedSim<'a> {
                     continue; // failed probe: the next one is already scheduled
                 }
                 match verdict {
-                    Verdict::Accepted => s.breaker_reset(dst),
+                    Verdict::Accepted => {
+                        if reset != Some(dst) {
+                            s.breaker_reset(dst);
+                            reset = Some(dst);
+                        }
+                    }
                     Verdict::RejectedFull | Verdict::RejectedDown => {
+                        reset = reset.filter(|&r| r != dst); // it may trip below
                         let mut msg = attempt.msg;
                         msg.attempts += 1;
                         if msg.attempts >= cfg.max_attempts {
@@ -433,15 +449,13 @@ impl<'a> FedSim<'a> {
                     }
                 }
             }
-            (dropped_now, !s.is_idle())
-        });
-        self.held_sources.clear();
-        for (&i, (dropped_now, busy)) in senders.iter().zip(source_out) {
-            stat.dropped += dropped_now;
-            if busy {
-                self.held_sources.push(i);
+            if !s.is_idle() {
+                held.push(i);
             }
-        }
+            dropped_now
+        });
+        self.held_sources = held;
+        stat.dropped = dropped.iter().sum();
         self.dropped_total += stat.dropped as u64;
         stat.backlog = self.backlog();
         self.series.push(stat);
@@ -522,8 +536,8 @@ impl<'a> FedSim<'a> {
     /// snapshot; derived fields (inbox capacity/service rates, horizon,
     /// the active lists) are recomputed, so the snapshot carries only true
     /// state. A state that does not fit this world — another instance
-    /// count, a tick past the budget, mail for an instance the world
-    /// lacks — is an error, not a panic.
+    /// count, a tick past the budget, mail or a breaker count for an
+    /// instance the world lacks — is an error, not a panic.
     pub fn resume(
         cfg: FedSimConfig,
         fanout: &'a FanoutArena,
@@ -562,10 +576,11 @@ impl<'a> FedSim<'a> {
                 && s.suspended
                     .iter()
                     .all(|(&dst, ss)| in_world(dst) && ss.parked.iter().all(|m| in_world(m.dst)))
+                && s.breaker.keys().all(|&dst| in_world(dst))
         });
         if !fits {
             return Err(serde::Error::custom(
-                "snapshot holds mail for an instance outside the world",
+                "snapshot holds mail or a breaker for an instance outside the world",
             ));
         }
 
@@ -912,10 +927,13 @@ mod tests {
     #[test]
     fn shard_map_runs_cover_the_ids_in_order() {
         let ids = [1u32, 2, 5, 6, 7, 9];
+        // id `i` emits `i % 3` items; 6 and 9 emit none
+        let emits = |id: u32| (0..id % 3).map(move |j| (id, j));
         for shards in 1..=8 {
             let mut states: Vec<u32> = (0..10).collect();
-            let out = shard_map(shards, &ids, &mut states, |k, id, s| {
+            let (results, emitted) = shard_map(shards, &ids, &mut states, |k, id, s, out| {
                 *s += 100;
+                out.extend(emits(id));
                 (k, id, *s)
             });
             let want: Vec<_> = ids
@@ -923,10 +941,13 @@ mod tests {
                 .enumerate()
                 .map(|(k, &id)| (k, id, id + 100))
                 .collect();
-            assert_eq!(out, want, "{shards} shards");
+            assert_eq!(results, want, "{shards} shards");
+            let want: Vec<_> = ids.iter().flat_map(|&id| emits(id)).collect();
+            assert_eq!(emitted, want, "{shards} shards");
             let touched: Vec<u32> = (0..10).filter(|&i| states[i as usize] >= 100).collect();
             assert_eq!(touched, ids, "{shards} shards");
         }
-        assert!(shard_map(3, &[], &mut [0u32; 4], |_, _, _| ()).is_empty());
+        let (results, emitted) = shard_map(3, &[], &mut [0u32; 4], |_, _, _, out| out.push(()));
+        assert!(results.is_empty() && emitted.is_empty());
     }
 }

@@ -16,7 +16,8 @@
 //! - [`events`]: messages, attempts, verdicts, the transcript digest,
 //! - [`fanout`]: the precompiled author → follower-instances CSR,
 //! - [`queues`]: bounded destination inboxes + service,
-//! - [`redelivery`]: the deterministic retry heap + backoff schedule,
+//! - [`redelivery`]: the deterministic retry calendar (buckets by due
+//!   tick) + backoff schedule,
 //! - [`suspension`]: the circuit breaker and parked mail,
 //! - [`metrics`]: per-tick series and the conservation-checked report,
 //! - [`overlay`]: §4/§5 schedules rebased onto the simulation clock,

@@ -2,7 +2,7 @@
 //!
 //! [`FedSimState`] is the serialized form of everything
 //! [`FedSim`] mutates: per-tick counters, the accumulated
-//! series, and for every instance the sender side (retry heap as a
+//! series, and for every instance the sender side (retry calendar as a
 //! sorted list, suspension table with parked mail, breaker counts,
 //! transcript digest) and the receiver side (inbox FIFO, saturation and
 //! latency accounting, digest). Derived values — inbox capacities,

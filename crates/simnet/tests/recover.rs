@@ -378,7 +378,7 @@ fn unfit_snapshot_restarts_from_scratch() {
 
 /// `FedSim::resume` returns an error, never panics, for a state that does
 /// not fit the world: another instance count, a tick past the budget, or
-/// queued mail for an instance the world lacks.
+/// queued mail or a breaker count for an instance the world lacks.
 #[test]
 fn resume_rejects_a_state_that_does_not_fit() {
     let fx = &fixtures()[0];
@@ -418,5 +418,12 @@ fn resume_rejects_a_state_that_does_not_fit() {
         .unwrap()
         .retry;
     retry[0].1.dst = fx.dest_users.len() as u32;
+    assert!(error(&stray).contains("outside the world"));
+
+    // a breaker entry would ride into every later snapshot
+    let mut stray = state.clone();
+    stray.sources[0]
+        .breaker
+        .insert(fx.dest_users.len() as u32, 1);
     assert!(error(&stray).contains("outside the world"));
 }
