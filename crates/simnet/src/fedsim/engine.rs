@@ -61,8 +61,8 @@ use super::FedSimConfig;
 mod dense;
 
 /// Run `f(k, id, state, out)` for the `k`-th id of the strictly ascending
-/// list `ids`, split into `shards` contiguous runs: one run on the calling
-/// thread, the others on scoped threads. Each run owns the slice of
+/// list `ids`, split into `shards` contiguous runs: the first run on the
+/// calling thread, the others on scoped threads. Each run owns the slice of
 /// `states` from its first id up to the next run's first id, so runs never
 /// share a state, and each run has one emit list `out` that `f` may push
 /// any number of items to. Returns `f`'s results and the runs' emit lists
@@ -77,17 +77,7 @@ where
     let Some(&first) = ids.first() else {
         return (Vec::new(), Vec::new());
     };
-    let work = |k0: usize, run: &[u32], lo: usize, owned: &mut [S]| {
-        let (mut results, mut out) = (Vec::with_capacity(run.len()), Vec::new());
-        for (k, &id) in run.iter().enumerate() {
-            results.push(f(k0 + k, id, &mut owned[id as usize - lo], &mut out));
-        }
-        (results, out)
-    };
     let per_run = ids.len().div_ceil(shards.max(1));
-    if per_run == ids.len() {
-        return work(0, ids, 0, states);
-    }
     let mut runs = Vec::with_capacity(ids.len().div_ceil(per_run));
     let mut rest = &mut states[first as usize..];
     let mut lo = first as usize;
@@ -100,14 +90,19 @@ where
         rest = tail;
         lo = hi;
     }
+    let work = |(k0, run, lo, owned): (usize, &[u32], usize, &mut [S])| {
+        let (mut results, mut out) = (Vec::with_capacity(run.len()), Vec::new());
+        for (k, &id) in run.iter().enumerate() {
+            results.push(f(k0 + k, id, &mut owned[id as usize - lo], &mut out));
+        }
+        (results, out)
+    };
     std::thread::scope(|scope| {
         let work = &work;
         let mut runs = runs.into_iter();
-        let (k0, run, lo, owned) = runs.next().expect("ids is not empty");
-        let handles: Vec<_> = runs
-            .map(|(k0, run, lo, owned)| scope.spawn(move || work(k0, run, lo, owned)))
-            .collect();
-        let (mut results, mut out) = work(k0, run, lo, owned);
+        let head = runs.next().expect("ids is not empty");
+        let handles: Vec<_> = runs.map(|run| scope.spawn(move || work(run))).collect();
+        let (mut results, mut out) = work(head);
         for h in handles {
             let (r, e) = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
             results.extend(r);
@@ -312,16 +307,18 @@ impl<'a> FedSim<'a> {
             if !outages.view(i as usize).is_up(Epoch(t)) {
                 return; // a down instance's delivery workers are paused
             }
-            while let Some(msg) = s.retry.pop_due(t) {
-                if s.is_suspended(msg.dst) {
-                    s.park(msg);
-                } else {
-                    s.redelivery_attempts += 1;
-                    out.push(Attempt {
-                        src: i,
-                        msg,
-                        probe: false,
-                    });
+            while let Some(due) = s.retry.take_due(t) {
+                for msg in due {
+                    if s.is_suspended(msg.dst) {
+                        s.park(msg);
+                    } else {
+                        s.redelivery_attempts += 1;
+                        out.push(Attempt {
+                            src: i,
+                            msg,
+                            probe: false,
+                        });
+                    }
                 }
             }
             for (&dst, susp) in s.suspended.iter_mut() {
@@ -395,11 +392,6 @@ impl<'a> FedSim<'a> {
         let (senders, verdicts) = activate(&senders, &outcomes, |o| o.attempt.src);
         let (dropped, held) = shard_map(shards, &senders, &mut self.sources, |k, i, s, held| {
             let mut dropped_now = 0u32;
-            // The destination whose breaker entry this source last set to
-            // 0, with no failure toward it since: resetting it again would
-            // write the 0 it holds. The sort by source leaves each source's
-            // outcomes grouped by destination, so repeats are common.
-            let mut reset = None;
             for &Outcome { attempt, verdict } in &outcomes[verdicts[k].clone()] {
                 let dst = attempt.msg.dst;
                 s.digest.fold_all(&[
@@ -418,14 +410,8 @@ impl<'a> FedSim<'a> {
                     continue; // failed probe: the next one is already scheduled
                 }
                 match verdict {
-                    Verdict::Accepted => {
-                        if reset != Some(dst) {
-                            s.breaker_reset(dst);
-                            reset = Some(dst);
-                        }
-                    }
+                    Verdict::Accepted => s.breaker_reset(dst),
                     Verdict::RejectedFull | Verdict::RejectedDown => {
-                        reset = reset.filter(|&r| r != dst); // it may trip below
                         let mut msg = attempt.msg;
                         msg.attempts += 1;
                         if msg.attempts >= cfg.max_attempts {

@@ -90,16 +90,18 @@ impl FedSim<'_> {
             if !outages.view(i).is_up(Epoch(t)) {
                 continue; // a down instance's delivery workers are paused
             }
-            while let Some(msg) = s.retry.pop_due(t) {
-                if s.is_suspended(msg.dst) {
-                    s.park(msg);
-                } else {
-                    s.redelivery_attempts += 1;
-                    attempts.push(Attempt {
-                        src: i as u32,
-                        msg,
-                        probe: false,
-                    });
+            while let Some(due) = s.retry.take_due(t) {
+                for msg in due {
+                    if s.is_suspended(msg.dst) {
+                        s.park(msg);
+                    } else {
+                        s.redelivery_attempts += 1;
+                        attempts.push(Attempt {
+                            src: i as u32,
+                            msg,
+                            probe: false,
+                        });
+                    }
                 }
             }
             for (&dst, susp) in s.suspended.iter_mut() {

@@ -2,12 +2,12 @@
 //!
 //! Mastodon's sidekiq retries failed deliveries on an exponential
 //! schedule. [`RetryQueue`] is the deterministic equivalent: a calendar
-//! of buckets keyed by due tick that pops in `(due_tick, msg)` order.
-//! `Msg`'s total order (unique `seq`) breaks every tie, so pop order is
-//! independent of insertion history. A bucket stays in push order until
-//! it starts to pop, then is sorted once: a catch-up burst, parked in
-//! emission order and flushed into one due tick, costs one near-linear
-//! sort, not `O(log n)` per message.
+//! of buckets keyed by due tick, taken one bucket at a time in due order
+//! and each sorted by `Msg`'s total order (unique `seq`) as it is taken,
+//! so messages come due in `(due_tick, msg)` order whatever the push
+//! order was. A catch-up burst, parked in emission order and flushed
+//! into one due tick, costs one near-linear sort, not `O(log n)` per
+//! message.
 //! [`backoff_delay`] derives the retry delay from the attempt count plus
 //! deterministic jitter mixed from the seed and the message identity
 //! (counter-derived, like every RNG stream in this repo).
@@ -16,72 +16,54 @@ use std::collections::BTreeMap;
 
 use super::events::{mix64, Msg};
 
-/// Deterministic retry schedule: messages pop in `(due, msg)` order.
-///
-/// `head` is the bucket being popped, sorted descending so its next pop
-/// is its last element; when it is non-empty its due is below every key
-/// of `later`. A push at or below `head_due` puts the head back into
-/// `later` first, and the next pop sorts it again.
+/// Deterministic retry schedule: buckets of messages keyed by due tick,
+/// each in push order until [`take_due`](Self::take_due) sorts it. No
+/// bucket is empty.
 #[derive(Debug, Clone, Default)]
-pub struct RetryQueue {
-    /// Buckets not yet popping, keyed by due tick, each in push order.
-    later: BTreeMap<u32, Vec<Msg>>,
-    /// Due tick of `head`.
-    head_due: u32,
-    /// The popping bucket, sorted descending (empty when none pops).
-    head: Vec<Msg>,
-}
+pub struct RetryQueue(BTreeMap<u32, Vec<Msg>>);
 
 impl RetryQueue {
     /// Schedule `msg` for redelivery at `due`.
     pub fn push(&mut self, due: u32, msg: Msg) {
-        if !self.head.is_empty() && due <= self.head_due {
-            self.later
-                .insert(self.head_due, std::mem::take(&mut self.head));
-        }
-        self.later.entry(due).or_default().push(msg);
+        self.0.entry(due).or_default().push(msg);
     }
 
-    /// Pop the next message due at or before `tick`, lowest `(due, msg)`
-    /// first.
-    pub fn pop_due(&mut self, tick: u32) -> Option<Msg> {
-        if self.head.is_empty() {
-            let first = self.later.first_entry().filter(|e| *e.key() <= tick)?;
-            let (due, mut bucket) = first.remove_entry();
-            bucket.sort_unstable_by(|a, b| b.cmp(a));
-            (self.head_due, self.head) = (due, bucket);
-        } else if self.head_due > tick {
-            return None;
-        }
-        self.head.pop()
+    /// Remove the earliest bucket due at or before `tick` and return its
+    /// messages in ascending `Msg` order. Taking buckets until `None`
+    /// yields every message due by `tick` in `(due, msg)` order.
+    pub fn take_due(&mut self, tick: u32) -> Option<Vec<Msg>> {
+        let first = self.0.first_entry().filter(|e| *e.key() <= tick)?;
+        let mut bucket = first.remove();
+        bucket.sort_unstable();
+        Some(bucket)
     }
 
     /// Messages still scheduled.
     pub fn len(&self) -> usize {
-        self.head.len() + self.later.values().map(Vec::len).sum::<usize>()
+        self.0.values().map(Vec::len).sum()
     }
 
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.head.is_empty() && self.later.is_empty()
+        self.0.is_empty()
     }
 
-    /// Every scheduled entry in pop order (ascending `(due, msg)`), for
-    /// checkpoints. Pop order is total — `Msg`'s unique `seq` breaks all
+    /// Every scheduled entry in due order (ascending `(due, msg)`), for
+    /// checkpoints. That order is total — `Msg`'s unique `seq` breaks all
     /// ties — so this sorted list fully determines future behaviour.
     pub fn entries(&self) -> Vec<(u32, Msg)> {
-        let head = self.head.iter().map(|&m| (self.head_due, m));
-        let later = self
-            .later
+        let mut v: Vec<(u32, Msg)> = self
+            .0
             .iter()
-            .flat_map(|(&due, bucket)| bucket.iter().map(move |&m| (due, m)));
-        let mut v: Vec<(u32, Msg)> = head.chain(later).collect();
+            .flat_map(|(&due, bucket)| bucket.iter().map(move |&m| (due, m)))
+            .collect();
         v.sort_unstable();
         v
     }
 
     /// Rebuild a queue from captured [`entries`](Self::entries); the
-    /// restored queue pops the identical sequence the original would have.
+    /// restored queue yields the identical sequence the original would
+    /// have.
     pub fn from_entries(entries: impl IntoIterator<Item = (u32, Msg)>) -> Self {
         let mut q = RetryQueue::default();
         for (due, msg) in entries {
@@ -129,11 +111,16 @@ mod tests {
             self.0.push(Reverse((due, msg)));
         }
 
-        fn pop_due(&mut self, tick: u32) -> Option<(u32, Msg)> {
-            match self.0.peek() {
-                Some(&Reverse((due, _))) if due <= tick => self.0.pop().map(|Reverse(e)| e),
-                _ => None,
+        /// Pop every entry sharing the earliest due, if that due is at or
+        /// before `tick`.
+        fn take_due(&mut self, tick: u32) -> Option<(u32, Vec<Msg>)> {
+            let &Reverse((due, _)) = self.0.peek().filter(|e| e.0 .0 <= tick)?;
+            let mut bucket = Vec::new();
+            while let Some(Reverse((_, m))) = self.0.peek().filter(|e| e.0 .0 == due) {
+                bucket.push(*m);
+                self.0.pop();
             }
+            Some((due, bucket))
         }
 
         fn entries(&self) -> Vec<(u32, Msg)> {
@@ -152,50 +139,51 @@ mod tests {
         }
     }
 
+    fn seqs(bucket: Option<Vec<Msg>>) -> Option<Vec<u32>> {
+        bucket.map(|b| b.iter().map(|m| m.seq).collect())
+    }
+
     #[test]
     fn pops_in_due_then_seq_order() {
         let mut q = RetryQueue::default();
         q.push(5, msg(2, 1));
         q.push(3, msg(9, 1));
         q.push(5, msg(1, 1));
-        assert_eq!(q.pop_due(10).unwrap().seq, 9);
-        assert_eq!(q.pop_due(10).unwrap().seq, 1);
-        assert_eq!(q.pop_due(10).unwrap().seq, 2);
-        assert!(q.pop_due(10).is_none());
+        assert_eq!(seqs(q.take_due(10)), Some(vec![9]));
+        assert_eq!(seqs(q.take_due(10)), Some(vec![1, 2]));
+        assert!(q.take_due(10).is_none());
     }
 
     #[test]
     fn respects_due_time() {
         let mut q = RetryQueue::default();
         q.push(7, msg(0, 1));
-        assert!(q.pop_due(6).is_none());
-        assert!(q.pop_due(7).is_some());
+        assert!(q.take_due(6).is_none());
+        assert!(q.take_due(7).is_some());
     }
 
     proptest! {
-        /// The calendar pops exactly what the heap pops, through pushes
-        /// below, at and above the bucket being popped (the head is often
-        /// left half drained), pops at ticks that go back and forth,
-        /// `len`, `entries` and `from_entries` round-trips. Seqs repeat, as
-        /// a hostile snapshot may make them, so `Msg`'s other fields break
-        /// those ties.
+        /// The calendar yields exactly what the heap pops, through pushes
+        /// below, at and above the last due taken, takes at ticks that go
+        /// back and forth, `len`, `entries` and `from_entries`
+        /// round-trips. Seqs repeat, as a hostile snapshot may make them,
+        /// so `Msg`'s other fields break those ties.
         #[test]
         fn calendar_pops_like_the_heap(
             ops in proptest::collection::vec((0u32..6, 0u32..40, 0u32..12, 0u32..4), 0..300)
         ) {
             let mut q = RetryQueue::default();
             let mut oracle = HeapOracle::default();
-            // the due of the last popped entry: the head's due while it pops
-            let mut head_due = 0u32;
+            let mut last_due = 0u32;
             for (kind, a, b, c) in ops {
                 let msg = Msg { seq: b, dst: c, created: a % 3, attempts: c };
                 match kind {
                     0 => {
-                        q.push(head_due, msg);
-                        oracle.push(head_due, msg);
+                        q.push(last_due, msg);
+                        oracle.push(last_due, msg);
                     }
                     1 => {
-                        let due = head_due.saturating_sub(a % 4);
+                        let due = last_due.saturating_sub(a % 4);
                         q.push(due, msg);
                         oracle.push(due, msg);
                     }
@@ -205,10 +193,10 @@ mod tests {
                     }
                     3 => {
                         for _ in 0..b {
-                            let want = oracle.pop_due(a);
-                            prop_assert_eq!(q.pop_due(a), want.map(|(_, m)| m), "tick {}", a);
+                            let want = oracle.take_due(a);
+                            prop_assert_eq!(q.take_due(a), want.clone().map(|(_, m)| m), "tick {}", a);
                             match want {
-                                Some((due, _)) => head_due = due,
+                                Some((due, _)) => last_due = due,
                                 None => break,
                             }
                         }
@@ -224,10 +212,10 @@ mod tests {
                     }
                 }
             }
-            while let Some((_, want)) = oracle.pop_due(u32::MAX) {
-                prop_assert_eq!(q.pop_due(u32::MAX), Some(want));
+            while let Some((_, want)) = oracle.take_due(u32::MAX) {
+                prop_assert_eq!(q.take_due(u32::MAX), Some(want));
             }
-            prop_assert!(q.is_empty() && q.pop_due(u32::MAX).is_none());
+            prop_assert!(q.is_empty() && q.take_due(u32::MAX).is_none());
         }
     }
 

@@ -149,9 +149,9 @@ mod tests {
         assert!(!s.is_suspended(3));
         assert_eq!(s.parked_len(), 0);
         assert_eq!(s.retry.len(), 3, "catch-up burst lands in retry");
-        // burst pops in seq order at the resume tick
-        assert_eq!(s.retry.pop_due(21).unwrap().seq, 0);
-        assert_eq!(s.retry.pop_due(21).unwrap().seq, 1);
+        // burst comes due in seq order at the resume tick
+        let burst = s.retry.take_due(21).unwrap();
+        assert_eq!(burst.iter().map(|m| m.seq).collect::<Vec<_>>(), [0, 1, 2]);
         assert_eq!((s.suspensions, s.recovered), (1, 1));
     }
 
