@@ -9,11 +9,7 @@
 //! - actor documents and id/inbox/outbox URL construction ([`actor`]),
 //! - WebFinger `acct:` resolution documents ([`webfinger`]),
 //! - the four activities the study's traffic needs: `Follow`, `Accept`,
-//!   `Create(Note)`, `Announce` ([`activity`]),
-//! - instance-level federated-subscription bookkeeping ([`subscriptions`]):
-//!   "each Mastodon instance maintains a list of all remote accounts its
-//!   users follow; this results in the instance subscribing to posts
-//!   performed on the remote instance" (§2).
+//!   `Create(Note)`, `Announce` ([`activity`]).
 //!
 //! Not implemented (outside the study's scope): HTTP signatures, Linked Data
 //! signatures, collections paging beyond followers, `Undo`/`Delete`/`Move`
@@ -24,10 +20,8 @@
 
 pub mod activity;
 pub mod actor;
-pub mod subscriptions;
 pub mod webfinger;
 
 pub use activity::Activity;
 pub use actor::Actor;
-pub use subscriptions::SubscriptionTable;
 pub use webfinger::WebFingerDoc;

@@ -4,10 +4,9 @@
 //! every table and figure; the `bench` binary pins each fast engine
 //! against its naive reference (`bench <graph|worldgen|avail|monitor|
 //! scenario|fedsim|recover|wire>`, one record per run appended to
-//! `BENCH_<name>.json`); the Criterion benches (`benches/figures.rs`,
-//! `benches/ablations.rs`, `benches/removal.rs`) time each analysis so
-//! regressions in the substrate (graph algorithms, evaluators,
-//! generators) are caught.
+//! `BENCH_<name>.json`); the Criterion bench `benches/removal.rs` times
+//! the §5.1 removal-sweep engine against its naive reference. The
+//! end-to-end timings of every figure come from `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

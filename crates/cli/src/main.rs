@@ -19,7 +19,10 @@
 //! circuit-breaker cooldowns, fault-injector state, and the virtual clock.
 //! `--resume` restarts a killed crawl from the newest good snapshot (torn
 //! frames are skipped and reported); the resumed crawl's output is
-//! bit-identical to one that never died.
+//! bit-identical to one that never died. A snapshot taken at another
+//! `--seed` or `--scale`, one that does not decode, or a directory whose
+//! snapshots are all unusable stops the crawl with exit 1, as does a path
+//! that cannot be written.
 
 use fediscope_core::report::render_verdicts;
 use fediscope_core::{verdicts, Observatory, Report};
@@ -36,9 +39,19 @@ const USAGE: &str = "usage: fediscope <gen|serve|crawl|analyze> [--seed N] \
      [--scale tiny|small|paper] [--out PATH] [--ticks N] [--tick-ms N] [--fast] \
      [--checkpoint-dir DIR] [--resume]";
 
+/// A `--scale` name and the world config it builds.
+type Scale = (&'static str, fn(u64) -> WorldConfig);
+
+/// Every `--scale` the commands take.
+const SCALES: [Scale; 3] = [
+    ("tiny", WorldConfig::tiny),
+    ("small", WorldConfig::small),
+    ("paper", WorldConfig::paper_scaled),
+];
+
 struct Opts {
     seed: u64,
-    scale: fn(u64) -> WorldConfig,
+    scale: Scale,
     out: Option<String>,
     ticks: u32,
     tick_ms: u64,
@@ -53,6 +66,12 @@ fn usage_error(why: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Print why a command could not run and exit 1.
+fn fail(why: impl std::fmt::Display) -> ! {
+    eprintln!("fediscope: {why}");
+    std::process::exit(1);
+}
+
 /// A flag's numeric value.
 fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
     v.parse()
@@ -62,7 +81,7 @@ fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
         seed: 42,
-        scale: WorldConfig::small,
+        scale: SCALES[1],
         out: None,
         ticks: 200,
         tick_ms: 10,
@@ -76,12 +95,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         match a.as_str() {
             "--seed" => o.seed = number(a, value()?)?,
             "--scale" => {
-                o.scale = match value()?.as_str() {
-                    "tiny" => WorldConfig::tiny,
-                    "small" => WorldConfig::small,
-                    "paper" => WorldConfig::paper_scaled,
-                    other => return Err(format!("unknown scale {other:?}")),
-                }
+                let name = value()?;
+                o.scale = *SCALES
+                    .iter()
+                    .find(|(known, _)| known == name)
+                    .ok_or_else(|| format!("unknown scale {name:?}"))?;
             }
             "--out" => o.out = Some(value()?.clone()),
             "--ticks" => o.ticks = number(a, value()?)?,
@@ -99,7 +117,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
 }
 
 fn config_for(o: &Opts) -> WorldConfig {
-    (o.scale)(o.seed)
+    (o.scale.1)(o.seed)
 }
 
 fn main() {
@@ -122,7 +140,9 @@ fn cmd_gen(o: &Opts) {
     let json = serde_json::to_string(&world).expect("world serialises");
     match &o.out {
         Some(path) => {
-            std::fs::write(path, &json).expect("write world file");
+            if let Err(e) = std::fs::write(path, &json) {
+                fail(format!("cannot write {path}: {e}"));
+            }
             eprintln!(
                 "wrote {} instances / {} users to {path}",
                 world.instances.len(),
@@ -166,12 +186,16 @@ fn cmd_serve(o: &Opts) {
 const CRAWL_KIND: &str = "cli-crawl";
 
 /// Schema version of [`CrawlCheckpoint`]. Bump on any shape change.
-const CRAWL_STATE_VERSION: u32 = 1;
+const CRAWL_STATE_VERSION: u32 = 2;
 
 /// What `crawl --checkpoint-dir` persists after each monitor sweep:
 /// enough to continue the campaign bit-identically on a fresh process.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct CrawlCheckpoint {
+    /// `--seed` of the crawled world.
+    seed: u64,
+    /// `--scale` of the crawled world.
+    scale: String,
     /// Monitor sweeps completed.
     sweeps_done: u32,
     /// Virtual clock at the checkpoint; the resumed runtime starts here.
@@ -190,10 +214,9 @@ const BASE_EPOCH: u32 = 40_000;
 fn cmd_crawl(o: &Opts) {
     use fediscope_recover::{encode_frame, recover_latest, DirStore, SnapshotStore};
 
-    let mut store = o
-        .checkpoint_dir
-        .as_ref()
-        .map(|d| DirStore::open(d).expect("open checkpoint dir"));
+    let mut store = o.checkpoint_dir.as_ref().map(|d| {
+        DirStore::open(d).unwrap_or_else(|e| fail(format!("cannot open checkpoint dir {d}: {e}")))
+    });
     let resumed: Option<CrawlCheckpoint> = if o.resume {
         let store = store.as_ref().expect("--resume needs --checkpoint-dir");
         let rec = recover_latest(store, CRAWL_KIND, CRAWL_STATE_VERSION);
@@ -205,11 +228,27 @@ fn cmd_crawl(o: &Opts) {
         }
         match &rec.good {
             Some((meta, value)) => {
-                let c = serde::Deserialize::from_json_value(value)
-                    .expect("checksummed snapshot decodes");
+                let c: CrawlCheckpoint =
+                    serde::Deserialize::from_json_value(value).unwrap_or_else(|e| {
+                        fail(format!(
+                            "snapshot of sweep {} does not decode: {e}",
+                            meta.tick
+                        ))
+                    });
+                if (c.seed, c.scale.as_str()) != (o.seed, o.scale.0) {
+                    fail(format!(
+                        "snapshot of sweep {} is of --scale {} --seed {}, not --scale {} --seed {}",
+                        meta.tick, c.scale, c.seed, o.scale.0, o.seed
+                    ));
+                }
                 eprintln!("recovery: resuming from sweep {}", meta.tick);
                 Some(c)
             }
+            // Starting over would overwrite them, tick by tick.
+            None if rec.torn_skipped > 0 => fail(
+                "no usable snapshot among those in the checkpoint dir; \
+                 remove them to start over",
+            ),
             None => {
                 eprintln!("recovery: no usable snapshot; starting from scratch");
                 None
@@ -236,7 +275,8 @@ fn cmd_crawl(o: &Opts) {
         let (mut monitor, start_sweep) = match &resumed {
             Some(c) => {
                 net.state.faults.restore_state(&c.injector);
-                let m = InstanceMonitor::resume(seeds.clone(), politeness.clone(), &c.monitor);
+                let m = InstanceMonitor::resume(seeds.clone(), politeness.clone(), &c.monitor)
+                    .unwrap_or_else(|why| fail(why));
                 (m, c.sweeps_done)
             }
             None => (InstanceMonitor::new(seeds.clone(), politeness.clone()), 0),
@@ -247,6 +287,8 @@ fn cmd_crawl(o: &Opts) {
             monitor.poll_all(epoch).await;
             if let Some(store) = store.as_mut() {
                 let ckpt = CrawlCheckpoint {
+                    seed: o.seed,
+                    scale: o.scale.0.to_string(),
                     sweeps_done: sweep + 1,
                     virtual_nanos: tokio::time::now_nanos(),
                     monitor: monitor.capture(),
@@ -258,9 +300,9 @@ fn cmd_crawl(o: &Opts) {
                     (sweep + 1) as u64,
                     &serde::Serialize::to_json_value(&ckpt),
                 );
-                store
-                    .put((sweep + 1) as u64, &frame)
-                    .expect("write checkpoint");
+                if let Err(e) = store.put((sweep + 1) as u64, &frame) {
+                    fail(format!("cannot write checkpoint: {e}"));
+                }
             }
         }
         // The loop leaves the world clock at the final sweep's epoch — but

@@ -92,7 +92,12 @@ fn delivery_entry_point_runs() {
     let world = Generator::generate_world(cfg.clone());
     // The tier's one-day horizon and lifetime-spread rates on a tiny
     // population produce a small but non-empty event stream.
-    let arena = toots::generate_for_tier(&cfg, &world.users, TIER);
+    let arena = toots::generate(
+        &cfg,
+        &world.users,
+        TIER.fedsim_horizon_epochs(),
+        TIER.fedsim_rate_scale(),
+    );
     assert!(arena.n_toots() > 0);
     let obs = Observatory::new(world);
     let live = section3_live_tier(&obs, &arena, TIER, 11);

@@ -28,11 +28,9 @@ pub mod followers;
 pub mod monitor;
 pub mod politeness;
 pub mod retry;
-pub mod survey;
 pub mod toots;
 
 pub use discovery::SeedList;
 pub use monitor::{InstanceMonitor, MonitorState};
 pub use politeness::Politeness;
 pub use retry::{fetch_with_retry, BreakerBank, FetchResult};
-pub use survey::{run_survey, Survey};

@@ -60,12 +60,6 @@ impl InstanceMonitor {
         }
     }
 
-    /// Use a custom HTTP client (timeouts).
-    pub fn with_client(mut self, client: Client) -> Self {
-        self.client = client;
-        self
-    }
-
     /// Snapshot the monitor's mutable state for a checkpoint.
     pub fn capture(&self) -> MonitorState {
         MonitorState {
@@ -77,20 +71,27 @@ impl InstanceMonitor {
     /// Rebuild a monitor from a checkpoint on a fresh executor. The
     /// accumulated polls and breaker cooldowns continue exactly where the
     /// crashed process stopped; `seeds` and `politeness` come from config,
-    /// exactly as in [`InstanceMonitor::new`].
-    pub fn resume(seeds: SeedList, politeness: Politeness, state: &MonitorState) -> Self {
-        assert_eq!(
-            state.dataset.series.len(),
-            seeds.len(),
-            "snapshot was taken over a different seed list"
-        );
-        Self {
+    /// exactly as in [`InstanceMonitor::new`]. A state whose series do not
+    /// follow `seeds` instance for instance is an error.
+    pub fn resume(
+        seeds: SeedList,
+        politeness: Politeness,
+        state: &MonitorState,
+    ) -> Result<Self, String> {
+        let same_list = state.dataset.series.len() == seeds.len()
+            && (state.dataset.series.iter())
+                .zip(seeds.entries())
+                .all(|(series, seed)| series.instance == seed.instance);
+        if !same_list {
+            return Err("snapshot was taken over a different seed list".into());
+        }
+        Ok(Self {
             seeds,
             politeness,
             client: Client::default(),
             dataset: state.dataset.clone(),
             breakers: Arc::new(BreakerBank::restore_state(&state.breakers)),
-        }
+        })
     }
 
     /// Poll every seed once, recording results under `epoch`.
@@ -194,6 +195,24 @@ pub fn parse_instance_info(body: &str) -> Option<InstanceApiInfo> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fediscope_model::ids::InstanceId;
+
+    #[test]
+    fn resume_rejects_a_state_over_another_seed_list() {
+        let addr = "127.0.0.1:1".parse().unwrap();
+        let seed = |i: u32| Seed {
+            instance: InstanceId(i),
+            domain: format!("m{i}.test"),
+            addr,
+        };
+        let seeds = SeedList::new(vec![seed(0), seed(1)]);
+        let state = InstanceMonitor::new(seeds.clone(), Politeness::fast()).capture();
+        let resume = |seeds: SeedList| InstanceMonitor::resume(seeds, Politeness::fast(), &state);
+        assert!(resume(seeds.clone()).is_ok());
+        // fewer seeds, and as many seeds over other instances
+        assert!(resume(seeds.truncated(1)).is_err());
+        assert!(resume(SeedList::new(vec![seed(0), seed(2)])).is_err());
+    }
 
     #[test]
     fn parse_valid_payload() {

@@ -105,7 +105,8 @@ fn run_crawl(
         let (mut monitor, mut sweep) = match &resume {
             Some(ckpt) => {
                 net.state.faults.restore_state(&ckpt.injector);
-                let m = InstanceMonitor::resume(seeds, Politeness::hostile(), &ckpt.monitor);
+                let m = InstanceMonitor::resume(seeds, Politeness::hostile(), &ckpt.monitor)
+                    .expect("snapshot fits the seed list");
                 (m, ckpt.sweeps_done)
             }
             None => (InstanceMonitor::new(seeds, Politeness::hostile()), 0),

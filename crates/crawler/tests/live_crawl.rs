@@ -190,37 +190,3 @@ async fn follower_scrape_recovers_ego_networks() {
     assert!(dataset.accounts.len() >= tooting.len());
     net.shutdown().await;
 }
-
-#[tokio::test]
-async fn full_survey_bundles_all_three_datasets() {
-    let world = Arc::new(tiny_world(106, true));
-    let net = launch(world.clone(), FaultPlan::default(), 5)
-        .await
-        .unwrap();
-    let seeds = SeedList::for_simnet(&world, net.addr());
-    let clock = net.state.clock.clone();
-    let survey = fediscope_crawler::run_survey(
-        &seeds,
-        &Politeness::fast(),
-        &[Epoch(0), Epoch(50_000), Epoch(100_000)],
-        |e| clock.set(e),
-    )
-    .await;
-
-    // monitoring: one series per seed, three polls each
-    assert_eq!(survey.instances.series.len(), seeds.len());
-    assert!(survey.instances.series.iter().all(|s| s.polls.len() == 3));
-    // toots: crawlable instances covered exactly
-    let timelines = TimelineIndex::build_all(&world);
-    for record in survey.toots.records.iter().filter(|r| r.crawled) {
-        let tl = &timelines[record.instance.index()];
-        assert_eq!(record.home_toots, tl.total_public);
-    }
-    // graphs: every scraped edge exists in ground truth
-    let truth: std::collections::HashSet<_> = world.follows.iter().copied().collect();
-    for edge in &survey.graphs.follows {
-        assert!(truth.contains(edge), "phantom edge {edge:?}");
-    }
-    assert!(!survey.graphs.follows.is_empty());
-    net.shutdown().await;
-}

@@ -251,11 +251,6 @@ impl TcpStream {
         Ok(self.local)
     }
 
-    /// The remote end's address.
-    pub fn peer_addr(&self) -> io::Result<SocketAddr> {
-        Ok(self.peer)
-    }
-
     /// Hard-reset the connection (RST): the peer's pending and future reads
     /// and writes fail with `ConnectionReset`; buffered data is discarded.
     pub fn reset(&self) {

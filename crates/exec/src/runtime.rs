@@ -308,16 +308,6 @@ impl Builder {
         self
     }
 
-    /// Accepted for compatibility; the in-memory transport is always on.
-    pub fn enable_io(&mut self) -> &mut Self {
-        self
-    }
-
-    /// Accepted for compatibility.
-    pub fn enable_all(&mut self) -> &mut Self {
-        self
-    }
-
     /// Build the runtime.
     pub fn build(&mut self) -> std::io::Result<Runtime> {
         Runtime::new()
@@ -383,11 +373,6 @@ impl<T> JoinHandle<T> {
                 w.wake();
             }
         }
-    }
-
-    /// Has the task finished (completed or been aborted)?
-    pub fn is_finished(&self) -> bool {
-        self.state.lock().result.is_some()
     }
 }
 

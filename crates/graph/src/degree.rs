@@ -1,4 +1,4 @@
-//! Degree sequences and their distributions (Fig. 11).
+//! The degree sequence Fig. 11 plots.
 
 use crate::digraph::DiGraph;
 
@@ -7,80 +7,14 @@ pub fn out_degrees(g: &DiGraph) -> Vec<u32> {
     g.nodes().map(|v| g.out_degree(v)).collect()
 }
 
-/// In-degree sequence.
-pub fn in_degrees(g: &DiGraph) -> Vec<u32> {
-    g.nodes().map(|v| g.in_degree(v)).collect()
-}
-
-/// Total-degree sequence.
-pub fn total_degrees(g: &DiGraph) -> Vec<u32> {
-    g.nodes().map(|v| g.degree(v)).collect()
-}
-
-/// Degree distribution as `(degree, count)` pairs sorted by degree.
-pub fn degree_histogram(degrees: &[u32]) -> Vec<(u32, u32)> {
-    let mut counts: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
-    for &d in degrees {
-        *counts.entry(d).or_insert(0) += 1;
-    }
-    counts.into_iter().collect()
-}
-
-/// Mean degree.
-pub fn mean_degree(degrees: &[u32]) -> f64 {
-    if degrees.is_empty() {
-        return 0.0;
-    }
-    degrees.iter().map(|&d| d as f64).sum::<f64>() / degrees.len() as f64
-}
-
-/// Top `k` nodes by a degree sequence, descending, ties broken by node id
-/// ascending (deterministic).
-pub fn top_k_by_degree(degrees: &[u32], k: usize) -> Vec<u32> {
-    let mut idx: Vec<u32> = (0..degrees.len() as u32).collect();
-    idx.sort_by(|&a, &b| {
-        degrees[b as usize]
-            .cmp(&degrees[a as usize])
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn star() -> DiGraph {
-        // hub 0 follows 1..=4
-        DiGraph::from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    }
-
     #[test]
     fn sequences() {
-        let g = star();
+        // hub 0 follows 1..=4
+        let g = DiGraph::from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]);
         assert_eq!(out_degrees(&g), vec![4, 0, 0, 0, 0]);
-        assert_eq!(in_degrees(&g), vec![0, 1, 1, 1, 1]);
-        assert_eq!(total_degrees(&g), vec![4, 1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn histogram() {
-        let g = star();
-        assert_eq!(degree_histogram(&out_degrees(&g)), vec![(0, 4), (4, 1)]);
-    }
-
-    #[test]
-    fn mean() {
-        let g = star();
-        assert!((mean_degree(&out_degrees(&g)) - 0.8).abs() < 1e-12);
-        assert_eq!(mean_degree(&[]), 0.0);
-    }
-
-    #[test]
-    fn top_k_deterministic_ties() {
-        let degrees = vec![3, 5, 5, 1];
-        assert_eq!(top_k_by_degree(&degrees, 3), vec![1, 2, 0]);
-        assert_eq!(top_k_by_degree(&degrees, 10).len(), 4);
     }
 }

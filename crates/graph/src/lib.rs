@@ -10,17 +10,16 @@
 //!
 //! - [`DiGraph`]: CSR storage with out- and in-adjacency, built by a
 //!   counting sort on source,
-//! - [`components`]: weakly connected components via union-find, strongly
-//!   connected components via an iterative Tarjan,
-//! - [`degree`]: degree sequences and CDFs (Fig. 11),
+//! - [`components`]: weakly connected components via union-find,
+//! - [`degree`]: the out-degree sequence (Fig. 11),
 //! - [`removal`]: iterative top-degree removal (Fig. 12) and ranked/grouped
 //!   removal sweeps (Fig. 13) — incremental, allocation-free engines with a
 //!   naive reference kept for differential testing (see `README.md` for the
 //!   complexity model),
 //! - [`par`]: deterministic parallel fan-out for independent sweeps (each
 //!   sweep's reverse union-find pass itself stays serial),
-//! - [`projection`]: quotient graphs (user graph → instance federation
-//!   graph → country graph; Figs. 6, 13).
+//! - [`projection`]: edge counts between the groups of a node partition
+//!   (the federation graph's country links, Fig. 6).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,9 +32,7 @@ pub mod projection;
 pub mod removal;
 pub mod unionfind;
 
-pub use components::{
-    strongly_connected, weakly_connected, ComponentInfo, ComponentScratch, WccSummary,
-};
+pub use components::{weakly_connected, ComponentInfo};
 pub use digraph::DiGraph;
 pub use removal::{RemovalSweep, SweepPoint};
 pub use unionfind::{UnionFind, WeightedUnionFind};

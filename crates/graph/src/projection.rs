@@ -1,33 +1,12 @@
-//! Quotient-graph projections.
+//! Quotient-graph projection weights.
 //!
 //! The paper derives the instance federation graph `GF(I, E)` from the user
 //! follower graph `G(V, E)`: "a directed edge Eab exists between instances
 //! Ia and Ib if there is at least one user on Ia who follows a user on Ib"
-//! (§3). The same operation with a country partition yields the Fig. 6
-//! Sankey weights.
+//! (§3). Counting the edges that cross a country partition of the
+//! federation graph yields the Fig. 6 Sankey weights.
 
 use crate::digraph::DiGraph;
-
-/// Project a graph through a node partition: nodes with the same
-/// `partition[v]` collapse into one super-node; an edge exists between two
-/// distinct super-nodes if any underlying edge crosses them.
-///
-/// `n_groups` is the number of super-nodes; every `partition[v]` must be
-/// `< n_groups`. Intra-group edges are dropped (federation is only about
-/// *remote* links).
-pub fn project(g: &DiGraph, partition: &[u32], n_groups: u32) -> DiGraph {
-    assert_eq!(partition.len(), g.node_count(), "partition length mismatch");
-    let mut edges = Vec::new();
-    for (a, b) in g.edges() {
-        let ga = partition[a as usize];
-        let gb = partition[b as usize];
-        assert!(ga < n_groups && gb < n_groups, "partition id out of range");
-        if ga != gb {
-            edges.push((ga, gb));
-        }
-    }
-    DiGraph::from_edges(n_groups, edges)
-}
 
 /// Count the underlying cross-group edges between each pair of groups,
 /// i.e. the *weighted* projection. Returns a dense `n_groups × n_groups`
@@ -68,26 +47,6 @@ mod tests {
     }
 
     #[test]
-    fn project_collapses_and_dedupes() {
-        let (g, part) = user_graph();
-        let fed = project(&g, &part, 3);
-        assert_eq!(fed.node_count(), 3);
-        // edges: 0->1, 1->2, 2->0
-        assert_eq!(fed.edge_count(), 3);
-        assert!(fed.has_edge(0, 1));
-        assert!(fed.has_edge(1, 2));
-        assert!(fed.has_edge(2, 0));
-        assert!(!fed.has_edge(1, 0));
-    }
-
-    #[test]
-    fn intra_group_edges_dropped() {
-        let (g, part) = user_graph();
-        let fed = project(&g, &part, 3);
-        assert!(!fed.has_edge(0, 0));
-    }
-
-    #[test]
     fn weights_count_multiplicity() {
         let (g, part) = user_graph();
         let w = projection_weights(&g, &part, 3);
@@ -101,28 +60,14 @@ mod tests {
     #[test]
     fn projection_of_empty_graph() {
         let g = DiGraph::from_edges(0, []);
-        let fed = project(&g, &[], 4);
-        assert_eq!(fed.node_count(), 4);
-        assert_eq!(fed.edge_count(), 0);
+        let w = projection_weights(&g, &[], 4);
+        assert_eq!(w, vec![vec![0u64; 4]; 4]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn wrong_partition_length_panics() {
         let g = DiGraph::from_edges(2, [(0, 1)]);
-        let _ = project(&g, &[0], 1);
-    }
-
-    #[test]
-    fn two_level_projection_composes() {
-        // users -> instances -> countries
-        let (g, user_to_inst) = user_graph();
-        let fed = project(&g, &user_to_inst, 3);
-        // instances 0,1 in country 0; instance 2 in country 1
-        let inst_to_country = vec![0u32, 0, 1];
-        let country = project(&fed, &inst_to_country, 2);
-        assert!(country.has_edge(0, 1));
-        assert!(country.has_edge(1, 0));
-        assert_eq!(country.edge_count(), 2);
+        let _ = projection_weights(&g, &[0], 1);
     }
 }

@@ -16,9 +16,8 @@
 //! node weights — the paper variously normalises by instances, users, and
 //! toots.
 
-use crate::components::{strongly_connected, weakly_connected};
+use crate::components::weakly_connected;
 use crate::digraph::DiGraph;
-use crate::par;
 use crate::unionfind::WeightedUnionFind;
 use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
@@ -41,8 +40,9 @@ pub struct SweepPoint {
     pub lcc_weight_frac: f64,
     /// Number of weakly connected components among surviving nodes.
     pub wcc_count: usize,
-    /// Number of strongly connected components (only when SCC computation
-    /// is enabled; 0 otherwise).
+    /// Always 0: the sweeps count no strongly connected components. The
+    /// field stays so that a point's `Debug` text, which recorded digests
+    /// cover, keeps its shape.
     pub scc_count: usize,
 }
 
@@ -141,17 +141,12 @@ impl Rejoin {
 pub struct RemovalSweep<'g> {
     g: &'g DiGraph,
     weights: Option<&'g [f64]>,
-    compute_scc: bool,
 }
 
 impl<'g> RemovalSweep<'g> {
     /// New sweep over `g`.
     pub fn new(g: &'g DiGraph) -> Self {
-        Self {
-            g,
-            weights: None,
-            compute_scc: false,
-        }
+        Self { g, weights: None }
     }
 
     /// Attach per-node weights (users, toots, …) for weighted-LCC reporting.
@@ -168,12 +163,6 @@ impl<'g> RemovalSweep<'g> {
             "weights must be finite and non-negative"
         );
         self.weights = Some(w);
-        self
-    }
-
-    /// Also compute SCC counts at every evaluation point (costly).
-    pub fn with_scc(mut self, yes: bool) -> Self {
-        self.compute_scc = yes;
         self
     }
 
@@ -200,11 +189,6 @@ impl<'g> RemovalSweep<'g> {
             }
             None => (0.0, 0.0),
         };
-        let scc_count = if self.compute_scc {
-            strongly_connected(self.g, Some(alive)).count()
-        } else {
-            0
-        };
         SweepPoint {
             removed,
             groups_removed: groups,
@@ -217,26 +201,8 @@ impl<'g> RemovalSweep<'g> {
             lcc_weight,
             lcc_weight_frac,
             wcc_count: wcc.count(),
-            scc_count,
+            scc_count: 0,
         }
-    }
-
-    /// SCC count at every boundary (removal-count prefix of `order`).
-    ///
-    /// Tarjan is inherently serial *within* one evaluation, but the
-    /// per-boundary evaluations are independent pure functions, so they fan
-    /// out across OS threads via [`par::parallel_map`]: with `t`
-    /// threads the wall-clock cost of the worst (SCC-enabled) path drops
-    /// from `rounds·O(N+E)` serial to `O((N+E)/t)` per round. Results come
-    /// back in boundary order, so output never depends on scheduling.
-    fn scc_counts_at(&self, order: &[u32], boundaries: &[usize]) -> Vec<usize> {
-        par::parallel_map(boundaries, |&b| {
-            let mut alive = vec![true; self.g.node_count()];
-            for &v in &order[..b.min(order.len())] {
-                alive[v as usize] = false;
-            }
-            strongly_connected(self.g, Some(&alive)).count()
-        })
     }
 
     /// Fig. 12 methodology: in each of `steps` rounds remove `frac` of the
@@ -254,8 +220,6 @@ impl<'g> RemovalSweep<'g> {
     ///    at two `find`s per merge; the per-root weight accumulators ride
     ///    along inside [`WeightedUnionFind`], so the weighted Fig. 13-style
     ///    metrics cost the same near-linear pass as the unweighted ones.
-    ///    When SCC counts are requested, the independent per-round Tarjan
-    ///    evaluations fan out across threads (see `Self::scc_counts_at`).
     ///
     /// Output is bit-identical to [`Self::iterative_fraction_naive`]: every
     /// unweighted metric is integer-derived, and the weighted metrics sum
@@ -455,10 +419,8 @@ impl<'g> RemovalSweep<'g> {
     /// Fig. 13a methodology: remove nodes in the fixed `order`, evaluating
     /// after each prefix length in `checkpoints` (ascending; a checkpoint of
     /// 0 evaluates the intact graph). Uses reverse union-find, so the whole
-    /// sweep is near-linear — unless SCC counting is enabled, in which case
-    /// each checkpoint additionally pays one Tarjan pass (fanned out across
-    /// threads, see `Self::scc_counts_at`). An id repeated in `order`
-    /// stays removed from its first occurrence on.
+    /// sweep is near-linear. An id repeated in `order` stays removed from
+    /// its first occurrence on.
     pub fn ranked(&self, order: &[u32], checkpoints: &[usize]) -> Vec<SweepPoint> {
         assert!(
             checkpoints.windows(2).all(|w| w[0] < w[1]),
@@ -490,8 +452,8 @@ impl<'g> RemovalSweep<'g> {
     ///
     /// The pass is one serial union loop. Parallelism lives a level up,
     /// where the work is independent: callers fan whole sweeps out over
-    /// [`par`] (Fig. 12's two graphs, Fig. 13's four orders, the random
-    /// baseline's trials), and SCC counts fan out per boundary.
+    /// [`crate::par`] (Fig. 12's two graphs, Fig. 13's four orders, the
+    /// random baseline's trials).
     fn reverse_sweep(
         &self,
         order: &[u32],
@@ -503,15 +465,6 @@ impl<'g> RemovalSweep<'g> {
             return Vec::new();
         }
         let max_removed = *boundaries.last().unwrap();
-
-        // If SCC counts are requested, evaluate the independent
-        // per-boundary Tarjan passes on worker threads (Tarjan cannot be
-        // run incrementally, but each boundary is a pure function).
-        let scc_counts: Vec<usize> = if self.compute_scc {
-            self.scc_counts_at(order, boundaries)
-        } else {
-            Vec::new()
-        };
 
         let mut sets = Rejoin {
             uf: match self.weights {
@@ -590,7 +543,7 @@ impl<'g> RemovalSweep<'g> {
                     0.0
                 },
                 wcc_count: alive_count - sets.merges,
-                scc_count: if self.compute_scc { scc_counts[bi] } else { 0 },
+                scc_count: 0,
             });
         }
         results.reverse();
@@ -706,22 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn scc_counts_when_enabled() {
-        // 2-cycle {0,1} plus bridge to 2
-        let g = DiGraph::from_edges(3, [(0, 1), (1, 0), (1, 2)]);
-        let sweep = RemovalSweep::new(&g).with_scc(true);
-        let pts = sweep.ranked(&[0], &[0, 1]);
-        assert_eq!(pts[0].scc_count, 2); // {0,1} and {2}
-        assert_eq!(pts[1].scc_count, 2); // {1} and {2}
-        let pts2 = RemovalSweep::new(&g).with_scc(true).iterative_fraction(
-            0.4,
-            1,
-            RankBy::DegreeIterative,
-        );
-        assert!(pts2[0].scc_count > 0);
-    }
-
-    #[test]
     fn full_wipeout_in_one_round() {
         // frac = 1.0 removes every survivor in the first round.
         let g = DiGraph::from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)]);
@@ -825,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_naive_with_scc_and_weights() {
+    fn incremental_matches_naive_with_weights() {
         let g = DiGraph::from_edges(
             8,
             [
@@ -840,7 +777,7 @@ mod tests {
             ],
         );
         let weights: Vec<f64> = (0..8).map(|i| (i + 1) as f64).collect();
-        let sweep = RemovalSweep::new(&g).with_weights(&weights).with_scc(true);
+        let sweep = RemovalSweep::new(&g).with_weights(&weights);
         let fast = sweep.iterative_fraction(0.25, 4, RankBy::DegreeIterative);
         let naive = sweep.iterative_fraction_naive(0.25, 4, RankBy::DegreeIterative);
         assert_eq!(fast, naive);
@@ -937,16 +874,13 @@ mod prop_tests {
                 let g = tie_heavy(shape, size, copies, isolated, perm_seed);
                 let weights: Vec<f64> =
                     (0..g.node_count()).map(|i| ((i * 7) % 11) as f64).collect();
+                let plain = RemovalSweep::new(&g);
+                let weighted = RemovalSweep::new(&g).with_weights(&weights);
                 for frac in [0.01, 0.1, 0.34, 1.0] {
-                    for scc in [false, true] {
-                        let plain = RemovalSweep::new(&g).with_scc(scc);
-                        let weighted = RemovalSweep::new(&g).with_scc(scc).with_weights(&weights);
-                        for sweep in [&plain, &weighted] {
-                            let fast = sweep.iterative_fraction(frac, 6, RankBy::DegreeIterative);
-                            let slow =
-                                sweep.iterative_fraction_naive(frac, 6, RankBy::DegreeIterative);
-                            prop_assert_eq!(&fast, &slow, "shape {} frac {} scc {}", shape, frac, scc);
-                        }
+                    for sweep in [&plain, &weighted] {
+                        let fast = sweep.iterative_fraction(frac, 6, RankBy::DegreeIterative);
+                        let slow = sweep.iterative_fraction_naive(frac, 6, RankBy::DegreeIterative);
+                        prop_assert_eq!(&fast, &slow, "shape {} frac {}", shape, frac);
                     }
                 }
             }
@@ -1051,7 +985,7 @@ mod prop_tests {
         /// bit-for-bit on random graphs with random integer-valued weights
         /// (integer weights make float summation order unobservable, so
         /// exact equality is the right assertion), across both ranking
-        /// modes and with SCC counting on and off.
+        /// modes.
         #[test]
         fn weighted_offline_equals_naive(
             edges in proptest::collection::vec((0u32..18, 0u32..18), 0..90),
@@ -1062,13 +996,11 @@ mod prop_tests {
             let frac = [0.1, 0.34, 1.0][frac_i];
             let g = DiGraph::from_edges(18, edges);
             let weights: Vec<f64> = raw_weights.iter().map(|&w| w as f64).collect();
-            for scc in [false, true] {
-                let sweep = RemovalSweep::new(&g).with_weights(&weights).with_scc(scc);
-                for rank in [RankBy::DegreeIterative, RankBy::Random { seed }] {
-                    let fast = sweep.iterative_fraction(frac, 5, rank);
-                    let slow = sweep.iterative_fraction_naive(frac, 5, rank);
-                    prop_assert_eq!(&fast, &slow, "scc {} rank {:?} frac {}", scc, rank, frac);
-                }
+            let sweep = RemovalSweep::new(&g).with_weights(&weights);
+            for rank in [RankBy::DegreeIterative, RankBy::Random { seed }] {
+                let fast = sweep.iterative_fraction(frac, 5, rank);
+                let slow = sweep.iterative_fraction_naive(frac, 5, rank);
+                prop_assert_eq!(&fast, &slow, "rank {:?} frac {}", rank, frac);
             }
         }
 

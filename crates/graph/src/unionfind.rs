@@ -38,20 +38,11 @@ pub struct UnionFind {
 impl UnionFind {
     /// `n` singleton sets.
     pub fn new(n: usize) -> Self {
-        let mut uf = Self::default();
-        uf.reset(n);
-        uf
-    }
-
-    /// Reinitialise to `n` singleton sets, reusing the existing buffer
-    /// (no allocation once grown to `n`).
-    pub fn reset(&mut self, n: usize) {
         assert!(
             n <= i32::MAX as usize,
             "union-find over more than i32::MAX nodes"
         );
-        self.link.clear();
-        self.link.resize(n, -1);
+        Self { link: vec![-1; n] }
     }
 
     /// Representative of `x`'s set (with path halving).
@@ -260,8 +251,7 @@ mod tests {
     fn empty_structure() {
         let mut uf = UnionFind::new(0);
         assert!(set_sizes(&mut uf, 0).is_empty());
-        uf.reset(2);
-        assert_eq!(uf.union(0, 1), Some((0, 2)));
+        assert_eq!(UnionFind::new(2).union(0, 1), Some((0, 2)));
     }
 }
 

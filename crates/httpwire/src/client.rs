@@ -68,14 +68,6 @@ impl Default for Client {
 }
 
 impl Client {
-    /// Client with both timeouts set to `t`.
-    pub fn with_timeout(t: Duration) -> Self {
-        Self {
-            connect_timeout: t,
-            request_timeout: t,
-        }
-    }
-
     /// Issue `req` to `addr`. A `connection: close` header is added so the
     /// exchange is exactly one request/response.
     pub async fn request(
@@ -156,7 +148,10 @@ mod tests {
 
     #[tokio::test]
     async fn connect_refused_maps_to_connect_error() {
-        let client = Client::with_timeout(Duration::from_secs(1));
+        let client = Client {
+            connect_timeout: Duration::from_secs(1),
+            request_timeout: Duration::from_secs(1),
+        };
         // bind-then-drop to find a (very likely) free port
         let l = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
         let addr = l.local_addr().unwrap();
@@ -177,7 +172,10 @@ mod tests {
             use tokio::io::AsyncWriteExt;
             let _ = s.write_all(b"SMTP 220 hello\r\n\r\n").await;
         });
-        let client = Client::with_timeout(Duration::from_secs(2));
+        let client = Client {
+            connect_timeout: Duration::from_secs(2),
+            request_timeout: Duration::from_secs(2),
+        };
         let err = client.get(addr, "h", "/").await.unwrap_err();
         assert!(
             matches!(
@@ -196,7 +194,10 @@ mod tests {
             let (s, _) = listener.accept().await.unwrap();
             drop(s); // close immediately
         });
-        let client = Client::with_timeout(Duration::from_secs(2));
+        let client = Client {
+            connect_timeout: Duration::from_secs(2),
+            request_timeout: Duration::from_secs(2),
+        };
         let err = client.get(addr, "h", "/").await.unwrap_err();
         assert!(
             matches!(err, ClientError::ConnectionClosed | ClientError::Io(_)),

@@ -14,16 +14,6 @@ pub struct RouteMatch {
     pub params: Vec<(String, String)>,
 }
 
-impl RouteMatch {
-    /// Look up a captured parameter.
-    pub fn param(&self, name: &str) -> Option<&str> {
-        self.params
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
 /// An ordered route table.
 #[derive(Debug, Clone, Default)]
 pub struct Router {
@@ -109,7 +99,7 @@ mod tests {
         let r = mastodon_router();
         let m = r.matches("/users/alice/followers").unwrap();
         assert_eq!(m.route, 2);
-        assert_eq!(m.param("name"), Some("alice"));
+        assert_eq!(m.params, [("name".to_string(), "alice".to_string())]);
     }
 
     #[test]
@@ -117,7 +107,7 @@ mod tests {
         let r = mastodon_router();
         let m = r.matches("/users/bob").unwrap();
         assert_eq!(m.route, 3);
-        assert_eq!(m.param("name"), Some("bob"));
+        assert_eq!(m.params, [("name".to_string(), "bob".to_string())]);
     }
 
     #[test]
@@ -141,6 +131,6 @@ mod tests {
         r.add("/a/b");
         let m = r.matches("/a/b").unwrap();
         assert_eq!(m.route, 0);
-        assert_eq!(m.param("x"), Some("b"));
+        assert_eq!(m.params, [("x".to_string(), "b".to_string())]);
     }
 }

@@ -287,18 +287,6 @@ impl OutageArena {
         b.finish()
     }
 
-    /// Build by draining a schedule stream: each schedule's intervals are
-    /// appended to the columns and the schedule is dropped before the next
-    /// one is pulled, so the peak cost is the arena plus one schedule.
-    pub fn from_schedule_iter(schedules: impl IntoIterator<Item = AvailabilitySchedule>) -> Self {
-        let iter = schedules.into_iter();
-        let mut b = Self::builder(iter.size_hint().0, 0);
-        for s in iter {
-            b.push_schedule(&s);
-        }
-        b.finish()
-    }
-
     /// Number of instances.
     pub fn len(&self) -> usize {
         self.birth.len()
@@ -743,8 +731,6 @@ mod tests {
             }
             assert_eq!(v.downtime_fraction(), s.downtime_fraction());
         }
-        // the draining constructor builds the identical arena
-        assert_eq!(OutageArena::from_schedule_iter(schedules), arena);
     }
 
     #[test]

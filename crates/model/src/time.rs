@@ -44,9 +44,6 @@ impl Epoch {
     /// First epoch of the window.
     pub const ZERO: Epoch = Epoch(0);
 
-    /// One-past-the-end epoch of the window.
-    pub const END: Epoch = Epoch(WINDOW_EPOCHS);
-
     /// Minutes since the window start.
     pub fn minutes(self) -> u64 {
         self.0 as u64 * 5
@@ -196,7 +193,10 @@ mod tests {
     #[test]
     fn saturating_add_clamps() {
         assert_eq!(Epoch(5).saturating_add(10), Epoch(15));
-        assert_eq!(Epoch(WINDOW_EPOCHS - 1).saturating_add(100), Epoch::END);
+        assert_eq!(
+            Epoch(WINDOW_EPOCHS - 1).saturating_add(100),
+            Epoch(WINDOW_EPOCHS)
+        );
     }
 
     #[test]

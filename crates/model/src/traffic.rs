@@ -86,14 +86,6 @@ impl TootArena {
         let hi = self.offsets[tick as usize + 1] as usize;
         &self.authors[lo..hi]
     }
-
-    /// Busiest tick and its event count (`None` for an empty arena).
-    pub fn peak_tick(&self) -> Option<(u32, u32)> {
-        (0..self.horizon)
-            .map(|t| (t, self.offsets[t as usize + 1] - self.offsets[t as usize]))
-            .max_by_key(|&(t, n)| (n, std::cmp::Reverse(t)))
-            .filter(|&(_, n)| n > 0)
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +103,6 @@ mod tests {
         assert_eq!(a.authors_at(1), &[] as &[u32]);
         assert_eq!(a.authors_at(2), &[1, 7]);
         assert_eq!(a.n_toots(), 6);
-        assert_eq!(a.peak_tick(), Some((0, 3)));
     }
 
     #[test]
@@ -120,7 +111,6 @@ mod tests {
         assert_eq!(a.authors_at(1), &[4, 4]);
         assert_eq!(a.authors_at(99), &[] as &[u32]);
         assert_eq!(TootArena::from_events(3, []).n_toots(), 0);
-        assert_eq!(TootArena::from_events(3, []).peak_tick(), None);
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!
 //! A torn write — the process died mid-`write` — shows up as a frame
 //! shorter than its declared payload, or as a checksum mismatch after a
-//! bit flip. Both decode to [`FrameError::Torn`]; neither can panic.
+//! bit flip. Both decode to [`FrameError::Torn`]; neither can panic. A
+//! frame with a valid checksum whose payload is not a value tree, or
+//! nests arrays and objects deeper than 128 levels, decodes to
+//! [`FrameError::Malformed`].
 //!
 //! ## Value encoding
 //!
@@ -55,6 +58,11 @@ const TAG_STR: u8 = 0x06;
 const TAG_ARR: u8 = 0x07;
 const TAG_OBJ: u8 = 0x08;
 const TAG_BYTES: u8 = 0x09;
+
+/// Deepest nesting of arrays and objects a payload may hold, the cap the
+/// vendored JSON parser puts on text. Each level is one recursive call of
+/// the decoder, so without a cap a hostile frame overflows the stack.
+const MAX_DEPTH: usize = 128;
 
 /// Frame header fields, decoded without touching the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,10 +212,19 @@ fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, FrameError> {
     String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::Malformed("invalid utf-8"))
 }
 
-/// Decode one value starting at `*pos`, advancing it.
+/// Decode one value starting at `*pos`, advancing it. Arrays and objects
+/// nested deeper than 128 levels are [`FrameError::Malformed`].
 pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, FrameError> {
+    decode_nested(buf, pos, 0)
+}
+
+/// [`decode_value`] for a value inside `depth` arrays and objects.
+fn decode_nested(buf: &[u8], pos: &mut usize, depth: usize) -> Result<Value, FrameError> {
     let &tag = buf.get(*pos).ok_or(FrameError::Malformed("tag past end"))?;
     *pos += 1;
+    if matches!(tag, TAG_ARR | TAG_OBJ) && depth >= MAX_DEPTH {
+        return Err(FrameError::Malformed("nested deeper than 128 levels"));
+    }
     match tag {
         TAG_NULL => Ok(Value::Null),
         TAG_FALSE => Ok(Value::Bool(false)),
@@ -231,7 +248,7 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, FrameError> {
             // cap pre-allocation: a corrupt count must not OOM
             let mut items = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
-                items.push(decode_value(buf, pos)?);
+                items.push(decode_nested(buf, pos, depth + 1)?);
             }
             Ok(Value::Array(items))
         }
@@ -244,7 +261,7 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, FrameError> {
             let mut map = Map::new();
             for _ in 0..count {
                 let key = get_str(buf, pos)?;
-                let val = decode_value(buf, pos)?;
+                let val = decode_nested(buf, pos, depth + 1)?;
                 map.insert(key, val);
             }
             Ok(Value::Object(map))
@@ -344,7 +361,7 @@ mod tests {
     use super::*;
     use serde::Serialize;
 
-    fn sample_state() -> Value {
+    pub(super) fn sample_state() -> Value {
         let mut inner = Map::new();
         inner.insert("due".into(), Value::from(42u64));
         inner.insert("neg".into(), Value::Number(Number::I(-7)));
@@ -362,6 +379,19 @@ mod tests {
             Value::Bytes(vec![0x00, 0xFF, 0x7F, 0x80, 0x09]),
         );
         Value::Object(m)
+    }
+
+    /// A frame around raw payload bytes, with a valid checksum.
+    pub(super) fn frame_with_payload(payload: &[u8]) -> Vec<u8> {
+        let mut out = encode_frame("t", 1, 0, &Value::Null);
+        // drop the one-byte null payload and the checksum
+        out.truncate(out.len() - 9);
+        let len_at = out.len() - 8;
+        out[len_at..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+        let sum = fnv1a(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
     }
 
     #[test]
@@ -412,6 +442,22 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_malformed_not_a_stack_overflow() {
+        let nested = |depth: usize, open: &[u8]| {
+            let mut payload = open.repeat(depth);
+            payload.push(TAG_NULL);
+            frame_with_payload(&payload)
+        };
+        let too_deep = Err(FrameError::Malformed("nested deeper than 128 levels"));
+        // one-element arrays, and one-key objects (key "k")
+        for open in [&[TAG_ARR, 1][..], &[TAG_OBJ, 1, 1, b'k'][..]] {
+            assert_eq!(decode_frame(&nested(100_000, open)), too_deep);
+            assert_eq!(decode_frame(&nested(MAX_DEPTH + 1, open)), too_deep);
+            assert!(decode_frame(&nested(MAX_DEPTH, open)).is_ok());
         }
     }
 
@@ -468,5 +514,87 @@ mod tests {
         let back: std::collections::BTreeMap<u32, Vec<u64>> =
             serde::Deserialize::from_json_value(&v).unwrap();
         assert_eq!(back, m);
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::tests::frame_with_payload;
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Edit the payload at `at`: overwrite one byte with a varint of at
+    /// least 2^40 (a huge count or length where one was), with a tag
+    /// (`0x0A` is unknown), or with a byte no UTF-8 text holds; or cut up
+    /// to 16 bytes out (a truncated string or value).
+    fn mutate(payload: &mut Vec<u8>, op: u8, at: usize, x: u64) {
+        if payload.is_empty() {
+            return;
+        }
+        let at = at % payload.len();
+        match op % 4 {
+            0 => {
+                let mut huge = Vec::new();
+                put_varint(x | 1 << 40, &mut huge);
+                payload.splice(at..=at, huge);
+            }
+            1 => payload[at] = (x % 11) as u8,
+            2 => {
+                let end = (at + 1 + (x % 16) as usize).min(payload.len());
+                payload.drain(at..end);
+            }
+            _ => payload[at] = [0xFF, 0xC0, 0x80, 0xED][(x % 4) as usize],
+        }
+    }
+
+    /// Decode a frame around `payload`; a value that decodes must survive
+    /// an encode-decode round trip unchanged.
+    fn decode_checked(payload: &[u8]) -> Result<(), proptest::TestCaseError> {
+        if let Ok((_, v)) = decode_frame(&frame_with_payload(payload)) {
+            let mut once = Vec::new();
+            encode_value(&v, &mut once);
+            let (_, again) = decode_frame(&frame_with_payload(&once)).unwrap();
+            let mut twice = Vec::new();
+            encode_value(&again, &mut twice);
+            prop_assert_eq!(once, twice);
+        }
+        Ok(())
+    }
+
+    /// The payload of a real frame: every tag, nested arrays and objects.
+    fn real_payload() -> Vec<u8> {
+        let mut state = super::tests::sample_state();
+        if let Value::Object(m) = &mut state {
+            m.insert("up".into(), Value::Bool(true));
+            m.insert("down".into(), Value::Bool(false));
+        }
+        let frame = encode_frame("fedsim", 1, 77, &state);
+        let header = 7 + "fedsim".len() + 4 + 8 + 8;
+        frame[header..frame.len() - 8].to_vec()
+    }
+
+    proptest! {
+        /// Hostile payloads behind a valid checksum: every single edit at
+        /// every offset, then runs of random edits. `decode_frame` returns
+        /// a value or an error and never panics.
+        #[test]
+        fn mutated_payloads_never_panic(
+            ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u64>()), 1..12),
+            x in any::<u64>()
+        ) {
+            let base = real_payload();
+            for at in 0..base.len() {
+                for op in 0..4 {
+                    let mut p = base.clone();
+                    mutate(&mut p, op, at, x);
+                    decode_checked(&p)?;
+                }
+            }
+            let mut p = base;
+            for &(op, at, x) in &ops {
+                mutate(&mut p, op, at, x);
+                decode_checked(&p)?;
+            }
+        }
     }
 }

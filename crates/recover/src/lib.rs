@@ -1,8 +1,7 @@
 //! Checkpoint/restore for the long-running engines.
 //!
-//! Every stateful long-runner in this workspace (the federation simulator,
-//! the fault-injected crawl loop, the replication scenario sweep) is
-//! deterministic: same seed ⇒ bit-identical output. That makes crash
+//! Both stateful long-runners in this workspace (the federation simulator
+//! and the fault-injected crawl loop) are deterministic: same seed ⇒ bit-identical output. That makes crash
 //! recovery *provable* — a run killed at any virtual tick and resumed from
 //! its last good snapshot must produce output bit-identical to the
 //! uninterrupted run. This crate supplies the shared machinery:
@@ -11,7 +10,9 @@
 //!   wrapped in a versioned frame (magic, format + state versions, engine
 //!   kind, virtual tick, payload length, FNV-1a checksum). Torn writes —
 //!   truncation or bit corruption — are detected by the length/checksum
-//!   pair, never by a panic.
+//!   pair, never by a panic. A payload behind a valid checksum that is
+//!   not a value tree, or nests arrays and objects past 128 levels,
+//!   decodes to an error too.
 //! - [`store`]: checkpoint stores. [`store::DirStore`] keeps frames as
 //!   files written temp-then-rename (a crash mid-write never corrupts an
 //!   existing snapshot); [`store::MemStore`] is an in-memory double for
@@ -30,8 +31,8 @@
 //!
 //! The headline guarantee — crash-then-resume ≡ uninterrupted, bit for bit
 //! — is proptested per engine (`crates/simnet/tests/recover.rs`,
-//! `crates/crawler/tests/crawl_resume.rs`, `crates/replication` unit
-//! tests) and CI-gated via `bench recover`.
+//! `crates/crawler/tests/crawl_resume.rs`) and CI-gated via
+//! `bench recover`.
 
 pub mod crash;
 pub mod drive;

@@ -123,12 +123,6 @@ impl ContentView {
         self.holders.entries()
     }
 
-    /// Users whose home is instance `i` (ascending user ids).
-    #[inline]
-    pub fn users_homed_on(&self, i: usize) -> &[u32] {
-        self.residents.row(i)
-    }
-
     /// The federation edges the holder sets induce (§3's GF(I, E)),
     /// deduplicated, in ascending `(source, target)` order.
     pub fn federation_edges(&self) -> Vec<(u32, u32)> {
@@ -260,7 +254,7 @@ mod tests {
         let v = ContentView::from_world(&w);
         let mut seen = vec![false; v.n_users()];
         for i in 0..v.n_instances {
-            let users = v.users_homed_on(i);
+            let users = v.residents.row(i);
             assert!(users.windows(2).all(|w| w[0] < w[1]), "sorted per instance");
             for &u in users {
                 assert_eq!(v.home[u as usize], i as u32);
@@ -279,7 +273,8 @@ mod tests {
         for i in 0..v.n_instances {
             let (lo, hi) = (v.res_bounds[i] as usize, v.res_bounds[i + 1] as usize);
             let tooting: Vec<u32> = v
-                .users_homed_on(i)
+                .residents
+                .row(i)
                 .iter()
                 .copied()
                 .filter(|&u| v.toots[u as usize] > 0)

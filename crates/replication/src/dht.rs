@@ -52,11 +52,6 @@ impl HashRing {
         ids.len()
     }
 
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Remove an instance (all its virtual nodes).
     pub fn remove(&mut self, instance: u32) {
         self.points.retain(|&(_, i)| i != instance);
@@ -91,11 +86,6 @@ impl HashRing {
         }
         out
     }
-
-    /// The primary owner of `key`.
-    pub fn owner(&self, key: u64) -> Option<u32> {
-        self.lookup(key, 1).first().copied()
-    }
 }
 
 #[cfg(test)]
@@ -121,7 +111,7 @@ mod tests {
         assert_eq!(ring.lookup(42, 5).len(), 2);
         let empty = HashRing::new(std::iter::empty(), 4);
         assert!(empty.lookup(42, 3).is_empty());
-        assert!(empty.owner(42).is_none());
+        assert!(empty.lookup(42, 1).is_empty());
     }
 
     #[test]
@@ -138,7 +128,7 @@ mod tests {
         let ring = HashRing::new(0..10, 64);
         let mut counts = [0u32; 10];
         for key in 0..20_000u64 {
-            counts[ring.owner(key).unwrap() as usize] += 1;
+            counts[ring.lookup(key, 1)[0] as usize] += 1;
         }
         let min = *counts.iter().min().unwrap() as f64;
         let max = *counts.iter().max().unwrap() as f64;
@@ -149,17 +139,17 @@ mod tests {
     #[test]
     fn removal_only_remaps_removed_owners_keys() {
         let mut ring = HashRing::new(0..10, 32);
-        let before: Vec<Option<u32>> = (0..5_000u64).map(|k| ring.owner(k)).collect();
+        let before: Vec<Vec<u32>> = (0..5_000u64).map(|k| ring.lookup(k, 1)).collect();
         ring.remove(3);
         for (k, owner_before) in before.iter().enumerate() {
-            let owner_after = ring.owner(k as u64);
-            if owner_before != &Some(3) {
+            let owner_after = ring.lookup(k as u64, 1);
+            if owner_before != &[3] {
                 assert_eq!(
-                    owner_after, *owner_before,
+                    &owner_after, owner_before,
                     "key {k} moved although its owner survived"
                 );
             } else {
-                assert_ne!(owner_after, Some(3));
+                assert_ne!(owner_after, [3]);
             }
         }
     }
@@ -167,10 +157,10 @@ mod tests {
     #[test]
     fn add_then_remove_is_identity() {
         let mut ring = HashRing::new(0..10, 16);
-        let before: Vec<Option<u32>> = (0..1_000u64).map(|k| ring.owner(k)).collect();
+        let before: Vec<Vec<u32>> = (0..1_000u64).map(|k| ring.lookup(k, 1)).collect();
         ring.add(99);
         ring.remove(99);
-        let after: Vec<Option<u32>> = (0..1_000u64).map(|k| ring.owner(k)).collect();
+        let after: Vec<Vec<u32>> = (0..1_000u64).map(|k| ring.lookup(k, 1)).collect();
         assert_eq!(before, after);
     }
 }
@@ -191,10 +181,10 @@ mod prop_tests {
         ) {
             let mut ring = HashRing::new(0..n_instances, 8);
             let victim = victim_seed % n_instances;
-            let before: Vec<u32> = keys.iter().map(|&k| ring.owner(k).unwrap()).collect();
+            let before: Vec<u32> = keys.iter().map(|&k| ring.lookup(k, 1)[0]).collect();
             ring.remove(victim);
             for (k, ob) in keys.iter().zip(&before) {
-                let oa = ring.owner(*k).unwrap();
+                let oa = ring.lookup(*k, 1)[0];
                 if *ob != victim {
                     prop_assert_eq!(oa, *ob);
                 }

@@ -47,6 +47,6 @@ pub use content::ContentView;
 pub use dht::HashRing;
 pub use eval::{AvailabilityBatch, AvailabilityPoint, AvailabilitySweep, RemovalPlan, Strategy};
 pub use scenario::{
-    compile, evaluate_grid, naive_grid, CompiledScenario, FrontierCell, Grid, GridSweep,
-    GridSweepState, ScenarioSpec, ScenarioStrategy, ScenarioWorld,
+    compile, evaluate_grid, naive_grid, CompiledScenario, FrontierCell, Grid, ScenarioSpec,
+    ScenarioStrategy, ScenarioWorld,
 };

@@ -27,7 +27,6 @@ use fediscope_model::instance::Instance;
 use fediscope_model::schedule::OutageCause;
 use fediscope_model::time::{Day, WINDOW_DAYS};
 use fediscope_model::world::World;
-use fediscope_recover::{Snapshot, Steppable};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -508,9 +507,8 @@ fn fold_cell(hist: &[u64], total_toots: u64, cost_num: u128, cost_den: u64) -> F
 
 /// Fold one instance shard `[lo, hi)` of the resident arena into the
 /// death histograms (`hist[sci * n_st + sti]`, index = death step) and
-/// per-strategy integer cost accumulators. Shared by the parallel
-/// [`evaluate_grid_chunked`] shards and the resumable [`GridSweep`]
-/// steps, so both paths produce the exact same integers.
+/// per-strategy integer cost accumulators: one shard of
+/// [`evaluate_grid_chunked`].
 #[allow(clippy::too_many_arguments)]
 fn fold_shard(
     view: &ContentView,
@@ -627,9 +625,7 @@ pub fn evaluate_grid_chunked(
     grid_from_accumulators(view, scenarios, strategies, &hist, &cost)
 }
 
-/// Fold finished accumulators into the labelled frontier grid. Shared by
-/// [`evaluate_grid_chunked`] and [`GridSweep::finish`] so the resumable
-/// sweep folds the exact same float sequence as the parallel one.
+/// Fold finished accumulators into the labelled frontier grid.
 fn grid_from_accumulators(
     view: &ContentView,
     scenarios: &[CompiledScenario],
@@ -654,175 +650,6 @@ fn grid_from_accumulators(
         strategies.iter().map(|s| s.label()).collect(),
         cells,
     )
-}
-
-// ---------------------------------------------------------------------------
-// Resumable sweep (checkpoint / crash / resume; see crates/recover)
-// ---------------------------------------------------------------------------
-
-/// Frame kind tag for grid-sweep snapshots.
-pub const GRID_SWEEP_KIND: &str = "grid-sweep";
-
-/// Schema version of [`GridSweepState`]. Bump on any shape change.
-pub const GRID_SWEEP_STATE_VERSION: u32 = 1;
-
-/// Serialized accumulators of a [`GridSweep`] between two shards. Shard
-/// layout, step tables, and labels are *not* stored — resume recomputes
-/// them from the same inputs, so a snapshot can never disagree with its
-/// configuration. The cost accumulators are `u128`, carried through the
-/// snapshot format's 128-bit support.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GridSweepState {
-    /// Shards folded so far.
-    pub shards_done: u64,
-    /// Death histograms, one per scenario × strategy cell (row-major).
-    pub hist: Vec<Vec<u64>>,
-    /// Per-strategy integer cost accumulators.
-    pub cost: Vec<u128>,
-}
-
-/// The frontier sweep as a resumable engine: each step folds one shard
-/// (serially, in shard order — the same order the parallel merge uses),
-/// so the virtual clock is the shard index and a snapshot between any two
-/// shards captures the sweep exactly. [`GridSweep::finish`] on a
-/// crashed-and-resumed sweep is bit-identical to [`evaluate_grid`] (and
-/// hence to [`naive_grid`]); pinned by the crash-resume proptests below.
-pub struct GridSweep<'a> {
-    view: &'a ContentView,
-    world: &'a ScenarioWorld,
-    scenarios: &'a [CompiledScenario],
-    strategies: &'a [ScenarioStrategy],
-    seed: u64,
-    step_tables: Vec<&'a [u32]>,
-    shards: Vec<(usize, usize)>,
-    shards_done: usize,
-    hist: Vec<Vec<u64>>,
-    cost: Vec<u128>,
-}
-
-impl<'a> GridSweep<'a> {
-    /// Fresh sweep over the full grid with an explicit shard-size target
-    /// (rows per shard, as in [`evaluate_grid_chunked`]).
-    pub fn new(
-        view: &'a ContentView,
-        world: &'a ScenarioWorld,
-        scenarios: &'a [CompiledScenario],
-        strategies: &'a [ScenarioStrategy],
-        seed: u64,
-        chunk_rows: usize,
-    ) -> Self {
-        assert_eq!(view.n_instances, world.n_instances, "view/world mismatch");
-        let n_st = strategies.len();
-        let all: Vec<u32> = (0..view.n_instances as u32).collect();
-        GridSweep {
-            view,
-            world,
-            scenarios,
-            strategies,
-            seed,
-            step_tables: scenarios.iter().map(|s| s.plan.steps()).collect(),
-            shards: instance_shards(view, &all, chunk_rows.max(1)),
-            shards_done: 0,
-            hist: (0..scenarios.len() * n_st)
-                .map(|cell| vec![0u64; scenarios[cell / n_st].plan.n_steps() + 1])
-                .collect(),
-            cost: vec![0u128; n_st],
-        }
-    }
-
-    /// Rebuild a sweep from a checkpoint. The inputs must be the ones the
-    /// snapshot was taken over (same view, scenarios, strategies, seed,
-    /// `chunk_rows`); accumulator shapes are checked against them.
-    pub fn resume(
-        view: &'a ContentView,
-        world: &'a ScenarioWorld,
-        scenarios: &'a [CompiledScenario],
-        strategies: &'a [ScenarioStrategy],
-        seed: u64,
-        chunk_rows: usize,
-        state: &GridSweepState,
-    ) -> Self {
-        let mut sweep = Self::new(view, world, scenarios, strategies, seed, chunk_rows);
-        assert!(
-            state.shards_done as usize <= sweep.shards.len(),
-            "snapshot is ahead of this sweep's shard layout"
-        );
-        assert_eq!(
-            state.hist.iter().map(Vec::len).collect::<Vec<_>>(),
-            sweep.hist.iter().map(Vec::len).collect::<Vec<_>>(),
-            "snapshot was taken over different scenarios/strategies"
-        );
-        assert_eq!(state.cost.len(), sweep.cost.len());
-        sweep.shards_done = state.shards_done as usize;
-        sweep.hist = state.hist.clone();
-        sweep.cost = state.cost.clone();
-        sweep
-    }
-
-    /// Total shards in this sweep's layout (the virtual-clock horizon).
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Snapshot the sweep's mutable state for a checkpoint.
-    pub fn capture(&self) -> GridSweepState {
-        GridSweepState {
-            shards_done: self.shards_done as u64,
-            hist: self.hist.clone(),
-            cost: self.cost.clone(),
-        }
-    }
-
-    /// Fold the finished accumulators into the frontier grid.
-    pub fn finish(&self) -> Grid<FrontierCell> {
-        assert!(self.is_done(), "sweep has shards left");
-        grid_from_accumulators(
-            self.view,
-            self.scenarios,
-            self.strategies,
-            &self.hist,
-            &self.cost,
-        )
-    }
-}
-
-impl Steppable for GridSweep<'_> {
-    fn tick(&self) -> u64 {
-        self.shards_done as u64
-    }
-
-    fn is_done(&self) -> bool {
-        self.shards_done >= self.shards.len()
-    }
-
-    fn step(&mut self) {
-        let (lo, hi) = self.shards[self.shards_done];
-        fold_shard(
-            self.view,
-            self.world,
-            self.strategies,
-            &self.step_tables,
-            self.seed,
-            lo,
-            hi,
-            &mut self.hist,
-            &mut self.cost,
-        );
-        self.shards_done += 1;
-    }
-}
-
-impl Snapshot for GridSweep<'_> {
-    const KIND: &'static str = GRID_SWEEP_KIND;
-    const STATE_VERSION: u32 = GRID_SWEEP_STATE_VERSION;
-
-    fn virtual_tick(&self) -> u64 {
-        self.shards_done as u64
-    }
-
-    fn snapshot_state(&self) -> serde::Value {
-        self.capture().to_json_value()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1075,138 +902,6 @@ mod tests {
         assert_eq!(fast, slow);
         assert_eq!(fast.rows.len(), compiled.len());
         assert_eq!(fast.cols.len(), ALL_STRATEGIES.len());
-    }
-
-    #[test]
-    fn grid_sweep_steps_to_the_same_grid() {
-        let world = tiny_world(43);
-        let view = ContentView::from_world(&world);
-        let sw = ScenarioWorld::from_world(&world);
-        let compiled: Vec<_> = all_specs().iter().map(|s| compile(s, &sw)).collect();
-        // chunk_rows = 1: one shard per resident instance, max granularity
-        let mut sweep = GridSweep::new(&view, &sw, &compiled, &ALL_STRATEGIES, 99, 1);
-        assert!(
-            sweep.n_shards() > 4,
-            "fixture must yield a multi-shard sweep"
-        );
-        while !sweep.is_done() {
-            sweep.step();
-        }
-        assert_eq!(
-            sweep.finish(),
-            evaluate_grid(&view, &sw, &compiled, &ALL_STRATEGIES, 99)
-        );
-    }
-
-    #[test]
-    fn grid_sweep_torn_final_checkpoint_falls_back() {
-        use fediscope_recover::{
-            recover_latest, run_checkpointed, CrashPlan, MemStore, RunOutcome,
-        };
-        let world = tiny_world(47);
-        let view = ContentView::from_world(&world);
-        let sw = ScenarioWorld::from_world(&world);
-        let compiled: Vec<_> = all_specs().iter().map(|s| compile(s, &sw)).collect();
-
-        let mut sweep = GridSweep::new(&view, &sw, &compiled, &ALL_STRATEGIES, 7, 1);
-        assert!(sweep.n_shards() >= 6);
-        let mut store = MemStore::new();
-        let plan = CrashPlan {
-            crash_tick: 4,
-            torn_final: true,
-        };
-        let out = run_checkpointed(&mut sweep, &mut store, 2, Some(plan)).unwrap();
-        assert_eq!(
-            out,
-            RunOutcome::Crashed {
-                at_tick: 4,
-                torn_final: true
-            }
-        );
-
-        let rec = recover_latest(&store, GRID_SWEEP_KIND, GRID_SWEEP_STATE_VERSION);
-        assert_eq!(
-            rec.torn_skipped, 1,
-            "the mid-write shard-4 frame reads as torn"
-        );
-        let (meta, value) = rec.good.expect("shard-2 frame survives");
-        assert_eq!(meta.tick, 2);
-        let state = GridSweepState::from_json_value(&value).unwrap();
-        let mut resumed = GridSweep::resume(&view, &sw, &compiled, &ALL_STRATEGIES, 7, 1, &state);
-        run_checkpointed(&mut resumed, &mut store, 2, None).unwrap();
-        assert_eq!(
-            resumed.finish(),
-            evaluate_grid(&view, &sw, &compiled, &ALL_STRATEGIES, 7)
-        );
-    }
-
-    #[test]
-    fn grid_sweep_state_round_trips_u128_cost() {
-        let world = tiny_world(53);
-        let view = ContentView::from_world(&world);
-        let sw = ScenarioWorld::from_world(&world);
-        let compiled = [compile(&ScenarioSpec::AsSharedFate(3), &sw)];
-        let mut sweep = GridSweep::new(&view, &sw, &compiled, &ALL_STRATEGIES, 3, 1);
-        sweep.step();
-        sweep.step();
-        let mut state = sweep.capture();
-        // force the cost accumulators past u64 to prove the 128-bit path
-        state.cost[0] += u128::from(u64::MAX) * 7;
-        let v = state.to_json_value();
-        let back = GridSweepState::from_json_value(&v).unwrap();
-        assert_eq!(back, state);
-    }
-
-    proptest::proptest! {
-        /// Random worlds × placement seeds × drawn crash shards × cadences
-        /// × shard sizes: kill the sweep mid-shard-stream, resume from the
-        /// newest good frame, and the finished frontier grid is
-        /// bit-identical to the one-pass parallel sweep's.
-        #[test]
-        fn grid_sweep_crash_then_resume_matches_evaluate_grid(
-            world_seed in 0u64..500,
-            place_seed in 0u64..1_000,
-            crash_counter in 0u64..10_000,
-            interval in 1u64..5,
-            chunk_rows in 1usize..96,
-        ) {
-            use fediscope_recover::{recover_latest, run_checkpointed, CrashPlan, MemStore, RunOutcome};
-            use proptest::prop_assert_eq;
-            let world = tiny_world(world_seed);
-            let view = ContentView::from_world(&world);
-            let sw = ScenarioWorld::from_world(&world);
-            let compiled: Vec<_> = all_specs().iter().map(|s| compile(s, &sw)).collect();
-
-            let mut sweep =
-                GridSweep::new(&view, &sw, &compiled, &ALL_STRATEGIES, place_seed, chunk_rows);
-            let crash = CrashPlan::drawn(place_seed, crash_counter, sweep.n_shards() as u64);
-            let mut store = MemStore::new();
-            let out = run_checkpointed(&mut sweep, &mut store, interval, Some(crash)).unwrap();
-            let resumed_grid = match out {
-                // drawn crash shard sat at the sweep's natural end
-                RunOutcome::Completed => sweep.finish(),
-                RunOutcome::Crashed { .. } => {
-                    let rec = recover_latest(&store, GRID_SWEEP_KIND, GRID_SWEEP_STATE_VERSION);
-                    let mut resumed = match &rec.good {
-                        Some((_, value)) => {
-                            let state = GridSweepState::from_json_value(value).unwrap();
-                            GridSweep::resume(
-                                &view, &sw, &compiled, &ALL_STRATEGIES, place_seed, chunk_rows,
-                                &state,
-                            )
-                        }
-                        // crash before the first checkpoint: honest restart
-                        None => GridSweep::new(
-                            &view, &sw, &compiled, &ALL_STRATEGIES, place_seed, chunk_rows,
-                        ),
-                    };
-                    run_checkpointed(&mut resumed, &mut store, interval, None).unwrap();
-                    resumed.finish()
-                }
-            };
-            let reference = evaluate_grid(&view, &sw, &compiled, &ALL_STRATEGIES, place_seed);
-            prop_assert_eq!(resumed_grid, reference);
-        }
     }
 
     #[test]

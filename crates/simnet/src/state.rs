@@ -194,11 +194,6 @@ impl SimState {
     pub fn drain_inbox(&self, id: InstanceId) -> Vec<Activity> {
         std::mem::take(&mut *self.inboxes[id.index()].lock())
     }
-
-    /// Number of queued inbox activities.
-    pub fn inbox_len(&self, id: InstanceId) -> usize {
-        self.inboxes[id.index()].lock().len()
-    }
 }
 
 #[cfg(test)]
@@ -342,7 +337,7 @@ mod tests {
     fn inbox_delivery_and_drain() {
         let s = state();
         let id = InstanceId(0);
-        assert_eq!(s.inbox_len(id), 0);
+        assert!(s.drain_inbox(id).is_empty());
         s.deliver(
             id,
             Activity::Announce {
@@ -351,10 +346,9 @@ mod tests {
                 object: "https://y/notes/9".into(),
             },
         );
-        assert_eq!(s.inbox_len(id), 1);
         let drained = s.drain_inbox(id);
         assert_eq!(drained.len(), 1);
-        assert_eq!(s.inbox_len(id), 0);
+        assert!(s.drain_inbox(id).is_empty());
     }
 
     #[test]

@@ -21,11 +21,6 @@ impl Ecdf {
         Self { sorted: samples }
     }
 
-    /// Build from any iterator of values convertible to `f64`.
-    pub fn from_counts<I: IntoIterator<Item = u64>>(counts: I) -> Self {
-        Self::new(counts.into_iter().map(|c| c as f64).collect())
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -78,21 +73,6 @@ impl Ecdf {
         points.iter().map(|&x| (x, self.eval(x))).collect()
     }
 
-    /// Produce a step-function series with one point per distinct sample
-    /// value: `(value, F(value))`.
-    pub fn step_series(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len() as f64;
-        let mut out: Vec<(f64, f64)> = Vec::new();
-        for (i, &v) in self.sorted.iter().enumerate() {
-            let y = (i + 1) as f64 / n;
-            match out.last_mut() {
-                Some(last) if last.0 == v => last.1 = y,
-                _ => out.push((v, y)),
-            }
-        }
-        out
-    }
-
     /// Fraction of samples strictly greater than `x` (the CCDF).
     pub fn ccdf(&self, x: f64) -> f64 {
         1.0 - self.eval(x)
@@ -131,17 +111,8 @@ mod tests {
     }
 
     #[test]
-    fn step_series_merges_duplicates() {
-        let e = Ecdf::new(vec![1.0, 1.0, 2.0]);
-        let s = e.step_series();
-        assert_eq!(s.len(), 2);
-        assert!((s[0].1 - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s[1], (2.0, 1.0));
-    }
-
-    #[test]
     fn ccdf_complements_cdf() {
-        let e = Ecdf::from_counts(vec![1, 10, 100, 1000]);
+        let e = Ecdf::new(vec![1.0, 10.0, 100.0, 1000.0]);
         for x in [0.0, 1.0, 10.0, 500.0, 1000.0] {
             assert!((e.eval(x) + e.ccdf(x) - 1.0).abs() < 1e-12);
         }

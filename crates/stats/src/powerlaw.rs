@@ -41,27 +41,6 @@ impl PowerLawFit {
         })
     }
 
-    /// Fit scanning a small set of candidate `xmin` values and keeping the
-    /// one minimising the Kolmogorov–Smirnov distance between the empirical
-    /// tail and the fitted CDF.
-    pub fn fit_auto(samples: &[f64]) -> Option<Self> {
-        let candidates = [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 55.0];
-        let mut best: Option<(f64, Self)> = None;
-        for &xmin in &candidates {
-            let Some(fit) = Self::fit(samples, xmin) else {
-                continue;
-            };
-            if fit.n_tail < 50 {
-                continue; // too little tail to judge
-            }
-            let d = fit.ks_distance(samples);
-            if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
-                best = Some((d, fit));
-            }
-        }
-        best.map(|(_, f)| f).or_else(|| Self::fit(samples, 1.0))
-    }
-
     /// CCDF of the fitted (continuous) power law at `x >= xmin`.
     pub fn ccdf(&self, x: f64) -> f64 {
         if x < self.xmin {
@@ -159,13 +138,6 @@ mod tests {
         // `uniform_data_fits_badly`).
         let d = fit.ks_distance(&data);
         assert!(d < 0.15, "KS distance {d} too large for a true power law");
-    }
-
-    #[test]
-    fn fit_auto_picks_something_reasonable() {
-        let data = synth_power_law(2.1, 20_000);
-        let fit = PowerLawFit::fit_auto(&data).unwrap();
-        assert!(fit.alpha > 1.5 && fit.alpha < 3.0, "alpha = {}", fit.alpha);
     }
 
     #[test]

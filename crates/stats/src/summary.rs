@@ -1,55 +1,4 @@
-//! Five-number summaries and box-plot statistics (Fig. 8 of the paper).
-
-/// A basic distribution summary.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// 25th percentile.
-    pub p25: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile.
-    pub p75: f64,
-    /// 95th percentile (used repeatedly by the paper, e.g. Fig. 7).
-    pub p95: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarise `data`; `None` on empty input.
-    pub fn of(data: &[f64]) -> Option<Self> {
-        if data.is_empty() {
-            return None;
-        }
-        let mut v = data.to_vec();
-        assert!(v.iter().all(|x| !x.is_nan()), "NaN in Summary input");
-        v.sort_unstable_by(f64::total_cmp);
-        Some(Self {
-            n: v.len(),
-            mean: crate::mean(&v)?,
-            std_dev: crate::std_dev(&v)?,
-            min: v[0],
-            p25: crate::quantile_sorted(&v, 0.25)?,
-            median: crate::quantile_sorted(&v, 0.5)?,
-            p75: crate::quantile_sorted(&v, 0.75)?,
-            p95: crate::quantile_sorted(&v, 0.95)?,
-            max: *v.last().unwrap(),
-        })
-    }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.p75 - self.p25
-    }
-}
+//! Box-plot statistics (Fig. 8 of the paper).
 
 /// Tukey box-plot statistics: quartiles, whiskers at 1.5·IQR, and outliers.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,21 +120,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_of_known_data() {
-        let data: Vec<f64> = (1..=100).map(|x| x as f64).collect();
-        let s = Summary::of(&data).unwrap();
-        assert_eq!(s.n, 100);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert!((s.mean - 50.5).abs() < 1e-12);
-        assert!((s.median - 50.5).abs() < 1e-12);
-        assert!((s.p25 - 25.75).abs() < 1e-12);
-        assert!((s.p95 - 95.05).abs() < 1e-9);
-    }
-
-    #[test]
     fn summary_empty_is_none() {
-        assert!(Summary::of(&[]).is_none());
         assert!(BoxStats::of(&[]).is_none());
     }
 
@@ -230,12 +165,6 @@ mod tests {
         // no samples
         assert!(BoxStats::of_counts(&[]).is_none());
         assert!(BoxStats::of_counts(&[(1.0, 0)]).is_none());
-    }
-
-    #[test]
-    fn iqr_nonnegative() {
-        let s = Summary::of(&[3.0, 3.0, 3.0]).unwrap();
-        assert_eq!(s.iqr(), 0.0);
     }
 }
 
@@ -310,13 +239,5 @@ mod prop_tests {
             }
         }
 
-        /// Summary min/max bracket every other statistic.
-        #[test]
-        fn summary_bracketing(xs in proptest::collection::vec(-1e6f64..1e6, 1..300)) {
-            let s = Summary::of(&xs).unwrap();
-            for v in [s.mean, s.p25, s.median, s.p75, s.p95] {
-                prop_assert!(v >= s.min - 1e-9 && v <= s.max + 1e-9);
-            }
-        }
     }
 }

@@ -5,9 +5,9 @@
 //! 472-day window (≈0.5B poll outcomes at 2019 scale, ≈4B at the modern
 //! 30k-instance tier). This module replays that feed from a generated
 //! world's schedules: per instance, one [`ObservedSeries`] with a poll at
-//! every `poll_stride` epochs from the instance's creation day to the end
-//! of the window (retired instances keep being polled and answer `Down`,
-//! like dead seed-list entries in the real monitor).
+//! every epoch from the instance's creation day to the end of the window
+//! (retired instances keep being polled and answer `Down`, like dead
+//! seed-list entries in the real monitor).
 //!
 //! The feed exists so the measurement path can be exercised end to end:
 //! `monitor::observe::arena_from_polls_with_coverage` streams these series
@@ -31,41 +31,12 @@ use fediscope_model::time::{Epoch, WINDOW_EPOCHS};
 #[derive(Debug, Clone, Copy)]
 pub struct SyntheticObservatory<'a> {
     schedules: &'a [AvailabilitySchedule],
-    poll_stride: u32,
-    unknown_prob: f64,
-    unknown_seed: u64,
 }
 
 impl<'a> SyntheticObservatory<'a> {
     /// Full-resolution (every 5-minute epoch) observatory.
     pub fn new(schedules: &'a [AvailabilitySchedule]) -> Self {
-        Self {
-            schedules,
-            poll_stride: 1,
-            unknown_prob: 0.0,
-            unknown_seed: 0,
-        }
-    }
-
-    /// Poll every `stride` epochs instead of every epoch (coarser feeds
-    /// for cheap tests; reconstruction is only interval-exact at stride 1).
-    pub fn with_poll_stride(mut self, stride: u32) -> Self {
-        assert!(stride >= 1);
-        self.poll_stride = stride;
-        self
-    }
-
-    /// Degrade the feed: each poll independently becomes
-    /// [`PollResult::Unknown`] with probability `prob`, chosen
-    /// deterministically from `seed` and the poll's (instance, epoch)
-    /// coordinates. This replays a fault-injected crawl's measurement gaps
-    /// offline — no listener, no executor — so the gap-tolerant
-    /// reconstruction path can be exercised at any scale.
-    pub fn with_unknown_mask(mut self, prob: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&prob));
-        self.unknown_prob = prob;
-        self.unknown_seed = seed;
-        self
+        Self { schedules }
     }
 
     /// Number of monitored instances.
@@ -88,9 +59,7 @@ impl<'a> SyntheticObservatory<'a> {
         let from = s.birth_epoch().0;
         let mut e = from;
         while e < WINDOW_EPOCHS {
-            let result = if self.masked(i, e) {
-                PollResult::Unknown
-            } else if s.is_up(Epoch(e)) {
+            let result = if s.is_up(Epoch(e)) {
                 PollResult::Up(InstanceApiInfo {
                     name: String::new(),
                     version: String::new(),
@@ -104,18 +73,8 @@ impl<'a> SyntheticObservatory<'a> {
                 PollResult::Down
             };
             out.polls.push((Epoch(e), result));
-            e += self.poll_stride;
+            e += 1;
         }
-    }
-
-    /// Does the unknown mask swallow the poll of instance `i` at epoch `e`?
-    fn masked(&self, i: usize, e: u32) -> bool {
-        if self.unknown_prob <= 0.0 {
-            return false;
-        }
-        let h = splitmix(self.unknown_seed ^ ((i as u64) << 34) ^ u64::from(e));
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-        u < self.unknown_prob
     }
 
     /// Owned series for instance `i` (convenience for tests).
@@ -135,17 +94,11 @@ impl<'a> SyntheticObservatory<'a> {
     }
 }
 
-fn splitmix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fediscope_model::schedule::OutageCause;
-    use fediscope_model::time::{Day, EPOCHS_PER_DAY};
+    use fediscope_model::time::Day;
 
     #[test]
     fn polls_cover_lifetime_and_reflect_outages() {
@@ -176,47 +129,12 @@ mod tests {
     }
 
     #[test]
-    fn stride_thins_the_feed() {
-        let schedules = vec![AvailabilitySchedule::always_up()];
-        let obs = SyntheticObservatory::new(&schedules).with_poll_stride(EPOCHS_PER_DAY);
-        let series = obs.series(0);
-        assert_eq!(series.polls.len() as u32, WINDOW_EPOCHS / EPOCHS_PER_DAY);
-        assert!(series.polls.iter().all(|(_, r)| r.is_up()));
-    }
-
-    #[test]
-    fn unknown_mask_is_deterministic_and_proportional() {
-        let schedules = vec![AvailabilitySchedule::always_up()];
-        let obs = SyntheticObservatory::new(&schedules)
-            .with_poll_stride(13)
-            .with_unknown_mask(0.2, 42);
-        let a = obs.series(0);
-        let b = obs.series(0);
-        assert_eq!(a, b, "same seed, same mask");
-        let unknown = a.polls.iter().filter(|(_, r)| !r.is_known()).count();
-        let frac = unknown as f64 / a.polls.len() as f64;
-        assert!((frac - 0.2).abs() < 0.03, "mask fraction {frac}");
-        // surviving polls still agree with ground truth
-        assert!(a
-            .polls
-            .iter()
-            .filter(|(_, r)| r.is_known())
-            .all(|(_, r)| r.is_up()));
-        // a different seed masks different polls
-        let other = SyntheticObservatory::new(&schedules)
-            .with_poll_stride(13)
-            .with_unknown_mask(0.2, 43)
-            .series(0);
-        assert_ne!(a, other);
-    }
-
-    #[test]
     fn for_each_reuses_scratch() {
         let schedules = vec![
             AvailabilitySchedule::always_up(),
             AvailabilitySchedule::new(Day(5), None),
         ];
-        let obs = SyntheticObservatory::new(&schedules).with_poll_stride(1000);
+        let obs = SyntheticObservatory::new(&schedules);
         let mut seen = Vec::new();
         obs.for_each_series(|i, s| seen.push((i, s.instance, s.polls.len())));
         assert_eq!(seen.len(), 2);

@@ -6,7 +6,8 @@
 //! much shorter horizon. This stage spreads each user's lifetime rate
 //! uniformly over the simulation window: a user with `toot_count` lifetime
 //! toots posts at `toot_count / WINDOW_EPOCHS` toots per tick, scaled by
-//! the tier's [`ScaleTier::fedsim_rate_scale`] knob.
+//! the tier's [`fedsim_rate_scale`](fediscope_model::ScaleTier::fedsim_rate_scale)
+//! knob.
 //!
 //! Determinism follows the repo's counter-derived-stream idiom: every user
 //! draws from [`crate::shard::unit_rng`]`(sub_seed(seed, 6), user_id)`, so
@@ -18,7 +19,6 @@ use crate::config::{sub_seed, WorldConfig};
 use fediscope_model::time::WINDOW_EPOCHS;
 use fediscope_model::traffic::TootArena;
 use fediscope_model::user::UserProfile;
-use fediscope_model::ScaleTier;
 use rand::Rng;
 
 /// The worldgen stream id for this stage (stages 1–5 are taken by
@@ -78,16 +78,6 @@ pub fn generate_with_block(
         },
     );
     TootArena::from_events(horizon, segments.into_iter().flatten())
-}
-
-/// Tier-knob convenience: horizon and rate scale from [`ScaleTier`].
-pub fn generate_for_tier(cfg: &WorldConfig, users: &[UserProfile], tier: ScaleTier) -> TootArena {
-    generate(
-        cfg,
-        users,
-        tier.fedsim_horizon_epochs(),
-        tier.fedsim_rate_scale(),
-    )
 }
 
 #[cfg(test)]
