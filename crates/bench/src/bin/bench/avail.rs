@@ -26,8 +26,7 @@ use fediscope_core::content::FIG16_NS as NS;
 use fediscope_core::{Metric, Observatory};
 use fediscope_graph::par;
 use fediscope_replication::eval::{
-    availability_curve, evaluate_plans_fused, singleton_groups, AvailabilityPoint,
-    AvailabilitySweep, RemovalPlan, Strategy,
+    availability_curve, singleton_groups, AvailabilityPoint, AvailabilitySweep, Strategy,
 };
 use serde_json::json;
 
@@ -247,13 +246,12 @@ fn csr_fig15(obs: &Observatory, order: &[u32], as_groups: &[Vec<u32>]) -> Curves
     ]
 }
 
-/// Batched path for Fig. 15: both plans compiled up front, one fused
-/// walk over the union of their removed instances' resident segments.
+/// Batched path for Fig. 15: one sweep per removal order, each walking
+/// only its removed instances' resident segments.
 fn batched_fig15(obs: &Observatory, order: &[u32], as_groups: &[Vec<u32>]) -> Curves {
     let view = obs.content_view();
-    let inst_plan = RemovalPlan::from_order(view.n_instances, order);
-    let as_plan = RemovalPlan::from_groups(view.n_instances, as_groups);
-    let (inst, by_as) = evaluate_plans_fused(view, &inst_plan, &as_plan, &[]);
+    let inst = AvailabilitySweep::singletons(view, order).evaluate(&[]);
+    let by_as = AvailabilitySweep::grouped(view, as_groups).evaluate(&[]);
     vec![inst.none, inst.subscription, by_as.none, by_as.subscription]
 }
 

@@ -2,9 +2,7 @@
 
 use crate::observatory::{Metric, Observatory};
 use fediscope_model::scale::ScaleTier;
-use fediscope_replication::eval::{
-    evaluate_plans_fused, AvailabilityPoint, AvailabilitySweep, RemovalPlan,
-};
+use fediscope_replication::eval::{AvailabilityPoint, AvailabilitySweep};
 use fediscope_stats::spearman;
 
 /// Fig. 14: home vs remote toots on federated timelines.
@@ -91,12 +89,8 @@ pub struct Fig15Replication {
 
 /// Compute Fig. 15 with sweeps of `max_instances` and `max_ases` removals.
 ///
-/// Both removal orders are compiled into [`RemovalPlan`]s up front and
-/// evaluated out of **one** fused walk over the union of their removed
-/// instances' resident segments ([`evaluate_plans_fused`]): the heavily
-/// overlapping instance/AS orders share most of their segments, so the
-/// fused walk streams each shared segment once instead of twice —
-/// bit-identical curves to two independent sweeps.
+/// Each removal order is one [`AvailabilitySweep`]: the instance order
+/// feeds the `*_by_instance` curves and the AS groups the `*_by_as` ones.
 pub fn fig15_replication(
     obs: &Observatory,
     max_instances: usize,
@@ -108,9 +102,8 @@ pub fn fig15_replication(
     let mut as_groups = obs.as_groups(Metric::Toots);
     as_groups.truncate(max_ases);
 
-    let inst_plan = RemovalPlan::from_order(view.n_instances, &inst_order);
-    let as_plan = RemovalPlan::from_groups(view.n_instances, &as_groups);
-    let (by_instance, by_as) = evaluate_plans_fused(view, &inst_plan, &as_plan, &[]);
+    let by_instance = AvailabilitySweep::singletons(view, &inst_order).evaluate(&[]);
+    let by_as = AvailabilitySweep::grouped(view, &as_groups).evaluate(&[]);
 
     let loss_at =
         |curve: &[AvailabilityPoint], k: usize| 1.0 - curve[k.min(curve.len() - 1)].availability;
@@ -148,8 +141,8 @@ pub const FIG16_NS: [usize; 6] = [1, 2, 3, 4, 7, 9];
 /// Compute Fig. 16 with a sweep of `max_instances` removals.
 ///
 /// All eight curves (No-Rep, S-Rep, and every `Random{n}`) come out of a
-/// single batched [`AvailabilitySweep`] pass over the flat removal order —
-/// no per-strategy rescans, no singleton-group materialisation.
+/// single batched [`AvailabilitySweep`] pass over the removal order — no
+/// per-strategy rescans.
 pub fn fig16_random_replication(obs: &Observatory, max_instances: usize) -> Fig16RandomReplication {
     let view = obs.content_view();
     let mut order = obs.instance_order(Metric::Toots);
@@ -254,9 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn fig15_fused_walk_equals_two_independent_passes() {
-        // Real Observatory orders: the fused two-plan walk must be
-        // bit-identical to evaluating each removal order on its own.
+    fn fig15_fields_come_from_their_own_sweeps() {
+        // Real Observatory orders: each Fig. 15 field must be the curve of
+        // its own removal order, evaluated on its own.
         let o = obs();
         let view = o.content_view();
         let mut inst_order = o.instance_order(Metric::Toots);

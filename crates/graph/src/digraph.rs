@@ -189,11 +189,6 @@ impl DiGraph {
         self.out_degree(v) + self.in_degree(v)
     }
 
-    /// Does the edge `a → b` exist?
-    pub fn has_edge(&self, a: u32, b: u32) -> bool {
-        self.out_neighbors(a).binary_search(&b).is_ok()
-    }
-
     /// Iterate all edges `(a, b)`.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         (0..self.n).flat_map(move |a| self.out_neighbors(a).iter().map(move |&b| (a, b)))
@@ -302,15 +297,7 @@ mod tests {
     fn self_loops_dropped() {
         let g = DiGraph::from_edges(3, [(0, 0), (1, 2)]);
         assert_eq!(g.edge_count(), 1);
-        assert!(!g.has_edge(0, 0));
-    }
-
-    #[test]
-    fn has_edge_works() {
-        let g = diamond();
-        assert!(g.has_edge(0, 1));
-        assert!(!g.has_edge(1, 0));
-        assert!(!g.has_edge(3, 0));
+        assert!(!g.out_neighbors(0).contains(&0));
     }
 
     #[test]
@@ -455,7 +442,7 @@ mod prop_tests {
             }
             for v in g.nodes() {
                 for &s in g.in_neighbors(v) {
-                    prop_assert!(g.has_edge(s, v));
+                    prop_assert!(g.out_neighbors(s).contains(&v));
                 }
             }
         }

@@ -223,17 +223,6 @@ impl ProviderCatalog {
     }
 }
 
-/// Render a synthetic IPv4 address as dotted-quad.
-pub fn ipv4_to_string(ip: u32) -> String {
-    format!(
-        "{}.{}.{}.{}",
-        (ip >> 24) & 0xff,
-        (ip >> 16) & 0xff,
-        (ip >> 8) & 0xff,
-        ip & 0xff
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,12 +263,6 @@ mod tests {
         for w in bases.windows(2) {
             assert!(w[1] - w[0] >= 1 << 16, "blocks overlap");
         }
-    }
-
-    #[test]
-    fn ip_rendering() {
-        assert_eq!(ipv4_to_string(0x0a00_0001), "10.0.0.1");
-        assert_eq!(ipv4_to_string(0xc0a8_0101), "192.168.1.1");
     }
 
     #[test]

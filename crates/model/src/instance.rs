@@ -103,16 +103,6 @@ impl Instance {
     pub fn is_open(&self) -> bool {
         self.registration == Registration::Open
     }
-
-    /// Publicly crawlable toot count (excludes private toots; zero when the
-    /// instance blocks crawling).
-    pub fn crawlable_toots(&self) -> u64 {
-        if !self.crawl_allowed {
-            return 0;
-        }
-        let public = (self.toot_count as f64 * (1.0 - self.private_toot_frac)).round();
-        public as u64
-    }
 }
 
 #[cfg(test)]
@@ -155,19 +145,6 @@ mod tests {
         assert!(i.is_open());
         i.registration = Registration::Closed;
         assert!(!i.is_open());
-    }
-
-    #[test]
-    fn crawlable_toots_respects_privacy() {
-        let i = demo();
-        assert_eq!(i.crawlable_toots(), 800);
-    }
-
-    #[test]
-    fn crawl_blocked_yields_zero() {
-        let mut i = demo();
-        i.crawl_allowed = false;
-        assert_eq!(i.crawlable_toots(), 0);
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl Category {
             Category::Humor => "humor",
         }
     }
-
-    /// Parse a label (inverse of [`Category::label`]).
-    pub fn from_label(s: &str) -> Option<Category> {
-        Category::ALL.iter().copied().find(|c| c.label() == s)
-    }
 }
 
 /// The 8 activity kinds of Fig. 4 that instances explicitly allow/prohibit.
@@ -249,14 +244,6 @@ impl FromIterator<Category> for CategorySet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn category_labels_round_trip() {
-        for c in Category::ALL {
-            assert_eq!(Category::from_label(c.label()), Some(c));
-        }
-        assert_eq!(Category::from_label("nonsense"), None);
-    }
 
     #[test]
     fn fifteen_categories_eight_activities() {

@@ -44,11 +44,6 @@ impl Epoch {
     /// First epoch of the window.
     pub const ZERO: Epoch = Epoch(0);
 
-    /// Minutes since the window start.
-    pub fn minutes(self) -> u64 {
-        self.0 as u64 * 5
-    }
-
     /// Saturating addition of `n` epochs, clamped to the window end.
     pub fn saturating_add(self, n: u32) -> Epoch {
         Epoch((self.0.saturating_add(n)).min(WINDOW_EPOCHS))
@@ -197,12 +192,6 @@ mod tests {
             Epoch(WINDOW_EPOCHS - 1).saturating_add(100),
             Epoch(WINDOW_EPOCHS)
         );
-    }
-
-    #[test]
-    fn minutes_accumulate() {
-        assert_eq!(Epoch(0).minutes(), 0);
-        assert_eq!(Epoch(12).minutes(), 60);
     }
 }
 

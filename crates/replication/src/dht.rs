@@ -27,7 +27,6 @@ fn point_for(instance: u32, vnode: u32) -> u64 {
 pub struct HashRing {
     /// Sorted `(point, instance)` pairs.
     points: Vec<(u64, u32)>,
-    vnodes: u32,
 }
 
 impl HashRing {
@@ -41,7 +40,7 @@ impl HashRing {
             }
         }
         points.sort_unstable();
-        Self { points, vnodes }
+        Self { points }
     }
 
     /// Number of distinct instances on the ring.
@@ -55,14 +54,6 @@ impl HashRing {
     /// Remove an instance (all its virtual nodes).
     pub fn remove(&mut self, instance: u32) {
         self.points.retain(|&(_, i)| i != instance);
-    }
-
-    /// Add an instance.
-    pub fn add(&mut self, instance: u32) {
-        for v in 0..self.vnodes {
-            self.points.push((point_for(instance, v), instance));
-        }
-        self.points.sort_unstable();
     }
 
     /// The `n` distinct instances responsible for `key`, clockwise from the
@@ -152,16 +143,6 @@ mod tests {
                 assert_ne!(owner_after, [3]);
             }
         }
-    }
-
-    #[test]
-    fn add_then_remove_is_identity() {
-        let mut ring = HashRing::new(0..10, 16);
-        let before: Vec<Vec<u32>> = (0..1_000u64).map(|k| ring.lookup(k, 1)).collect();
-        ring.add(99);
-        ring.remove(99);
-        let after: Vec<Vec<u32>> = (0..1_000u64).map(|k| ring.lookup(k, 1)).collect();
-        assert_eq!(before, after);
     }
 }
 

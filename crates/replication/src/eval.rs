@@ -19,7 +19,14 @@
 //!   `Random{n}` come out of the same pass. All histogram mass is integral
 //!   toot counts accumulated in `u64`, so shard merging is exact and the
 //!   output is bit-identical to the reference no matter how many threads
-//!   or shards run (differential proptests below pin this).
+//!   or shards run (differential proptests below pin this). One sweep
+//!   evaluates one removal order; Fig. 15's instance and AS orders are two
+//!   sweeps.
+//!
+//! [`AvailabilitySweep::monte_carlo`] places explicit random replicas
+//! instead of taking the expectation. Its walk is the one the
+//! capacity-weighted evaluator ([`crate::weighted`]) runs too, with an
+//! alias-table draw and a draw cap in place of the uniform draw.
 
 use crate::content::ContentView;
 use fediscope_graph::par;
@@ -68,10 +75,9 @@ fn removal_steps(n_instances: usize, groups: &[Vec<u32>]) -> Vec<usize> {
 /// A removal schedule compiled for repeated evaluation: the per-instance
 /// death step plus the cumulative removed-instance count after each step.
 ///
-/// Built from either a flat instance order ([`RemovalPlan::from_order`] —
-/// no per-element allocation, unlike materialising singleton groups) or a
-/// grouped order ([`RemovalPlan::from_groups`], one group per step, as in
-/// AS-failure sweeps).
+/// Built from a grouped order ([`RemovalPlan::from_groups`], one group per
+/// step, as in AS-failure sweeps); a flat instance order is the special
+/// case of one-member groups ([`singleton_groups`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemovalPlan {
     /// 1-based step at which each instance dies; `u32::MAX` = never. `u32`
@@ -83,40 +89,16 @@ pub struct RemovalPlan {
     /// members count once per listing, mirroring the reference evaluator).
     removed_prefix: Vec<usize>,
     /// Instances that are ever removed (ascending, deduplicated) —
-    /// compiled here once so every evaluation (batched sweep, fused
-    /// two-plan walk, Monte-Carlo) starts from the list directly instead
-    /// of re-filtering all `n_instances` per call.
+    /// compiled here once so every evaluation (batched sweep, Monte-Carlo)
+    /// starts from the list directly instead of re-filtering all
+    /// `n_instances` per call.
     removed: Vec<u32>,
 }
 
 /// Sentinel step for instances that are never removed.
 pub(crate) const NEVER: u32 = u32::MAX;
 
-/// Ascending list of instances with a finite death step.
-fn removed_of(steps: &[u32]) -> Vec<u32> {
-    (0..steps.len() as u32)
-        .filter(|&i| steps[i as usize] != NEVER)
-        .collect()
-}
-
 impl RemovalPlan {
-    /// Compile a flat order: element `g` is removed (alone) at step `g + 1`.
-    pub fn from_order(n_instances: usize, order: &[u32]) -> Self {
-        assert!(order.len() < NEVER as usize, "order too long for u32 steps");
-        let mut steps = vec![NEVER; n_instances];
-        for (g, &m) in order.iter().enumerate() {
-            if steps[m as usize] == NEVER {
-                steps[m as usize] = g as u32 + 1;
-            }
-        }
-        let removed = removed_of(&steps);
-        RemovalPlan {
-            steps,
-            removed_prefix: (0..=order.len()).collect(),
-            removed,
-        }
-    }
-
     /// Compile a grouped order: group `g`'s members are all removed at step
     /// `g + 1` (first listing wins for instances appearing twice).
     pub fn from_groups(n_instances: usize, groups: &[Vec<u32>]) -> Self {
@@ -139,7 +121,9 @@ impl RemovalPlan {
             acc += g.len();
             removed_prefix.push(acc);
         }
-        let removed = removed_of(&steps);
+        let removed = (0..n_instances as u32)
+            .filter(|&i| steps[i as usize] != NEVER)
+            .collect();
         RemovalPlan {
             steps,
             removed_prefix,
@@ -179,7 +163,7 @@ pub struct AvailabilityBatch {
 /// Fixed (not thread-count-derived) so the shard layout never varies; the
 /// merged histograms are exact integer sums either way, so this constant
 /// only affects scheduling, never output.
-const EVAL_CHUNK_USERS: usize = 65_536;
+pub(crate) const EVAL_CHUNK_USERS: usize = 65_536;
 
 /// The batched availability engine: one compiled [`RemovalPlan`] evaluated
 /// for every strategy in a single sharded pass over the users.
@@ -189,30 +173,17 @@ pub struct AvailabilitySweep<'v> {
 }
 
 impl<'v> AvailabilitySweep<'v> {
-    /// Sweep a flat instance order (one instance per step, zero per-step
-    /// allocation).
+    /// Sweep a flat instance order (one instance per step).
     pub fn singletons(view: &'v ContentView, order: &[u32]) -> Self {
-        Self::with_plan(view, RemovalPlan::from_order(view.n_instances, order))
+        Self::grouped(view, &singleton_groups(order))
     }
 
     /// Sweep a grouped order (one group — e.g. one AS — per step).
     pub fn grouped(view: &'v ContentView, groups: &[Vec<u32>]) -> Self {
-        Self::with_plan(view, RemovalPlan::from_groups(view.n_instances, groups))
-    }
-
-    /// Sweep a pre-compiled plan.
-    pub fn with_plan(view: &'v ContentView, plan: RemovalPlan) -> Self {
-        assert_eq!(
-            plan.steps.len(),
-            view.n_instances,
-            "plan compiled for a different instance count"
-        );
-        AvailabilitySweep { view, plan }
-    }
-
-    /// The compiled plan.
-    pub fn plan(&self) -> &RemovalPlan {
-        &self.plan
+        AvailabilitySweep {
+            view,
+            plan: RemovalPlan::from_groups(view.n_instances, groups),
+        }
     }
 
     /// Evaluate every strategy in one pass: the no-replication and
@@ -226,8 +197,19 @@ impl<'v> AvailabilitySweep<'v> {
     /// over users via [`par::parallel_map`] and merged with exact integer
     /// adds, so output is independent of thread and shard count.
     pub fn evaluate(&self, random_ns: &[usize]) -> AvailabilityBatch {
+        let (view, plan) = (self.view, &self.plan);
         let (home_death, sub_death) = self.death_histograms();
-        batch_from_histograms(self.view, &self.plan, &home_death, &sub_death, random_ns)
+        let n_steps = plan.n_steps();
+        let total = view.total_toots.max(1) as f64;
+        let to_f64 = |h: &[u64]| h.iter().map(|&v| v as f64).collect::<Vec<f64>>();
+        AvailabilityBatch {
+            none: fold_availability(&to_f64(&home_death), n_steps, total),
+            subscription: fold_availability(&to_f64(&sub_death), n_steps, total),
+            random: random_ns
+                .iter()
+                .map(|&n| (n, random_curve_from_home_deaths(view, plan, &home_death, n)))
+                .collect(),
+        }
     }
 
     /// The sharded scan: returns `(home_death, sub_death)` histograms of
@@ -308,7 +290,27 @@ impl<'v> AvailabilitySweep<'v> {
     }
 
     /// [`Self::monte_carlo`] with an explicit shard size (resident rows
-    /// per shard).
+    /// per shard), so tests can pin 1-shard ≡ N-shard equality.
+    fn monte_carlo_chunked(
+        &self,
+        n: usize,
+        toot_cap: u32,
+        seed: u64,
+        chunk_rows: usize,
+    ) -> Vec<AvailabilityPoint> {
+        let n_inst = self.view.n_instances as u32;
+        self.placement_walk(n, toot_cap, seed, chunk_rows, None, |rng| {
+            rng.gen_range(0..n_inst)
+        })
+    }
+
+    /// The Monte-Carlo walk shared by the uniform and the capacity-weighted
+    /// evaluators: each sampled toot of each user homed on a removed
+    /// instance gets up to `n` distinct replicas, each drawn by `draw`, and
+    /// dies at the latest death step among its home and replicas.
+    /// `max_draws` caps the draws per toot (`None`: draw until `n` distinct
+    /// replicas are found), so a sampler that can reach fewer than `n`
+    /// instances terminates with a short replica set.
     ///
     /// The walk is *inverted* onto the resident arena: only users homed
     /// on a removed instance can lose a placement race, so the scan
@@ -319,15 +321,19 @@ impl<'v> AvailabilitySweep<'v> {
     ///
     /// Output is **independent of `chunk_rows`**: each user draws from its
     /// own counter-derived RNG stream and contributes integral toot mass to
-    /// a `u64` histogram, so shard merging is exact in any order. Exposed
-    /// so tests can pin 1-shard ≡ N-shard equality.
-    pub fn monte_carlo_chunked(
+    /// a `u64` histogram, so shard merging is exact in any order.
+    pub(crate) fn placement_walk<D>(
         &self,
         n: usize,
         toot_cap: u32,
         seed: u64,
         chunk_rows: usize,
-    ) -> Vec<AvailabilityPoint> {
+        max_draws: Option<usize>,
+        draw: D,
+    ) -> Vec<AvailabilityPoint>
+    where
+        D: Fn(&mut StdRng) -> u32 + Sync,
+    {
         assert!(chunk_rows > 0, "chunk_rows must be positive");
         assert!(toot_cap > 0, "toot_cap must be positive");
         let view = self.view;
@@ -335,6 +341,7 @@ impl<'v> AvailabilitySweep<'v> {
         let n_steps = self.plan.n_steps();
         let n_inst = view.n_instances;
         let target = n.min(n_inst);
+        let max_draws = max_draws.unwrap_or(usize::MAX);
         let removed = &self.plan.removed[..];
         let shards = instance_shards(view, removed, chunk_rows);
 
@@ -372,8 +379,10 @@ impl<'v> AvailabilitySweep<'v> {
                         epoch += 1;
                         let mut dead_step = home_step;
                         let mut picked = 0usize;
-                        while picked < target {
-                            let cand = rng.gen_range(0..n_inst as u32) as usize;
+                        let mut draws = 0usize;
+                        while picked < target && draws < max_draws {
+                            let cand = draw(&mut rng) as usize;
+                            draws += 1;
                             if stamp[cand] != epoch {
                                 stamp[cand] = epoch;
                                 picked += 1;
@@ -431,29 +440,6 @@ pub(crate) fn instance_shards(
     shards
 }
 
-/// Assemble every strategy curve of one plan from its two death
-/// histograms (shared by [`AvailabilitySweep::evaluate`] and the fused
-/// two-plan walk, so both paths produce byte-identical batches).
-fn batch_from_histograms(
-    view: &ContentView,
-    plan: &RemovalPlan,
-    home_death: &[u64],
-    sub_death: &[u64],
-    random_ns: &[usize],
-) -> AvailabilityBatch {
-    let n_steps = plan.n_steps();
-    let total = view.total_toots.max(1) as f64;
-    let to_f64 = |h: &[u64]| h.iter().map(|&v| v as f64).collect::<Vec<f64>>();
-    AvailabilityBatch {
-        none: fold_availability(&to_f64(home_death), n_steps, total),
-        subscription: fold_availability(&to_f64(sub_death), n_steps, total),
-        random: random_ns
-            .iter()
-            .map(|&n| (n, random_curve_from_home_deaths(view, plan, home_death, n)))
-            .collect(),
-    }
-}
-
 /// Exact random-replication expectation from the shared home-death
 /// histogram — term-for-term the same float sequence as the reference
 /// evaluator, so the curves match bit-for-bit.
@@ -476,7 +462,8 @@ fn random_curve_from_home_deaths(
         let removed_count = plan.removed_prefix[k];
         homeless += dead;
         let mut p_all_gone = 1.0f64;
-        for i in 0..n {
+        // More replicas than instances means one on every instance.
+        for i in 0..n.min(i_total) {
             let num = removed_count.saturating_sub(i) as f64;
             let den = (i_total - i).max(1) as f64;
             p_all_gone *= (num / den).clamp(0.0, 1.0);
@@ -488,137 +475,6 @@ fn random_curve_from_home_deaths(
         });
     }
     out
-}
-
-/// Evaluate **two** removal plans out of one walk over the union of
-/// their removed instances' resident segments.
-///
-/// Fig. 15 sweeps the same world under two orders (top instances, top
-/// ASes) whose removed sets overlap heavily; evaluating them separately
-/// re-streams the shared segments. This fused walk reads each segment
-/// once, folding every resident's death steps under *both* plans into
-/// both histogram pairs — the holder scan keeps one cursor and stops as
-/// soon as each active plan has found a surviving holder. Histograms are
-/// exact `u64` sums, so each returned batch is bit-identical to what
-/// `AvailabilitySweep::with_plan(view, plan).evaluate(random_ns)` yields
-/// for that plan alone, at any shard or thread count.
-pub fn evaluate_plans_fused(
-    view: &ContentView,
-    plan_a: &RemovalPlan,
-    plan_b: &RemovalPlan,
-    random_ns: &[usize],
-) -> (AvailabilityBatch, AvailabilityBatch) {
-    assert_eq!(
-        plan_a.steps.len(),
-        view.n_instances,
-        "plan A instance count"
-    );
-    assert_eq!(
-        plan_b.steps.len(),
-        view.n_instances,
-        "plan B instance count"
-    );
-    let steps_a = &plan_a.steps[..];
-    let steps_b = &plan_b.steps[..];
-    let (na, nb) = (plan_a.n_steps(), plan_b.n_steps());
-
-    // Union of the two removed lists (both ascending, deduplicated).
-    let mut union = Vec::with_capacity(plan_a.removed.len() + plan_b.removed.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < plan_a.removed.len() || j < plan_b.removed.len() {
-        let x = plan_a.removed.get(i).copied().unwrap_or(u32::MAX);
-        let y = plan_b.removed.get(j).copied().unwrap_or(u32::MAX);
-        union.push(x.min(y));
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-
-    let shards = instance_shards(view, &union, EVAL_CHUNK_USERS);
-    let partials = par::parallel_map(&shards, |&(lo, hi)| {
-        let mut home_a = vec![0u64; na + 2];
-        let mut sub_a = vec![0u64; na + 2];
-        let mut home_b = vec![0u64; nb + 2];
-        let mut sub_b = vec![0u64; nb + 2];
-        for &inst in &union[lo..hi] {
-            let ha = steps_a[inst as usize];
-            let hb = steps_b[inst as usize];
-            let (need_a, need_b) = (ha != NEVER, hb != NEVER);
-            let (rlo, rhi) = (
-                view.res_bounds[inst as usize] as usize,
-                view.res_bounds[inst as usize + 1] as usize,
-            );
-            let mut seg_toots = 0u64;
-            for row in rlo..rhi {
-                let toots = view.res_toots[row];
-                seg_toots += toots;
-                // One holder cursor serves both plans: each plan's
-                // subscription death is the max step over home+holders,
-                // falsified by the first holder that survives that plan.
-                let mut death_a = ha;
-                let mut death_b = hb;
-                let mut gone_a = need_a;
-                let mut gone_b = need_b;
-                for &f in &view.res_holder_data[view.res_holder_offsets[row] as usize
-                    ..view.res_holder_offsets[row + 1] as usize]
-                {
-                    if gone_a {
-                        let s = steps_a[f as usize];
-                        if s == NEVER {
-                            gone_a = false;
-                        } else {
-                            death_a = death_a.max(s);
-                        }
-                    }
-                    if gone_b {
-                        let s = steps_b[f as usize];
-                        if s == NEVER {
-                            gone_b = false;
-                        } else {
-                            death_b = death_b.max(s);
-                        }
-                    }
-                    if !gone_a && !gone_b {
-                        break;
-                    }
-                }
-                if gone_a {
-                    sub_a[death_a as usize] += toots;
-                }
-                if gone_b {
-                    sub_b[death_b as usize] += toots;
-                }
-            }
-            if need_a {
-                home_a[ha as usize] += seg_toots;
-            }
-            if need_b {
-                home_b[hb as usize] += seg_toots;
-            }
-        }
-        (home_a, sub_a, home_b, sub_b)
-    });
-    let mut home_a = vec![0u64; na + 2];
-    let mut sub_a = vec![0u64; na + 2];
-    let mut home_b = vec![0u64; nb + 2];
-    let mut sub_b = vec![0u64; nb + 2];
-    for (pha, psa, phb, psb) in partials {
-        for (acc, v) in home_a.iter_mut().zip(&pha) {
-            *acc += v;
-        }
-        for (acc, v) in sub_a.iter_mut().zip(&psa) {
-            *acc += v;
-        }
-        for (acc, v) in home_b.iter_mut().zip(&phb) {
-            *acc += v;
-        }
-        for (acc, v) in sub_b.iter_mut().zip(&psb) {
-            *acc += v;
-        }
-    }
-    (
-        batch_from_histograms(view, plan_a, &home_a, &sub_a, random_ns),
-        batch_from_histograms(view, plan_b, &home_b, &sub_b, random_ns),
-    )
 }
 
 /// The RNG stream for user `u`: a golden-ratio counter mix feeding the
@@ -734,9 +590,10 @@ fn random_expectation_curve(
     for k in 1..=groups.len() {
         removed_count += groups[k - 1].len();
         homeless += home_death_toots[k];
-        // P(all n replicas fall in the removed set)
+        // P(all n replicas fall in the removed set); more replicas than
+        // instances means one on every instance.
         let mut p_all_gone = 1.0f64;
-        for i in 0..n {
+        for i in 0..n.min(i_total) {
             let num = removed_count.saturating_sub(i) as f64;
             let den = (i_total - i).max(1) as f64;
             p_all_gone *= (num / den).clamp(0.0, 1.0);
@@ -760,7 +617,7 @@ fn random_expectation_curve(
 ///
 /// Each user draws from its own counter-derived RNG stream, so the
 /// evaluation shards over users with seed-stable, shard-count-independent
-/// output (see [`AvailabilitySweep::monte_carlo_chunked`]).
+/// output (see [`AvailabilitySweep::monte_carlo`]).
 pub fn random_monte_carlo_curve(
     view: &ContentView,
     n: usize,
@@ -771,9 +628,9 @@ pub fn random_monte_carlo_curve(
     AvailabilitySweep::grouped(view, groups).monte_carlo(n, toot_cap, seed)
 }
 
-/// Convenience: turn a flat instance order into single-member groups (the
-/// naive engine's input shape; [`AvailabilitySweep::singletons`] consumes
-/// the flat order directly, without this allocation).
+/// Turn a flat instance order into single-member groups: step `g + 1`
+/// removes `order[g]` alone. Both engines take orders in this shape
+/// ([`AvailabilitySweep::singletons`] builds it from the flat order).
 pub fn singleton_groups(order: &[u32]) -> Vec<Vec<u32>> {
     order.iter().map(|&i| vec![i]).collect()
 }
@@ -986,57 +843,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_from_order_equals_singleton_groups_plan() {
-        let v = view();
-        let order = toot_order(&v);
-        // include a duplicate to pin first-wins semantics
-        let mut order = order[..12].to_vec();
-        order.push(order[0]);
-        let from_order = RemovalPlan::from_order(v.n_instances, &order);
-        let from_groups = RemovalPlan::from_groups(v.n_instances, &singleton_groups(&order));
-        assert_eq!(from_order, from_groups);
-        assert_eq!(from_order.n_steps(), 13);
-    }
-
-    #[test]
-    fn fused_two_plan_walk_equals_two_sweeps() {
-        let v = view();
-        let order = toot_order(&v);
-        let inst_plan = RemovalPlan::from_order(v.n_instances, &order[..15]);
-        // a grouped "AS" order overlapping the instance order
-        let groups = vec![
-            order[..4].to_vec(),
-            order[10..14].to_vec(),
-            order[20..26].to_vec(),
-        ];
-        let as_plan = RemovalPlan::from_groups(v.n_instances, &groups);
-        let ns = [2usize, 5];
-        let (fa, fb) = evaluate_plans_fused(&v, &inst_plan, &as_plan, &ns);
-        let sa = AvailabilitySweep::with_plan(&v, inst_plan).evaluate(&ns);
-        let sb = AvailabilitySweep::with_plan(&v, as_plan).evaluate(&ns);
-        assert_eq!(fa, sa);
-        assert_eq!(fb, sb);
-    }
-
-    #[test]
-    fn fused_walk_with_empty_plan() {
-        let v = view();
-        let order = toot_order(&v);
-        let some = RemovalPlan::from_order(v.n_instances, &order[..8]);
-        let none = RemovalPlan::from_order(v.n_instances, &[]);
-        let (fa, fb) = evaluate_plans_fused(&v, &some, &none, &[]);
-        assert_eq!(fa, AvailabilitySweep::with_plan(&v, some).evaluate(&[]));
-        assert_eq!(fb.none.len(), 1);
-        assert_eq!(fb.none[0].availability, 1.0);
-    }
-
-    #[test]
     fn plan_removed_instances_are_sorted_unique() {
         let v = view();
         let order = toot_order(&v);
         let mut with_dup = order[..10].to_vec();
         with_dup.push(order[3]);
-        let plan = RemovalPlan::from_order(v.n_instances, &with_dup);
+        let plan = RemovalPlan::from_groups(v.n_instances, &singleton_groups(&with_dup));
         let removed = plan.removed_instances();
         assert_eq!(removed.len(), 10);
         assert!(removed.windows(2).all(|w| w[0] < w[1]));
@@ -1080,6 +892,29 @@ mod tests {
         assert_eq!(batch.none[0].availability, 1.0);
         assert_eq!(batch.subscription.len(), 1);
         assert_eq!(batch.random[0].1.len(), 1);
+    }
+
+    #[test]
+    fn random_n_above_instance_count_places_one_replica_everywhere() {
+        let mut cfg = WorldConfig::tiny(41);
+        cfg.n_instances = 20;
+        cfg.n_users = 300;
+        let v = ContentView::from_world(&Generator::generate_world(cfg));
+        let all: Vec<u32> = (0..v.n_instances as u32).collect();
+        let groups = singleton_groups(&all);
+        let every = availability_curve(&v, Strategy::Random { n: 20 }, &groups);
+        assert_eq!(every.last().unwrap().availability, 0.0);
+        let sweep = AvailabilitySweep::singletons(&v, &all);
+        assert_eq!(
+            sweep.monte_carlo(21, 4, 3).last().unwrap().availability,
+            0.0
+        );
+        let batch = sweep.evaluate(&[21, 22]);
+        for (n, curve) in &batch.random {
+            let reference = availability_curve(&v, Strategy::Random { n: *n }, &groups);
+            assert_eq!(reference, every, "reference n={n}");
+            assert_eq!(curve, &every, "batched n={n}");
+        }
     }
 }
 
@@ -1158,29 +993,6 @@ mod prop_tests {
             }
         }
 
-        /// The fused two-plan walk must equal two independent sweeps for
-        /// any pair of (possibly overlapping, possibly duplicated)
-        /// removal orders — singleton × grouped shapes included.
-        #[test]
-        fn fused_pair_bit_identical_to_separate(
-            seed in 0u64..1000,
-            order_a in proptest::collection::vec(0u32..24, 0..30),
-            order_b in proptest::collection::vec(0u32..24, 0..30),
-            mut cuts in proptest::collection::vec(0usize..30, 0..5),
-        ) {
-            let v = tiny_view(seed);
-            cuts.sort_unstable();
-            cuts.dedup();
-            let plan_a = RemovalPlan::from_order(v.n_instances, &order_a);
-            let plan_b = RemovalPlan::from_groups(v.n_instances, &chop(&order_b, &cuts));
-            let ns = [1usize, 4];
-            let (fa, fb) = evaluate_plans_fused(&v, &plan_a, &plan_b, &ns);
-            let sa = AvailabilitySweep::with_plan(&v, plan_a).evaluate(&ns);
-            let sb = AvailabilitySweep::with_plan(&v, plan_b).evaluate(&ns);
-            prop_assert_eq!(fa, sa);
-            prop_assert_eq!(fb, sb);
-        }
-
         #[test]
         fn monte_carlo_shard_invariance(
             seed in 0u64..1000,
@@ -1212,7 +1024,7 @@ mod prop_tests {
 
             // Reference: the former evaluator's shape — scan *every*
             // user, skip the ones whose home survives.
-            let plan = RemovalPlan::from_order(v.n_instances, &order);
+            let plan = RemovalPlan::from_groups(v.n_instances, &singleton_groups(&order));
             let n_steps = plan.n_steps();
             let n_inst = v.n_instances;
             let target = n.min(n_inst);

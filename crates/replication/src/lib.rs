@@ -17,11 +17,12 @@
 //! implemented as a consistent-hash ring ([`dht`]). A capacity-weighted
 //! variant ([`weighted`]) explores the paper's closing remark that
 //! "it would be important to weight replication based on the resources
-//! available at the instance".
+//! available at the instance"; it runs the uniform Monte-Carlo walk with a
+//! capacity-weighted draw.
 //!
 //! Evaluation has two engines: the naive per-strategy reference
 //! ([`eval::availability_curve`]) and the batched
-//! [`AvailabilitySweep`], which compiles the removal schedule once
+//! [`AvailabilitySweep`], which compiles one removal order once
 //! ([`eval::RemovalPlan`]) and folds **every** strategy's curve out of one
 //! sharded pass over the [`ContentView`]'s flat CSR holder arena —
 //! bit-identical output, several times faster on multi-strategy workloads

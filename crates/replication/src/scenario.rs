@@ -566,9 +566,9 @@ pub fn evaluate_grid(
     evaluate_grid_chunked(view, world, scenarios, strategies, seed, SWEEP_CHUNK_ROWS)
 }
 
-/// [`evaluate_grid`] with an explicit shard-size target (rows per shard);
-/// exposed for the shard-invariance proptests and the bench bin.
-pub fn evaluate_grid_chunked(
+/// [`evaluate_grid`] with an explicit shard-size target (rows per shard),
+/// so the shard-invariance proptests can vary it.
+fn evaluate_grid_chunked(
     view: &ContentView,
     world: &ScenarioWorld,
     scenarios: &[CompiledScenario],

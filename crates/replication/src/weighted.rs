@@ -6,21 +6,21 @@
 //! instead of uniformly. The evaluator is Monte-Carlo (the non-uniform
 //! without-replacement expectation has no clean closed form).
 //!
-//! The production engine mirrors the uniform Monte-Carlo evaluator's
-//! discipline (see `eval.rs`): a Walker **alias table** makes each
-//! capacity-weighted draw `O(1)` (the original cumulative-sum sampler
-//! paid a binary search per draw), a **stamped scratch** gives `O(1)`
-//! replica distinctness (was a per-sample `Vec` + linear `contains`),
-//! each user draws from its own counter-derived RNG stream, per-sample
-//! weights are integral, and the walk is *inverted* onto the resident
-//! arena — only users homed on removed instances are visited. The `u64`
-//! histograms merge exactly, so output is shard- and thread-count
-//! independent. The pre-rewrite engine is kept as
-//! [`weighted_random_curve_reference`] for differential testing.
+//! The production engine runs the uniform Monte-Carlo evaluator's walk
+//! (see `eval.rs`) with two differences: a Walker **alias table** makes
+//! each capacity-weighted draw `O(1)` (the original cumulative-sum sampler
+//! paid a binary search per draw), and each toot stops after `64 * n`
+//! draws, so a profile with fewer than `n` positive capacities still
+//! terminates. The walk keeps the uniform evaluator's discipline: a
+//! stamped array for `O(1)` replica distinctness, per-user
+//! counter-derived RNG streams, integral per-sample weights, and a walk
+//! *inverted* onto the resident arena (only users homed on removed
+//! instances are visited), whose `u64` histograms merge exactly, so output
+//! is shard- and thread-count independent. The pre-rewrite engine is kept
+//! as [`weighted_random_curve_reference`] for differential testing.
 
 use crate::content::ContentView;
-use crate::eval::{instance_shards, user_stream_rng, AvailabilityPoint, RemovalPlan};
-use fediscope_graph::par;
+use crate::eval::{AvailabilityPoint, AvailabilitySweep, EVAL_CHUNK_USERS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,11 +83,6 @@ impl AliasTable {
     }
 }
 
-/// Resident rows per shard (fixed, thread-agnostic — merging is exact,
-/// so the layout only affects scheduling; same constant family as the
-/// uniform evaluator's).
-const WEIGHTED_CHUNK_ROWS: usize = 65_536;
-
 /// Availability curve for capacity-weighted random replication with `n`
 /// replicas per toot, sampled per user (up to `toot_cap` samples per
 /// user; the remaining toots ride the sampled placements with integral
@@ -108,15 +103,16 @@ pub fn weighted_random_curve(
         groups,
         toot_cap,
         seed,
-        WEIGHTED_CHUNK_ROWS,
+        EVAL_CHUNK_USERS,
     )
 }
 
-/// [`weighted_random_curve`] with an explicit shard size, exposed so
-/// tests can pin 1-shard ≡ N-shard equality (the same discipline as
-/// `AvailabilitySweep::monte_carlo_chunked`).
-#[allow(clippy::too_many_arguments)]
-pub fn weighted_random_curve_chunked(
+/// [`weighted_random_curve`] with an explicit shard size, so tests can pin
+/// 1-shard ≡ N-shard equality. It runs the uniform Monte-Carlo walk with
+/// an alias-table draw and at most `64 * n` draws per toot: a capacity
+/// profile with fewer than `n` positive entries must terminate with a
+/// short replica set, as in the reference engine.
+fn weighted_random_curve_chunked(
     view: &ContentView,
     capacities: &[f64],
     n: usize,
@@ -126,72 +122,16 @@ pub fn weighted_random_curve_chunked(
     chunk_rows: usize,
 ) -> Vec<AvailabilityPoint> {
     assert_eq!(capacities.len(), view.n_instances, "capacity length");
-    assert!(toot_cap > 0, "toot_cap must be positive");
-    assert!(chunk_rows > 0, "chunk_rows must be positive");
     let sampler = AliasTable::new(capacities);
-    let n_steps = groups.len();
-    let n_inst = view.n_instances;
-    let target = n.min(n_inst);
-
-    // Same plan compilation and shard layout as the uniform evaluator.
-    let plan = RemovalPlan::from_groups(n_inst, groups);
-    let steps = plan.steps();
-    let removed = plan.removed_instances();
-    let shards = instance_shards(view, removed, chunk_rows);
-
-    let partials = par::parallel_map(&shards, |&(slo, shi)| {
-        let mut death = vec![0u64; n_steps + 2];
-        let mut stamp = vec![0u64; n_inst];
-        let mut epoch = 0u64;
-        for &inst in &removed[slo..shi] {
-            let home_step = steps[inst as usize] as usize;
-            let (rlo, rhi) = (
-                view.res_bounds[inst as usize] as usize,
-                view.res_bounds[inst as usize + 1] as usize,
-            );
-            for row in rlo..rhi {
-                let toots = view.res_toots[row];
-                let mut rng = user_stream_rng(seed, view.res_users[row] as usize);
-                let samples = toots.min(toot_cap as u64);
-                let base = toots / samples;
-                let rem = toots % samples;
-                for j in 0..samples {
-                    epoch += 1;
-                    let mut dead_step = home_step;
-                    let mut picked = 0usize;
-                    // The attempt guard mirrors the reference engine: a
-                    // capacity profile with fewer than `target` positive
-                    // entries must terminate with a short replica set.
-                    let mut guard = 0usize;
-                    while picked < target && guard < 64 * target.max(1) {
-                        let cand = sampler.sample(&mut rng) as usize;
-                        guard += 1;
-                        if stamp[cand] != epoch {
-                            stamp[cand] = epoch;
-                            picked += 1;
-                            let s = steps[cand] as usize;
-                            if s > dead_step {
-                                dead_step = s;
-                            }
-                        }
-                    }
-                    if dead_step <= n_steps {
-                        death[dead_step] += base + u64::from(j < rem);
-                    }
-                }
-            }
-        }
-        death
-    });
-    let mut death = vec![0u64; n_steps + 2];
-    for h in partials {
-        for (acc, v) in death.iter_mut().zip(&h) {
-            *acc += v;
-        }
-    }
-    let total = view.total_toots.max(1) as f64;
-    let death_f: Vec<f64> = death.iter().map(|&v| v as f64).collect();
-    crate::eval::fold_availability(&death_f, n_steps, total)
+    let max_draws = 64 * n.min(view.n_instances).max(1);
+    AvailabilitySweep::grouped(view, groups).placement_walk(
+        n,
+        toot_cap,
+        seed,
+        chunk_rows,
+        Some(max_draws),
+        |rng| sampler.sample(rng),
+    )
 }
 
 /// The pre-rewrite engine, kept verbatim as the differential baseline:
@@ -437,6 +377,66 @@ mod tests {
             "all mass must be lost: {}",
             curve.last().unwrap().availability
         );
+    }
+
+    #[test]
+    fn weighted_curve_values_are_pinned() {
+        let mut cfg = WorldConfig::tiny(61);
+        cfg.n_instances = 20;
+        cfg.n_users = 250;
+        let v = ContentView::from_world(&Generator::generate_world(cfg));
+        let mut toots = vec![0u64; v.n_instances];
+        for u in 0..v.n_users() {
+            toots[v.home[u] as usize] += v.toots[u];
+        }
+        let mut order: Vec<u32> = (0..v.n_instances as u32).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(toots[i as usize]));
+        let groups = singleton_groups(&order[..8]);
+        let skewed: Vec<f64> = (0..v.n_instances).map(|i| 1.0 + (i % 4) as f64).collect();
+        // Two positive instances, both removed, for three replicas: every
+        // sample spends the full draw cap and keeps a short replica set.
+        // The second is rare enough that whether a sample finds it depends
+        // on the number of draws.
+        let mut starved = vec![0.0; v.n_instances];
+        starved[order[1] as usize] = 3.0;
+        starved[order[5] as usize] = 0.015;
+        let pinned: [(&[f64], usize, [f64; 9]); 2] = [
+            (
+                &skewed,
+                2,
+                [
+                    1.0,
+                    1.0,
+                    1.0,
+                    0.9864911240757496,
+                    0.96443390634262,
+                    0.9578510591832278,
+                    0.9195395126821202,
+                    0.9149533584999844,
+                    0.847845755467507,
+                ],
+            ),
+            (
+                &starved,
+                3,
+                [
+                    1.0,
+                    1.0,
+                    0.7997379340467351,
+                    0.7108226999032852,
+                    0.679593173805884,
+                    0.6738214831685021,
+                    0.04848220135400738,
+                    0.032071880947181275,
+                    0.018687798334009242,
+                ],
+            ),
+        ];
+        for (caps, n, expect) in pinned {
+            let curve = weighted_random_curve(&v, caps, n, &groups, 8, 17);
+            let got: Vec<f64> = curve.iter().map(|p| p.availability).collect();
+            assert_eq!(got, expect, "n={n}");
+        }
     }
 
     #[test]

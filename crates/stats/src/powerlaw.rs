@@ -3,7 +3,7 @@
 //! The paper observes "traditional power law distributions across all three
 //! graphs" (Fig. 11). To make that claim checkable on synthetic data we fit
 //! the discrete power-law exponent by maximum likelihood (the Clauset,
-//! Shalizi & Newman approximation) and expose a crude goodness signal.
+//! Shalizi & Newman approximation).
 
 /// Result of a power-law fit `p(x) ∝ x^(−alpha)` for `x >= xmin`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,28 +47,6 @@ impl PowerLawFit {
             return 1.0;
         }
         (x / self.xmin).powf(1.0 - self.alpha)
-    }
-
-    /// Kolmogorov–Smirnov distance between the empirical tail distribution
-    /// and the fitted power law (smaller = better fit).
-    pub fn ks_distance(&self, samples: &[f64]) -> f64 {
-        let mut tail: Vec<f64> = samples
-            .iter()
-            .copied()
-            .filter(|&x| x >= self.xmin)
-            .collect();
-        if tail.is_empty() {
-            return 1.0;
-        }
-        tail.sort_by(|a, b| a.partial_cmp(b).expect("NaN"));
-        let n = tail.len() as f64;
-        let mut d: f64 = 0.0;
-        for (i, &x) in tail.iter().enumerate() {
-            let emp_ccdf = 1.0 - (i as f64 + 1.0) / n;
-            let model = self.ccdf(x);
-            d = d.max((emp_ccdf - model).abs());
-        }
-        d
     }
 }
 
@@ -126,27 +104,5 @@ mod tests {
             assert!((0.0..=1.0).contains(&c));
             prev = c;
         }
-    }
-
-    #[test]
-    fn ks_distance_small_for_true_model() {
-        let data = synth_power_law(2.3, 50_000);
-        let fit = PowerLawFit::fit(&data, 8.0).unwrap();
-        // Samples are floored to integers, so the continuous model deviates
-        // by up to the discretisation step near xmin; 0.15 is a loose bound
-        // that still cleanly separates power-law from uniform data (see
-        // `uniform_data_fits_badly`).
-        let d = fit.ks_distance(&data);
-        assert!(d < 0.15, "KS distance {d} too large for a true power law");
-    }
-
-    #[test]
-    fn uniform_data_fits_badly() {
-        // Uniform data should be distinguishable from a power law by KS.
-        let uniform: Vec<f64> = (1..=1000).map(|x| x as f64).collect();
-        let power = synth_power_law(2.3, 1000);
-        let fu = PowerLawFit::fit(&uniform, 5.0).unwrap();
-        let fp = PowerLawFit::fit(&power, 5.0).unwrap();
-        assert!(fu.ks_distance(&uniform) > fp.ks_distance(&power));
     }
 }

@@ -20,7 +20,7 @@
 //! per-instance Bernoulli draws instead of global shuffles, and the
 //! AS-wide failure intervals are precomputed per ASN independent of
 //! membership — so per-instance schedules can be generated in any block
-//! partition with identical output. [`generate_arena`] streams each
+//! partition with identical output. [`generate_arena_with_block`] streams each
 //! block's raw clipped intervals into the counting-sort
 //! [`OutageArena::from_unsorted`] path, never materialising sorted
 //! per-instance schedules.
@@ -321,12 +321,8 @@ pub fn generate_with_block(
 /// [`OutageArena::from_unsorted`] ingest — no per-instance sorted
 /// builder anywhere on the path, and bit-identical to
 /// `OutageArena::from_schedules(generate(..))` (pinned by tests here and
-/// by the `from_unsorted` proptest in `fediscope_model`).
-pub fn generate_arena(cfg: &WorldConfig, instances: &mut [Instance]) -> OutageArena {
-    generate_arena_with_block(cfg, instances, INSTANCE_BLOCK)
-}
-
-/// [`generate_arena`] with an explicit block size.
+/// by the `from_unsorted` proptest in `fediscope_model`). Each shard
+/// covers `block` instances.
 pub fn generate_arena_with_block(
     cfg: &WorldConfig,
     instances: &mut [Instance],

@@ -29,7 +29,7 @@
 //! Beyond the pipeline, [`observatory`] replays a generated world's
 //! schedules as a mnm.social-style 5-minute poll feed (streaming, so even
 //! the 30k-instance modern tier's multi-billion-poll feed never
-//! materialises), and [`availability::generate_arena`] drains the schedule
+//! materialises), and [`availability::generate_arena_with_block`] drains the schedule
 //! stream straight into a columnar `OutageArena` for the §4 telemetry
 //! engine.
 
@@ -88,7 +88,7 @@ impl Generator {
 
     /// Build a seekable social-edge cursor: instance and user stages run
     /// eagerly, then the returned [`social::SocialCursor`] can emit any
-    /// user's adjacency block independently (`emit_user` / `segment`)
+    /// user's adjacency block independently (`segment`)
     /// without replaying the users before it — block `b` maps straight to
     /// its counter-derived RNG offset. This is the resume-identity path:
     /// a crash-recovered run re-emits exactly the blocks it needs.

@@ -242,12 +242,6 @@ impl AliasFamily {
         Self { offsets, slots }
     }
 
-    /// Number of candidates in `domain`.
-    #[inline]
-    pub fn domain_len(&self, domain: usize) -> usize {
-        (self.offsets[domain + 1] - self.offsets[domain]) as usize
-    }
-
     /// Sample `domain` from one uniform `u64`; `None` if the domain has
     /// no candidates.
     #[inline]
@@ -326,8 +320,6 @@ mod tests {
         let pairs = [(0u32, 5u32), (0, 6), (2, 9)];
         let m = Membership::new(3, pairs.iter().copied());
         let fam = AliasFamily::build(&m, 3, |_| 1.0);
-        assert_eq!(fam.domain_len(0), 2);
-        assert_eq!(fam.domain_len(1), 0);
         assert_eq!(fam.sample_u64(1, 12345), None);
         assert_eq!(fam.sample_u64(2, 12345), Some(9));
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);

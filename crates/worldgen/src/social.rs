@@ -163,8 +163,8 @@ pub struct SocialSegment {
 /// A seekable, shareable edge cursor over the follower graph.
 ///
 /// Construction freezes the fitness alias tables; after that,
-/// [`emit_user`](Self::emit_user) produces any single user's edges from
-/// that user's keyed RNG stream alone — no replay of earlier users, no
+/// [`segment`](Self::segment) produces any user block's edges from those
+/// users' keyed RNG streams alone — no replay of earlier users, no
 /// mutable attachment state. `&self` everywhere, so shards sample the
 /// same frozen tables concurrently.
 pub struct SocialCursor {
@@ -383,14 +383,9 @@ impl SocialCursor {
 
     /// Emit user `uid`'s canonical adjacency (ascending, unique, no self
     /// loop) into `buf`. This is the seek primitive: the draws come from
-    /// `unit_rng(stage_seed, uid)` alone.
-    pub fn emit_user(&self, uid: u32, buf: &mut Vec<u32>) {
-        let mut scratch = Vec::new();
-        self.emit_user_scratch(uid, buf, &mut scratch);
-    }
-
-    /// [`Self::emit_user`] with a caller-owned dedup bitset (one bit per
-    /// user id), so block emission reuses one allocation across users.
+    /// `unit_rng(stage_seed, uid)` alone. `seen` is a caller-owned dedup
+    /// bitset (one bit per user id), so block emission reuses one
+    /// allocation across users.
     /// The bitset must be all-zero on entry; it is restored to all-zero
     /// before returning (set bits are exactly the accepted targets, so
     /// the reset walks `buf`, not the whole array).
@@ -620,9 +615,8 @@ mod tests {
         cfg.n_instances = 40;
         cfg.n_users = 1_500;
         let cursor = SocialCursor::new(&cfg, &instances, &users);
-        let mut buf = Vec::new();
         for probe in [0u32, 1, 700, 1_499] {
-            cursor.emit_user(probe, &mut buf);
+            let buf = cursor.segment(probe, probe + 1).targets;
             let expect: Vec<u32> = follows
                 .iter()
                 .filter(|(a, _)| a.0 == probe)

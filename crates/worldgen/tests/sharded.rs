@@ -180,7 +180,7 @@ fn default_blocks_match_serial_end_to_end() {
         let mut i = serial_inst.clone();
         availability::generate_arena_with_block(&cfg, &mut i, 0)
     };
-    let arena = availability::generate_arena(&cfg, &mut inst);
+    let arena = availability::generate_arena_with_block(&cfg, &mut inst, shard::INSTANCE_BLOCK);
     assert_eq!(
         shard::digest_arena(&serial_arena),
         shard::digest_arena(&arena)

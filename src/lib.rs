@@ -54,18 +54,3 @@ pub mod prelude {
     pub use fediscope_model::{World, WINDOW_DAYS, WINDOW_EPOCHS};
     pub use fediscope_worldgen::{Generator, WorldConfig};
 }
-
-/// Generate the default small-scale study world for a seed.
-pub fn quick_world(seed: u64) -> fediscope_model::World {
-    fediscope_worldgen::Generator::generate_world(fediscope_worldgen::WorldConfig::small(seed))
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn quick_world_builds() {
-        let w = super::quick_world(7);
-        assert_eq!(w.instances.len(), 433);
-        assert_eq!(w.seed, 7);
-    }
-}

@@ -36,11 +36,3 @@ fn different_seeds_different_worlds_same_shapes() {
         assert!(f2.top5_user_share > 0.5, "skew must hold at any seed");
     }
 }
-
-#[test]
-fn quick_world_helper_is_deterministic() {
-    let a = fediscope::quick_world(5);
-    let b = fediscope::quick_world(5);
-    assert_eq!(a.total_toots(), b.total_toots());
-    assert_eq!(a.follows, b.follows);
-}
