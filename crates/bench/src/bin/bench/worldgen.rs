@@ -2,11 +2,11 @@
 //! serial-vs-sharded identity and per-stage generation times, recorded as
 //! `worldgen_tier` in `BENCH_worldgen.json`.
 //!
-//! Every generator stage (users, social edges, availability arena, toot
-//! streams) runs twice: once as a single serial block and once sharded at
-//! the default block size under the `par` budget. The two outputs are
-//! compared by FNV-1a world digest ([`shard::digest_users`] and friends);
-//! each stage is one gate. Timings are best-of-N wall clock per stage.
+//! Every generator stage (users, social edges, availability schedules,
+//! toot streams) runs twice: once as a single serial block and once
+//! sharded at the default block size under the `par` budget. The two
+//! outputs are compared by FNV-1a world digest ([`shard::digest_users`]
+//! and friends); each stage is one gate. Timings are best-of-N wall clock per stage.
 //!
 //! The social segments are then assembled into the CSR follower graph
 //! (`DiGraph::from_sorted_blocks`, no global sort) and a Fig.-12-style
@@ -19,6 +19,7 @@ use fediscope_graph::par;
 use fediscope_graph::removal::{RankBy, RemovalSweep};
 use fediscope_graph::DiGraph;
 use fediscope_model::geo::ProviderCatalog;
+use fediscope_model::schedule::OutageArena;
 use fediscope_worldgen::{availability, instances, shard, social, toots, users};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -110,14 +111,14 @@ pub(crate) fn run(args: &BenchArgs) -> Run {
         digest_of,
     );
 
-    // Availability: straight into the columnar arena via the unsorted
-    // interval ingest.
+    // Availability: the per-instance schedules, digested as the outage
+    // arena the §4 engines build from them.
     let (avail_cmp, _) = compare(
         "availability",
         trials,
         shard::INSTANCE_BLOCK,
-        |block| availability::generate_arena_with_block(&cfg, &mut inst.clone(), block),
-        shard::digest_arena,
+        |block| availability::generate_with_block(&cfg, &mut inst.clone(), block),
+        |schedules| shard::digest_arena(&OutageArena::from_schedules(schedules)),
     );
 
     // Toot streams over the tier's fedsim horizon.

@@ -4,14 +4,12 @@
 //! every table and figure; the `bench` binary pins each fast engine
 //! against its naive reference (`bench <graph|worldgen|avail|monitor|
 //! scenario|fedsim|recover|wire>`, one record per run appended to
-//! `BENCH_<name>.json`); the Criterion bench `benches/removal.rs` times
-//! the §5.1 removal-sweep engine against its naive reference. The
-//! end-to-end timings of every figure come from `perfbench/`.
+//! `BENCH_<name>.json`). The end-to-end timings of every figure come from
+//! `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use fediscope_core::Observatory;
 use fediscope_graph::DiGraph;
 use fediscope_recover::write_atomic;
 use fediscope_worldgen::{Generator, WorldConfig};
@@ -45,12 +43,6 @@ pub fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kb| kb as f64 / 1024.0)
 }
 
-/// Build the standard bench observatory (seeded, small scale so a full
-/// Criterion run stays in CI-friendly time).
-pub fn bench_observatory(seed: u64) -> Observatory {
-    Observatory::new(Generator::generate_world(WorldConfig::small(seed)))
-}
-
 /// Build a config's follower graph straight into CSR form: the social
 /// cursor's sharded segments (no intermediate edge list, no
 /// availability/growth/Twitter stages) feed
@@ -68,19 +60,6 @@ pub fn streamed_user_graph(cfg: &WorldConfig) -> DiGraph {
             .iter()
             .map(|s| (s.start, s.offsets.as_slice(), s.targets.as_slice())),
     )
-}
-
-/// Synthetic power-law follower graph for the removal-sweep benches,
-/// generated through the calibrated worldgen pipeline (same degree law as
-/// the paper's Mastodon graph, scaled to `n_users` nodes with
-/// `mean_out_degree` edges per node).
-pub fn bench_user_graph(n_users: usize, mean_out_degree: f64, seed: u64) -> DiGraph {
-    let mut cfg = WorldConfig::paper_scaled(seed);
-    cfg.n_users = n_users;
-    cfg.mean_out_degree = mean_out_degree;
-    // keep the ancillary baseline small; only the Mastodon graph is used
-    cfg.twitter_users = 1_000;
-    streamed_user_graph(&cfg)
 }
 
 #[cfg(test)]
@@ -117,12 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_observatory_builds() {
-        let obs = bench_observatory(1);
-        assert!(!obs.world.instances.is_empty());
-    }
-
-    #[test]
     fn streamed_graph_matches_full_world_graph() {
         // The streaming path must produce exactly the graph a full world
         // build produces (same sub-seeded RNG streams, same CSR dedup).
@@ -134,17 +107,5 @@ mod tests {
         );
         let streamed = streamed_user_graph(&cfg);
         assert_eq!(streamed, direct);
-    }
-
-    #[test]
-    fn bench_user_graph_hits_requested_scale() {
-        // Realised mean degree lands well below the configured target after
-        // parallel-edge dedup and small-world clamps. Here we only pin node
-        // count, connectivity, and that density scales with the knob.
-        let sparse = bench_user_graph(5_000, 10.0, 3);
-        assert_eq!(sparse.node_count(), 5_000);
-        assert!(sparse.edge_count() > 2 * sparse.node_count());
-        let dense = bench_user_graph(5_000, 20.0, 3);
-        assert!(dense.edge_count() > sparse.edge_count());
     }
 }

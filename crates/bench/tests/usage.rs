@@ -2,7 +2,8 @@
 //! wire` runs in the default build; `repro` prints the computed report and
 //! its verdicts.
 
-use fediscope_core::{Observatory, Report};
+use fediscope_core::report::render_verdicts;
+use fediscope_core::{verdicts, Observatory, Report};
 use fediscope_worldgen::{Generator, WorldConfig};
 use std::process::Command;
 
@@ -68,12 +69,21 @@ fn repro_prints_the_computed_report() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     // title banner, figure block, verdict banner, verdicts: the figure
-    // block sits between the second and third rules
+    // block sits between the second and third rules, the verdicts after
+    // the fourth
     let rule = format!("{}\n", "=".repeat(62));
-    let block = stdout.split(rule.as_str()).nth(2).expect("3 rules");
+    let parts: Vec<&str> = stdout.split(rule.as_str()).collect();
+    assert_eq!(parts.len(), 5, "{stdout}");
     let obs = Observatory::new(Generator::generate_world(WorldConfig::tiny(42)));
-    assert_eq!(block, format!("\n{}", Report::compute(&obs, true).render()));
-    assert!(stdout.ends_with("\n19 checks, 0 failed\n"), "{stdout}");
+    let report = Report::compute(&obs, true);
+    assert_eq!(parts[2], format!("\n{}", report.render()));
+    assert_eq!(
+        parts[4],
+        format!(
+            "{}\n19 checks, 0 failed\n",
+            render_verdicts(&verdicts::evaluate(&report))
+        )
+    );
     let peak = stderr.lines().last().unwrap_or_default();
     assert!(
         peak.starts_with("peak RSS ") && peak.ends_with(" MB"),

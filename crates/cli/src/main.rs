@@ -1,18 +1,14 @@
 //! `fediscope` — command-line interface to the toolkit.
 //!
 //! ```text
-//! fediscope gen     [--seed N] [--scale tiny|small|paper] [--out world.json]
-//! fediscope serve   [--seed N] [--scale tiny|small] [--ticks N] [--tick-ms N]
-//! fediscope crawl   [--seed N] [--scale tiny|small] [--checkpoint-dir DIR] [--resume]
-//! fediscope analyze [--seed N] [--scale tiny|small|paper] [--fast]
+//! fediscope gen   [--seed N] [--scale tiny|small|paper] [--out world.json]
+//! fediscope crawl [--seed N] [--scale tiny|small|paper] [--checkpoint-dir DIR] [--resume]
 //! ```
 //!
-//! `gen` prints (or writes) the generated world as JSON; `serve` boots the
+//! `gen` prints (or writes) the generated world as JSON; `crawl` boots the
 //! simulated fediverse behind an in-memory listener of the deterministic
-//! executor, which nothing outside the process can reach, and advances the
-//! virtual clock; `crawl` boots a simulation and runs the full measurement
-//! pipeline against it; `analyze` runs the paper's analyses and verdicts
-//! (same as the `repro` binary, abbreviated).
+//! executor and runs the measurement pipeline against it. The paper's
+//! analyses and verdicts are the `repro` binary's.
 //!
 //! With `--checkpoint-dir`, `crawl` writes a framed snapshot (see
 //! `crates/recover`) after every monitor sweep — the accumulated dataset,
@@ -24,8 +20,6 @@
 //! snapshots are all unusable stops the crawl with exit 1, as does a path
 //! that cannot be written.
 
-use fediscope_core::report::render_verdicts;
-use fediscope_core::{verdicts, Observatory, Report};
 use fediscope_crawler::discovery::SeedList;
 use fediscope_crawler::monitor::InstanceMonitor;
 use fediscope_crawler::politeness::Politeness;
@@ -35,9 +29,8 @@ use fediscope_simnet::{launch, FaultPlan};
 use fediscope_worldgen::{Generator, WorldConfig};
 use std::sync::Arc;
 
-const USAGE: &str = "usage: fediscope <gen|serve|crawl|analyze> [--seed N] \
-     [--scale tiny|small|paper] [--out PATH] [--ticks N] [--tick-ms N] [--fast] \
-     [--checkpoint-dir DIR] [--resume]";
+const USAGE: &str = "usage: fediscope <gen|crawl> [--seed N] [--scale tiny|small|paper] \
+     [--out PATH] [--checkpoint-dir DIR] [--resume]";
 
 /// A `--scale` name and the world config it builds.
 type Scale = (&'static str, fn(u64) -> WorldConfig);
@@ -53,9 +46,6 @@ struct Opts {
     seed: u64,
     scale: Scale,
     out: Option<String>,
-    ticks: u32,
-    tick_ms: u64,
-    fast: bool,
     checkpoint_dir: Option<String>,
     resume: bool,
 }
@@ -83,9 +73,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         seed: 42,
         scale: SCALES[1],
         out: None,
-        ticks: 200,
-        tick_ms: 10,
-        fast: false,
         checkpoint_dir: None,
         resume: false,
     };
@@ -102,9 +89,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     .ok_or_else(|| format!("unknown scale {name:?}"))?;
             }
             "--out" => o.out = Some(value()?.clone()),
-            "--ticks" => o.ticks = number(a, value()?)?,
-            "--tick-ms" => o.tick_ms = number(a, value()?)?,
-            "--fast" => o.fast = true,
             "--checkpoint-dir" => o.checkpoint_dir = Some(value()?.clone()),
             "--resume" => o.resume = true,
             other => return Err(format!("unknown option {other:?}")),
@@ -128,9 +112,7 @@ fn main() {
     let opts = parse_opts(rest).unwrap_or_else(|why| usage_error(&why));
     match cmd.as_str() {
         "gen" => cmd_gen(&opts),
-        "serve" => cmd_serve(&opts),
         "crawl" => cmd_crawl(&opts),
-        "analyze" => cmd_analyze(&opts),
         other => usage_error(&format!("unknown command {other:?}")),
     }
 }
@@ -151,35 +133,6 @@ fn cmd_gen(o: &Opts) {
         }
         None => println!("{json}"),
     }
-}
-
-fn cmd_serve(o: &Opts) {
-    let rt = tokio::runtime::Runtime::new().expect("tokio runtime");
-    rt.block_on(async {
-        let world = Arc::new(Generator::generate_world(config_for(o)));
-        let net = launch(world.clone(), FaultPlan::default(), o.seed)
-            .await
-            .expect("simnet boots");
-        println!(
-            "fediscope simnet listening on in-memory port {} of the deterministic \
-             executor (unreachable from outside this process)",
-            net.addr()
-        );
-        println!(
-            "{} instances behind one listener (Host-header routed); \
-             advancing {} virtual epochs at {}ms each",
-            world.instances.len(),
-            o.ticks,
-            o.tick_ms
-        );
-        let ticker = net
-            .state
-            .clock
-            .run_ticker(std::time::Duration::from_millis(o.tick_ms), Epoch(o.ticks));
-        let _ = ticker.await;
-        println!("virtual clock reached epoch {}; shutting down", o.ticks);
-        net.shutdown().await;
-    });
 }
 
 /// Frame kind tag for `crawl --checkpoint-dir` snapshots.
@@ -333,16 +286,4 @@ fn cmd_crawl(o: &Opts) {
         );
         net.shutdown().await;
     });
-}
-
-fn cmd_analyze(o: &Opts) {
-    let world = Generator::generate_world(config_for(o));
-    let report = Report::compute(&Observatory::new(world), o.fast);
-    let vs = verdicts::evaluate(&report);
-    println!("{}", render_verdicts(&vs));
-    let failed = verdicts::failed(&vs);
-    println!("{} checks, {} failed", vs.len(), failed);
-    if failed > 0 {
-        std::process::exit(1);
-    }
 }

@@ -1,14 +1,10 @@
 //! A bad command line exits 2 with a usage line, never a panic; a path
 //! that cannot be written or a snapshot that cannot be resumed exits 1 with
-//! a one-line message, never a panic; the wire stack's `crawl` and `serve`
-//! run in the default build; `analyze` prints the verdicts of the computed
-//! report.
+//! a one-line message, never a panic; the wire stack's `crawl` runs in the
+//! default build.
 
-use fediscope_core::report::render_verdicts;
-use fediscope_core::{verdicts, Observatory, Report};
 use fediscope_recover::format::fnv1a;
 use fediscope_recover::{encode_frame, DirStore, SnapshotStore};
-use fediscope_worldgen::{Generator, WorldConfig};
 use serde::Value;
 use std::process::{Command, Output};
 
@@ -25,8 +21,8 @@ fn fediscope_rejects_bad_flags() {
         &["gen", "--seed", "x"][..],
         &["gen", "--scale"],
         &["gen", "--scale", "huge"],
-        &["serve", "--ticks", "-1"],
-        &["analyze", "--nosuch"],
+        &["serve", "--scale", "tiny"],
+        &["analyze", "--scale", "tiny"],
         &["crawl", "--resume"],
         &["nosuch"],
         &[],
@@ -39,42 +35,21 @@ fn fediscope_rejects_bad_flags() {
     }
 }
 
+/// `crawl` serves the simulated fediverse on an in-memory port and crawls
+/// it.
 #[test]
 fn fediscope_crawls_and_serves() {
-    for (args, expect) in [
-        (
-            &["crawl", "--scale", "tiny", "--seed", "7"][..],
-            &["monitor:", "toot crawl:"][..],
-        ),
-        (
-            &["serve", "--scale", "tiny", "--ticks", "5", "--tick-ms", "1"],
-            &["virtual clock reached epoch 5"],
-        ),
-    ] {
-        let out = fediscope(args);
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
-        for line in expect {
-            assert!(stdout.contains(line), "{args:?}: {stdout}");
-        }
-        // The listener is an in-memory port: no hint may suggest reaching
-        // it from outside the process.
-        assert!(!stdout.contains("curl"), "{args:?}: {stdout}");
-    }
-}
-
-#[test]
-fn fediscope_analyze_judges_the_computed_report() {
-    let out = fediscope(&["analyze", "--scale", "tiny", "--fast"]);
+    let args = ["crawl", "--scale", "tiny", "--seed", "7"];
+    let out = fediscope(&args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
-    let obs = Observatory::new(Generator::generate_world(WorldConfig::tiny(42)));
-    let vs = verdicts::evaluate(&Report::compute(&obs, true));
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout),
-        format!("{}\n19 checks, 0 failed\n", render_verdicts(&vs))
-    );
+    for line in ["monitor:", "toot crawl:"] {
+        assert!(stdout.contains(line), "{stdout}");
+    }
+    // The listener is an in-memory port: no hint may suggest reaching it
+    // from outside the process.
+    assert!(!stdout.contains("curl"), "{stdout}");
 }
 
 /// Exit 1, a last stderr line naming the problem, and no panic.

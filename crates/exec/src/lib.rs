@@ -13,8 +13,8 @@
 //! - **Scheduling** is a FIFO ready queue polled by one thread. A task woken
 //!   twice is polled twice; wake order is program order, never OS order.
 //!   Each task's waker is built once at spawn and lent to every poll.
-//! - **Time** is virtual. `sleep`/`timeout`/`interval` register deadlines in
-//!   a binary heap keyed by `(deadline, sequence)`. When the ready queue
+//! - **Time** is virtual. `sleep` and `timeout` register deadlines in a
+//!   binary heap keyed by `(deadline, sequence)`. When the ready queue
 //!   drains, the executor jumps the clock to the earliest deadline — a
 //!   15-month crawl of 5-minute polls runs in milliseconds of wall time.
 //! - **Networking** is a per-runtime port registry handing out duplex

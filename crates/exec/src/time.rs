@@ -1,6 +1,6 @@
-//! Virtual time: `sleep`, `timeout`, and `interval` over the runtime's
-//! deterministic clock. No wall-clock syscalls are involved; deadlines are
-//! nanosecond offsets that the executor jumps between when idle.
+//! Virtual time: `sleep` and `timeout` over the runtime's deterministic
+//! clock. No wall-clock syscalls are involved; deadlines are nanosecond
+//! offsets that the executor jumps between when idle.
 
 use crate::runtime::with_current;
 use std::future::Future;
@@ -89,83 +89,6 @@ pub fn timeout<F: Future>(d: Duration, fut: F) -> Timeout<F> {
     }
 }
 
-/// What an [`Interval`] does about ticks that were missed because the
-/// consumer lagged. Under virtual time "missing" a tick only happens when
-/// the consumer itself slept past it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MissedTickBehavior {
-    /// Fire immediately, repeatedly, until caught up.
-    #[default]
-    Burst,
-    /// Fire once, then re-anchor the schedule at `now + period`.
-    Delay,
-    /// Skip missed ticks entirely; next tick at the next multiple.
-    Skip,
-}
-
-/// Repeating virtual-time tick stream; see [`interval`].
-#[derive(Debug)]
-pub struct Interval {
-    period: u64,
-    next: u64,
-    behavior: MissedTickBehavior,
-}
-
-impl Interval {
-    /// Configure lag handling (tokio-compatible).
-    pub fn set_missed_tick_behavior(&mut self, behavior: MissedTickBehavior) {
-        self.behavior = behavior;
-    }
-
-    /// Wait for the next tick. The first tick completes immediately.
-    pub fn tick(&mut self) -> Tick<'_> {
-        Tick { interval: self }
-    }
-}
-
-/// Future returned by [`Interval::tick`].
-#[derive(Debug)]
-pub struct Tick<'a> {
-    interval: &'a mut Interval,
-}
-
-impl Future for Tick<'_> {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let iv = &mut *self.interval;
-        with_current(|shared| {
-            let now = shared.now();
-            if now >= iv.next {
-                let period = iv.period.max(1);
-                iv.next = match iv.behavior {
-                    MissedTickBehavior::Burst => iv.next.saturating_add(period),
-                    MissedTickBehavior::Delay => now.saturating_add(period),
-                    MissedTickBehavior::Skip => {
-                        let behind = now - iv.next;
-                        iv.next.saturating_add((behind / period + 1) * period)
-                    }
-                };
-                Poll::Ready(())
-            } else {
-                shared.register_timer(iv.next, cx.waker().clone());
-                Poll::Pending
-            }
-        })
-    }
-}
-
-/// A tick stream with the given period; the first tick fires immediately
-/// (tokio semantics).
-pub fn interval(period: Duration) -> Interval {
-    let now = with_current(|shared| shared.now());
-    Interval {
-        period: dur_nanos(period).max(1),
-        next: now,
-        behavior: MissedTickBehavior::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,21 +142,6 @@ mod tests {
             assert!(slow.is_err());
             // the loser's timer must not have dragged virtual time forward
             assert_eq!(now_nanos(), 10_000_000);
-        });
-    }
-
-    #[test]
-    fn interval_first_tick_immediate_then_periodic() {
-        let rt = Runtime::new().unwrap();
-        rt.block_on(async {
-            let mut iv = interval(Duration::from_millis(100));
-            iv.set_missed_tick_behavior(MissedTickBehavior::Delay);
-            iv.tick().await;
-            assert_eq!(now_nanos(), 0);
-            iv.tick().await;
-            assert_eq!(now_nanos(), 100_000_000);
-            iv.tick().await;
-            assert_eq!(now_nanos(), 200_000_000);
         });
     }
 }

@@ -23,15 +23,15 @@
 //!   evaluates one removal order; Fig. 15's instance and AS orders are two
 //!   sweeps.
 //!
-//! [`AvailabilitySweep::monte_carlo`] places explicit random replicas
-//! instead of taking the expectation. Its walk is the one the
-//! capacity-weighted evaluator ([`crate::weighted`]) runs too, with an
-//! alias-table draw and a draw cap in place of the uniform draw.
+//! The capacity-weighted evaluator ([`crate::weighted`]) places explicit
+//! random replicas instead of taking an expectation; its Monte-Carlo walk
+//! lives here. The tests run the same walk with a uniform draw and hold it
+//! to the `Random{n}` expectation.
 
 use crate::content::ContentView;
 use fediscope_graph::par;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Replication strategy under evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,32 +282,11 @@ impl<'v> AvailabilitySweep<'v> {
         (home_death, sub_death)
     }
 
-    /// Monte-Carlo evaluation of random replication with explicit per-toot
-    /// placements — see [`random_monte_carlo_curve`] for semantics. Runs
-    /// sharded with the default chunk size.
-    pub fn monte_carlo(&self, n: usize, toot_cap: u32, seed: u64) -> Vec<AvailabilityPoint> {
-        self.monte_carlo_chunked(n, toot_cap, seed, EVAL_CHUNK_USERS)
-    }
-
-    /// [`Self::monte_carlo`] with an explicit shard size (resident rows
-    /// per shard), so tests can pin 1-shard ≡ N-shard equality.
-    fn monte_carlo_chunked(
-        &self,
-        n: usize,
-        toot_cap: u32,
-        seed: u64,
-        chunk_rows: usize,
-    ) -> Vec<AvailabilityPoint> {
-        let n_inst = self.view.n_instances as u32;
-        self.placement_walk(n, toot_cap, seed, chunk_rows, None, |rng| {
-            rng.gen_range(0..n_inst)
-        })
-    }
-
-    /// The Monte-Carlo walk shared by the uniform and the capacity-weighted
-    /// evaluators: each sampled toot of each user homed on a removed
-    /// instance gets up to `n` distinct replicas, each drawn by `draw`, and
-    /// dies at the latest death step among its home and replicas.
+    /// The Monte-Carlo walk of the capacity-weighted evaluator (and of the
+    /// tests' uniform reference): each sampled toot of each user homed on
+    /// a removed instance gets up to `n` distinct replicas, each drawn by
+    /// `draw`, and dies at the latest death step among its home and
+    /// replicas.
     /// `max_draws` caps the draws per toot (`None`: draw until `n` distinct
     /// replicas are found), so a sampler that can reach fewer than `n`
     /// instances terminates with a short replica set.
@@ -607,10 +586,46 @@ fn random_expectation_curve(
     out
 }
 
+/// Turn a flat instance order into single-member groups: step `g + 1`
+/// removes `order[g]` alone. Both engines take orders in this shape
+/// ([`AvailabilitySweep::singletons`] builds it from the flat order).
+pub fn singleton_groups(order: &[u32]) -> Vec<Vec<u32>> {
+    order.iter().map(|&i| vec![i]).collect()
+}
+
+#[cfg(test)]
+use rand::Rng;
+
+/// The uniform Monte-Carlo evaluator: a test reference for the
+/// `Random{n}` expectation, run on the capacity-weighted evaluator's walk.
+#[cfg(test)]
+impl AvailabilitySweep<'_> {
+    /// Monte-Carlo evaluation of random replication with explicit per-toot
+    /// placements — see [`random_monte_carlo_curve`] for semantics. Runs
+    /// sharded with the default chunk size.
+    fn monte_carlo(&self, n: usize, toot_cap: u32, seed: u64) -> Vec<AvailabilityPoint> {
+        self.monte_carlo_chunked(n, toot_cap, seed, EVAL_CHUNK_USERS)
+    }
+
+    /// [`Self::monte_carlo`] with an explicit shard size (resident rows
+    /// per shard), so tests can pin 1-shard ≡ N-shard equality.
+    fn monte_carlo_chunked(
+        &self,
+        n: usize,
+        toot_cap: u32,
+        seed: u64,
+        chunk_rows: usize,
+    ) -> Vec<AvailabilityPoint> {
+        let n_inst = self.view.n_instances as u32;
+        self.placement_walk(n, toot_cap, seed, chunk_rows, None, |rng| {
+            rng.gen_range(0..n_inst)
+        })
+    }
+}
+
 /// Monte-Carlo evaluation of random replication with explicit per-toot
-/// placements (exercises the real code path; used to validate the
-/// expectation and by the DHT-backed write-path demo). `toot_cap` bounds
-/// the sampled toots per user; the remaining toots ride the sampled
+/// placements, which validates the `Random{n}` expectation. `toot_cap`
+/// bounds the sampled toots per user; the remaining toots ride the sampled
 /// placements with integral weights (`⌈toots/samples⌉` on the first
 /// `toots % samples` draws, `⌊toots/samples⌋` after — a documented
 /// approximation that keeps the histogram integer-exact).
@@ -618,7 +633,8 @@ fn random_expectation_curve(
 /// Each user draws from its own counter-derived RNG stream, so the
 /// evaluation shards over users with seed-stable, shard-count-independent
 /// output (see [`AvailabilitySweep::monte_carlo`]).
-pub fn random_monte_carlo_curve(
+#[cfg(test)]
+pub(crate) fn random_monte_carlo_curve(
     view: &ContentView,
     n: usize,
     groups: &[Vec<u32>],
@@ -626,13 +642,6 @@ pub fn random_monte_carlo_curve(
     seed: u64,
 ) -> Vec<AvailabilityPoint> {
     AvailabilitySweep::grouped(view, groups).monte_carlo(n, toot_cap, seed)
-}
-
-/// Turn a flat instance order into single-member groups: step `g + 1`
-/// removes `order[g]` alone. Both engines take orders in this shape
-/// ([`AvailabilitySweep::singletons`] builds it from the flat order).
-pub fn singleton_groups(order: &[u32]) -> Vec<Vec<u32>> {
-    order.iter().map(|&i| vec![i]).collect()
 }
 
 #[cfg(test)]

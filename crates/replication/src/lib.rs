@@ -11,14 +11,15 @@
 //! - **Random replication**: each toot is copied to `n` uniformly random
 //!   instances.
 //!
-//! Both an exact-expectation evaluator and a seeded Monte-Carlo evaluator
-//! are provided ([`eval`]); they agree within sampling error (tested). The
-//! global index the paper assumes ("e.g., via a Distributed Hash Table") is
-//! implemented as a consistent-hash ring ([`dht`]). A capacity-weighted
-//! variant ([`weighted`]) explores the paper's closing remark that
-//! "it would be important to weight replication based on the resources
-//! available at the instance"; it runs the uniform Monte-Carlo walk with a
-//! capacity-weighted draw.
+//! Random replication is evaluated by its exact expectation ([`eval`]); the
+//! tests hold that expectation to a seeded Monte-Carlo walk of explicit
+//! placements, within sampling error. The global index the paper assumes
+//! ("e.g., via a Distributed Hash Table") is implemented as a
+//! consistent-hash ring ([`dht`]). A capacity-weighted variant
+//! ([`weighted`]) explores the paper's closing remark that "it would be
+//! important to weight replication based on the resources available at
+//! the instance"; it runs that Monte-Carlo walk with a capacity-weighted
+//! draw.
 //!
 //! Evaluation has two engines: the naive per-strategy reference
 //! ([`eval::availability_curve`]) and the batched

@@ -6,17 +6,16 @@
 //! instead of uniformly. The evaluator is Monte-Carlo (the non-uniform
 //! without-replacement expectation has no clean closed form).
 //!
-//! The production engine runs the uniform Monte-Carlo evaluator's walk
-//! (see `eval.rs`) with two differences: a Walker **alias table** makes
-//! each capacity-weighted draw `O(1)` (the original cumulative-sum sampler
-//! paid a binary search per draw), and each toot stops after `64 * n`
-//! draws, so a profile with fewer than `n` positive capacities still
-//! terminates. The walk keeps the uniform evaluator's discipline: a
-//! stamped array for `O(1)` replica distinctness, per-user
-//! counter-derived RNG streams, integral per-sample weights, and a walk
-//! *inverted* onto the resident arena (only users homed on removed
-//! instances are visited), whose `u64` histograms merge exactly, so output
-//! is shard- and thread-count independent. The pre-rewrite engine is kept
+//! The production engine runs the Monte-Carlo placement walk of `eval.rs`
+//! (the tests run it with a uniform draw) with two differences: a Walker
+//! **alias table** makes each capacity-weighted draw `O(1)` (the original
+//! cumulative-sum sampler paid a binary search per draw), and each toot
+//! stops after `64 * n` draws, so a profile with fewer than `n` positive
+//! capacities still terminates. The walk keeps a stamped array for `O(1)`
+//! replica distinctness, per-user counter-derived RNG streams, integral
+//! per-sample weights, and a walk *inverted* onto the resident arena (only
+//! users homed on removed instances are visited), whose `u64` histograms
+//! merge exactly, so output is shard- and thread-count independent. The pre-rewrite engine is kept
 //! as [`weighted_random_curve_reference`] for differential testing.
 
 use crate::content::ContentView;
@@ -108,7 +107,7 @@ pub fn weighted_random_curve(
 }
 
 /// [`weighted_random_curve`] with an explicit shard size, so tests can pin
-/// 1-shard ≡ N-shard equality. It runs the uniform Monte-Carlo walk with
+/// 1-shard ≡ N-shard equality. It runs the Monte-Carlo placement walk with
 /// an alias-table draw and at most `64 * n` draws per toot: a capacity
 /// profile with fewer than `n` positive entries must terminate with a
 /// short replica set, as in the reference engine.

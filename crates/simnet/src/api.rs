@@ -252,7 +252,7 @@ mod tests {
     use fediscope_worldgen::{Generator, WorldConfig};
     use std::sync::Arc;
 
-    fn state() -> Arc<SimState> {
+    pub(super) fn state() -> Arc<SimState> {
         let mut cfg = WorldConfig::tiny(33);
         cfg.n_instances = 12;
         cfg.n_users = 300;
@@ -524,5 +524,152 @@ mod tests {
             get(&s, &domain, "/users/notahandle/followers").status,
             StatusCode::NOT_FOUND
         );
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use serde_json::Value;
+
+    fn status(state: &Arc<SimState>, req: Request) -> u16 {
+        let rt = tokio::runtime::Builder::new_current_thread()
+            .enable_time()
+            .build()
+            .unwrap();
+        rt.block_on(handle(state.clone(), req)).status.0
+    }
+
+    /// Splices: values of the wrong JSON type, numbers past `u64` and
+    /// `f64`, and fragments that leave the document unbalanced.
+    const TOKENS: [&str; 12] = [
+        "18446744073709551616",
+        "-9223372036854775809",
+        "1e400",
+        "[]",
+        "{}",
+        "null",
+        "true",
+        "\"\\ud800\"",
+        "\"",
+        "[",
+        "{\"type\":",
+        ",",
+    ];
+
+    /// Whole member values of the wrong type.
+    fn wrong_value(k: usize) -> Value {
+        match k % 6 {
+            0 => Value::from(u64::MAX),
+            1 => Value::from(-1i64),
+            2 => Value::from(1.5f64),
+            3 => Value::Array(vec![Value::Null]),
+            4 => Value::Bool(false),
+            _ => Value::Null,
+        }
+    }
+
+    /// One edit of an inbox body: cut it, swap two bytes, write a byte
+    /// that is never valid UTF-8, splice in a token, or give one member
+    /// of the parsed object a value of the wrong type.
+    fn mutate(body: &mut Vec<u8>, op: u8, at: usize, x: u64) {
+        let len = body.len();
+        match op % 5 {
+            0 => body.truncate(at % (len + 1)),
+            1 if len > 0 => body.swap(at % len, x as usize % len),
+            2 if len > 0 => body[at % len] = 0xF8 | (x as u8 & 0x07),
+            3 => {
+                let token = TOKENS[x as usize % TOKENS.len()].as_bytes();
+                let at = at % (len + 1);
+                body.splice(at..at, token.iter().copied());
+            }
+            4 => {
+                if let Ok(Value::Object(mut map)) = serde_json::from_slice::<Value>(body) {
+                    let keys: Vec<String> = map.iter().map(|(k, _)| k.clone()).collect();
+                    if !keys.is_empty() {
+                        map.insert(keys[at % keys.len()].clone(), wrong_value(x as usize));
+                        *body = Value::Object(map).to_string().into_bytes();
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Pieces of `resource=` values: the account form's own parts,
+    /// percent escapes, query syntax and characters outside ASCII.
+    const PARTS: [&str; 14] = [
+        "acct:",
+        "@",
+        "u",
+        "0",
+        "%",
+        "%FF",
+        "%4",
+        "+",
+        "&",
+        "=",
+        "#",
+        "/",
+        "é",
+        "\u{10FFFF}",
+    ];
+
+    proptest! {
+        /// Every edited inbox delivery and every `resource=` value gets a
+        /// 2xx or 4xx answer: the handler, the vendored JSON parser and
+        /// the ActivityPub and WebFinger parsers never panic on them.
+        #[test]
+        fn edited_requests_never_panic(
+            ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u64>()), 1..12),
+            resource in proptest::collection::vec(any::<u32>(), 0..24),
+        ) {
+            let s = super::tests::state();
+            let answered = |code: u16| (200..300).contains(&code) || (400..500).contains(&code);
+
+            let &(a, b) = s
+                .world
+                .follows
+                .iter()
+                .find(|&&(a, b)| s.world.instance_of(a) != s.world.instance_of(b))
+                .expect("cross-instance edge");
+            let domain = |u: fediscope_model::ids::UserId| {
+                s.world.instances[s.world.instance_of(u).index()].domain.clone()
+            };
+            let (a_dom, b_dom) = (domain(a), domain(b));
+            let follow = Activity::Follow {
+                id: format!("https://{a_dom}/act/1"),
+                actor: format!("https://{a_dom}/users/u{}", a.0),
+                object: format!("https://{b_dom}/users/u{}", b.0),
+            };
+            let mut body = follow.to_json().to_string().into_bytes();
+            for &(op, at, x) in &ops {
+                mutate(&mut body, op, at, x);
+                let mut req = Request::get(&b_dom, &format!("/users/u{}/inbox", b.0));
+                req.method = Method::Post;
+                req.body = bytes::Bytes::from(body.clone());
+                let code = status(&s, req);
+                prop_assert!(answered(code), "status {code} for body {:?}", String::from_utf8_lossy(&body));
+            }
+
+            let value: String = resource
+                .iter()
+                .map(|&x| match char::from_u32(x >> 1) {
+                    Some(c) if x & 1 == 1 => c.to_string(),
+                    _ => PARTS[x as usize % PARTS.len()].to_string(),
+                })
+                .collect();
+            for value in [value.clone(), format!("acct:u0@{value}"), format!("acct:{value}@{b_dom}")] {
+                // straight into the parsed query, and through the target parser
+                let mut req = Request::get(&b_dom, "/.well-known/webfinger");
+                req.query = vec![("resource".into(), value.clone())];
+                let code = status(&s, req);
+                prop_assert!(answered(code), "status {code} for resource {value:?}");
+                let req = Request::get(&b_dom, &format!("/.well-known/webfinger?resource={value}"));
+                let code = status(&s, req);
+                prop_assert!(answered(code), "status {code} for target resource={value:?}");
+            }
+        }
     }
 }

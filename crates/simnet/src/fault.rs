@@ -444,7 +444,7 @@ mod tests {
         // A *different* instance has its own allowance.
         assert!(inj.consume_budget(1));
         // Advance the virtual clock: instance 0's allowance is restored.
-        clock.advance(1);
+        clock.set(Epoch(1));
         for _ in 0..3 {
             assert!(inj.consume_budget(0));
         }

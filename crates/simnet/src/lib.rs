@@ -11,8 +11,7 @@
 //! a live deployment would (timeouts, pagination, retries, failures).
 //!
 //! Components:
-//! - [`clock::SimClock`]: virtual 5-minute-epoch time, manually advanced or
-//!   driven by a compressing ticker,
+//! - [`clock::SimClock`]: virtual 5-minute-epoch time, set by its caller,
 //! - [`state::SimState`]: world + lazily built serving indexes,
 //! - [`api`]: the HTTP API surface (§3's endpoints),
 //! - [`timelines`]: deterministic pageable toot enumeration,

@@ -66,17 +66,6 @@ impl Ecdf {
     pub fn samples(&self) -> &[f64] {
         &self.sorted
     }
-
-    /// Evaluate at a fixed set of points, producing `(x, F(x))` pairs — the
-    /// series a plotting frontend would consume.
-    pub fn series(&self, points: &[f64]) -> Vec<(f64, f64)> {
-        points.iter().map(|&x| (x, self.eval(x))).collect()
-    }
-
-    /// Fraction of samples strictly greater than `x` (the CCDF).
-    pub fn ccdf(&self, x: f64) -> f64 {
-        1.0 - self.eval(x)
-    }
 }
 
 #[cfg(test)]
@@ -108,14 +97,6 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.eval(1.0), 0.0);
         assert_eq!(e.quantile(0.5), None);
-    }
-
-    #[test]
-    fn ccdf_complements_cdf() {
-        let e = Ecdf::new(vec![1.0, 10.0, 100.0, 1000.0]);
-        for x in [0.0, 1.0, 10.0, 500.0, 1000.0] {
-            assert!((e.eval(x) + e.ccdf(x) - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -40,14 +40,6 @@ impl PowerLawFit {
             n_tail: tail.len(),
         })
     }
-
-    /// CCDF of the fitted (continuous) power law at `x >= xmin`.
-    pub fn ccdf(&self, x: f64) -> f64 {
-        if x < self.xmin {
-            return 1.0;
-        }
-        (x / self.xmin).powf(1.0 - self.alpha)
-    }
 }
 
 #[cfg(test)]
@@ -88,21 +80,5 @@ mod tests {
     fn too_few_samples_is_none() {
         assert!(PowerLawFit::fit(&[10.0], 1.0).is_none());
         assert!(PowerLawFit::fit(&[1.0, 1.0, 1.0], 5.0).is_none());
-    }
-
-    #[test]
-    fn ccdf_monotone_and_bounded() {
-        let fit = PowerLawFit {
-            alpha: 2.5,
-            xmin: 1.0,
-            n_tail: 100,
-        };
-        let mut prev = 1.0;
-        for i in 1..100 {
-            let c = fit.ccdf(i as f64);
-            assert!(c <= prev + 1e-12);
-            assert!((0.0..=1.0).contains(&c));
-            prev = c;
-        }
     }
 }

@@ -15,22 +15,22 @@
 //!
 //! Instance churn (21.3% permanent departures) is also applied here.
 //!
-//! Sharded (PR 10): every decision is keyed to the instance it concerns
-//! ([`crate::shard::unit_rng`]) — churn and cert-cohort membership become
+//! Sharded: every decision is keyed to the instance it concerns
+//! ([`crate::shard::unit_rng`]) — churn and cert-cohort membership are
 //! per-instance Bernoulli draws instead of global shuffles, and the
 //! AS-wide failure intervals are precomputed per ASN independent of
 //! membership — so per-instance schedules can be generated in any block
-//! partition with identical output. [`generate_arena_with_block`] streams each
-//! block's raw clipped intervals into the counting-sort
-//! [`OutageArena::from_unsorted`] path, never materialising sorted
-//! per-instance schedules.
+//! partition with identical output ([`generate_with_block`]). The §4
+//! engines read the schedules as a columnar
+//! [`OutageArena`](fediscope_model::schedule::OutageArena), built once by
+//! `OutageArena::from_schedules`.
 
 use crate::config::{sub_seed, WorldConfig};
 use crate::shard::{blocks, unit_rng, INSTANCE_BLOCK};
 use fediscope_graph::par;
 use fediscope_model::ids::AsId;
 use fediscope_model::instance::Instance;
-use fediscope_model::schedule::{AvailabilitySchedule, OutageArena, OutageCause};
+use fediscope_model::schedule::{AvailabilitySchedule, OutageCause};
 use fediscope_model::time::{Day, Epoch, EPOCHS_PER_DAY, WINDOW_DAYS, WINDOW_EPOCHS};
 use rand::prelude::*;
 use rand_distr::{Distribution, LogNormal};
@@ -117,8 +117,8 @@ impl OutagePlanner {
         }
     }
 
-    /// Draw instance `i`'s lifetime and its full clipped interval list —
-    /// sorted-builder and unsorted-arena paths both consume exactly this.
+    /// Draw instance `i`'s lifetime and its clipped outage intervals, in
+    /// the order the schedule builder merges them.
     fn draw_instance(
         &self,
         inst: &Instance,
@@ -144,8 +144,8 @@ impl OutagePlanner {
         let life = death.saturating_sub(birth) as f64;
 
         let mut out: Vec<(Epoch, Epoch, OutageCause)> = Vec::new();
-        // The add_outage clip rule, applied at emission so both builder
-        // paths see the identical surviving-interval stream.
+        // The add_outage clip rule, applied at emission: the fallback
+        // outage below tests whether any interval survived it.
         let emit = |start: f64, end: f64, cause: OutageCause, out: &mut Vec<_>| {
             let lo = birth.max(start as u32);
             let hi = death.min(end as u32).min(WINDOW_EPOCHS);
@@ -313,45 +313,6 @@ pub fn generate_with_block(
         schedules.extend(seg);
     }
     schedules
-}
-
-/// Generate straight into a columnar [`OutageArena`]: every shard emits
-/// its instances' raw clipped intervals in generation order, the
-/// concatenated unsorted stream goes through the counting-sort
-/// [`OutageArena::from_unsorted`] ingest — no per-instance sorted
-/// builder anywhere on the path, and bit-identical to
-/// `OutageArena::from_schedules(generate(..))` (pinned by tests here and
-/// by the `from_unsorted` proptest in `fediscope_model`). Each shard
-/// covers `block` instances.
-pub fn generate_arena_with_block(
-    cfg: &WorldConfig,
-    instances: &mut [Instance],
-    block: usize,
-) -> OutageArena {
-    apply_cert_cohort(cfg, instances);
-    let planner = OutagePlanner::new(cfg);
-    let segments = par::parallel_map(&blocks(instances.len(), block), |&(lo, hi)| {
-        let mut lifetimes: Vec<(Epoch, Epoch)> = Vec::with_capacity(hi - lo);
-        let mut intervals: Vec<(u32, Epoch, Epoch, OutageCause)> = Vec::new();
-        for (k, inst) in instances[lo..hi].iter().enumerate() {
-            let i = lo + k;
-            let (created, retired, outs) = planner.draw_instance(inst, i);
-            let birth = created.start_epoch();
-            let death = retired
-                .map(|d| d.start_epoch())
-                .unwrap_or(Epoch(WINDOW_EPOCHS));
-            lifetimes.push((birth, death));
-            intervals.extend(outs.into_iter().map(|(s, e, c)| (i as u32, s, e, c)));
-        }
-        (lifetimes, intervals)
-    });
-    let mut lifetimes = Vec::with_capacity(instances.len());
-    let mut intervals = Vec::new();
-    for (l, iv) in segments {
-        lifetimes.extend(l);
-        intervals.extend(iv);
-    }
-    OutageArena::from_unsorted(&lifetimes, intervals)
 }
 
 #[cfg(test)]
@@ -523,28 +484,5 @@ mod tests {
         let (_, a) = build(23, 300);
         let (_, b) = build(23, 300);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn arena_generation_matches_schedule_generation() {
-        let seed = 29;
-        let mut cfg = WorldConfig::tiny(seed);
-        cfg.n_instances = 400;
-        cfg.n_users = 2_000;
-        let providers = ProviderCatalog::with_tail(cfg.n_providers);
-        let mut r1 = StdRng::seed_from_u64(sub_seed(seed, 1));
-        let stage = crate::instances::generate(&cfg, &providers, &mut r1);
-        let mut instances = stage.instances;
-        let _users = crate::users::generate(&cfg, &mut instances, &stage.popularity);
-
-        let mut instances_b = instances.clone();
-        let schedules = generate(&cfg, &mut instances);
-        // The unsorted-ingest path, at a block size that forces several
-        // shards, must equal the sorted-builder route exactly.
-        let arena = generate_arena_with_block(&cfg, &mut instances_b, 53);
-
-        assert_eq!(instances, instances_b, "cert-cohort rewrites must match");
-        assert_eq!(arena, OutageArena::from_schedules(&schedules));
-        assert_eq!(arena.len(), schedules.len());
     }
 }

@@ -22,16 +22,17 @@
 //! 7. [`toots`]: per-user toot-event streams over a simulation horizon
 //!    (feeds `simnet::fedsim`).
 //!
-//! Every constant is calibrated against a number quoted in the paper; see
-//! `DESIGN.md` §4 for the target list and the per-module doc comments for
-//! the specific citations.
+//! [`Generator::generate_world`] runs stages 1–6 into a validated `World`;
+//! [`Generator::social_cursor`] runs stages 1–2 and emits the follower
+//! graph block by block.
+//!
+//! Every constant is calibrated against a number quoted in the paper; the
+//! per-module doc comments give the specific citations.
 //!
 //! Beyond the pipeline, [`observatory`] replays a generated world's
 //! schedules as a mnm.social-style 5-minute poll feed (streaming, so even
 //! the 30k-instance modern tier's multi-billion-poll feed never
-//! materialises), and [`availability::generate_arena_with_block`] drains the schedule
-//! stream straight into a columnar `OutageArena` for the §4 telemetry
-//! engine.
+//! materialises).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,65 +59,23 @@ use fediscope_model::world::World;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The world generator: configure once, generate deterministically.
-pub struct Generator {
-    cfg: WorldConfig,
-}
+/// The world generator: every entry point is deterministic in its config.
+pub struct Generator;
 
 impl Generator {
-    /// New generator with the given configuration.
-    pub fn new(cfg: WorldConfig) -> Self {
-        Self { cfg }
-    }
-
-    /// Convenience: generate a world straight from a config.
-    pub fn generate_world(cfg: WorldConfig) -> World {
-        Self::new(cfg).generate()
-    }
-
-    /// Run the pipeline up to the user table (instances → users) — the
-    /// prerequisite state for the social stage. Returns `(instances,
-    /// users)` with per-instance aggregates already back-filled.
-    pub fn user_stage(cfg: &WorldConfig) -> (Vec<Instance>, Vec<UserProfile>) {
-        let providers = ProviderCatalog::with_tail(cfg.n_providers);
-        let mut r_inst = StdRng::seed_from_u64(sub_seed(cfg.seed, 1));
-        let stage = instances::generate(cfg, &providers, &mut r_inst);
-        let mut instances = stage.instances;
-        let users = users::generate(cfg, &mut instances, &stage.popularity);
-        (instances, users)
-    }
-
-    /// Build a seekable social-edge cursor: instance and user stages run
-    /// eagerly, then the returned [`social::SocialCursor`] can emit any
-    /// user's adjacency block independently (`segment`)
-    /// without replaying the users before it — block `b` maps straight to
-    /// its counter-derived RNG offset. This is the resume-identity path:
-    /// a crash-recovered run re-emits exactly the blocks it needs.
-    pub fn social_cursor(cfg: &WorldConfig) -> social::SocialCursor {
-        let (instances, users) = Self::user_stage(cfg);
-        social::SocialCursor::new(cfg, &instances, &users)
-    }
-
     /// Run the full pipeline and validate the result.
-    pub fn generate(&self) -> World {
-        let cfg = &self.cfg;
-        let providers = ProviderCatalog::with_tail(cfg.n_providers);
+    pub fn generate_world(cfg: WorldConfig) -> World {
+        let (providers, mut instances, users) = Self::user_stage(&cfg);
 
-        let mut r_inst = StdRng::seed_from_u64(sub_seed(cfg.seed, 1));
-        let stage = instances::generate(cfg, &providers, &mut r_inst);
-        let mut instances = stage.instances;
+        let follows = social::generate(&cfg, &instances, &users);
 
-        let users = users::generate(cfg, &mut instances, &stage.popularity);
-
-        let follows = social::generate(cfg, &instances, &users);
-
-        let schedules = availability::generate(cfg, &mut instances);
+        let schedules = availability::generate(&cfg, &mut instances);
 
         let total_toots: u64 = users.iter().map(|u| u.toot_count as u64).sum();
         let growth = growth::series(&schedules, users.len() as u64, total_toots);
 
         let mut r_twitter = StdRng::seed_from_u64(sub_seed(cfg.seed, 5));
-        let twitter = twitter::generate(cfg, &mut r_twitter);
+        let twitter = twitter::generate(&cfg, &mut r_twitter);
 
         let world = World {
             seed: cfg.seed,
@@ -130,6 +89,30 @@ impl Generator {
         };
         world.validate();
         world
+    }
+
+    /// Run the pipeline up to the user table (instances → users) — the
+    /// prerequisite state for the social stage. Returns the provider
+    /// catalog, the instances with their per-instance aggregates
+    /// back-filled, and the users.
+    fn user_stage(cfg: &WorldConfig) -> (ProviderCatalog, Vec<Instance>, Vec<UserProfile>) {
+        let providers = ProviderCatalog::with_tail(cfg.n_providers);
+        let mut r_inst = StdRng::seed_from_u64(sub_seed(cfg.seed, 1));
+        let stage = instances::generate(cfg, &providers, &mut r_inst);
+        let mut instances = stage.instances;
+        let users = users::generate(cfg, &mut instances, &stage.popularity);
+        (providers, instances, users)
+    }
+
+    /// Build a seekable social-edge cursor: instance and user stages run
+    /// eagerly, then the returned [`social::SocialCursor`] can emit any
+    /// user's adjacency block independently (`segment`)
+    /// without replaying the users before it — block `b` maps straight to
+    /// its counter-derived RNG offset. This is the resume-identity path:
+    /// a crash-recovered run re-emits exactly the blocks it needs.
+    pub fn social_cursor(cfg: &WorldConfig) -> social::SocialCursor {
+        let (_, instances, users) = Self::user_stage(cfg);
+        social::SocialCursor::new(cfg, &instances, &users)
     }
 }
 

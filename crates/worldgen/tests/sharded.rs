@@ -5,8 +5,8 @@
 //! from a (stage seed, unit index) counter ([`shard::unit_rng`]), never
 //! from draw order — so concatenating per-block segments reproduces the
 //! serial output exactly, for *any* block size. These tests pin that with
-//! FNV-1a digests of the concrete outputs (users, edges, outage arena,
-//! toot streams) while proptest varies the seed, the block size (1..=64
+//! FNV-1a digests of the concrete outputs (users, edges, the outage arena
+//! of the schedules, toot streams) while proptest varies the seed, the block size (1..=64
 //! and the production defaults), and the population shape.
 //!
 //! A failure here means a stage picked up order-dependent state (a shared
@@ -14,7 +14,7 @@
 //! in `par::parallel_map` would silently change the world.
 
 use fediscope_model::geo::ProviderCatalog;
-use fediscope_model::schedule::OutageArena;
+use fediscope_model::schedule::{AvailabilitySchedule, OutageArena};
 use fediscope_worldgen::{
     availability, instances, shard, social, sub_seed, toots, users, WorldConfig,
 };
@@ -50,6 +50,11 @@ fn digest_segments(segs: &[social::SocialSegment]) -> u64 {
                 .map(move |&t| (s.start + k as u32, t))
         })
     }))
+}
+
+/// Digest schedules as the outage arena the §4 engines build from them.
+fn digest_schedules(schedules: &[AvailabilitySchedule]) -> u64 {
+    shard::digest_arena(&OutageArena::from_schedules(schedules))
 }
 
 proptest! {
@@ -99,10 +104,9 @@ proptest! {
         prop_assert_eq!(serial, digest_segments(&cursor.segments(shard::DEFAULT_BLOCK)));
     }
 
-    /// Availability: the unsorted-interval arena ingest is block-invariant
-    /// and matches the sorted per-schedule builder path exactly.
+    /// Availability: per-instance schedules are block-invariant.
     #[test]
-    fn arena_identical_at_any_block(
+    fn schedules_identical_at_any_block(
         seed in 0u64..1_000_000,
         extra in 0usize..37,
         block in 1usize..64,
@@ -112,22 +116,13 @@ proptest! {
 
         let serial = {
             let mut inst = stage.instances.clone();
-            availability::generate_arena_with_block(&cfg, &mut inst, 0)
+            availability::generate_with_block(&cfg, &mut inst, 0)
         };
         let sharded = {
             let mut inst = stage.instances.clone();
-            availability::generate_arena_with_block(&cfg, &mut inst, block)
+            availability::generate_with_block(&cfg, &mut inst, block)
         };
-        // Sorted-builder reference: schedules → OutageArena::from_schedules.
-        let sorted = {
-            let mut inst = stage.instances.clone();
-            let schedules = availability::generate_with_block(&cfg, &mut inst, 0);
-            OutageArena::from_schedules(&schedules)
-        };
-
-        let want = shard::digest_arena(&serial);
-        prop_assert_eq!(want, shard::digest_arena(&sharded));
-        prop_assert_eq!(want, shard::digest_arena(&sorted));
+        prop_assert_eq!(digest_schedules(&serial), digest_schedules(&sharded));
     }
 
     /// Toot streams: per-user keyed event draws are block-invariant.
@@ -176,14 +171,14 @@ fn default_blocks_match_serial_end_to_end() {
         digest_segments(&cursor.segments(shard::DEFAULT_BLOCK))
     );
 
-    let serial_arena = {
+    let serial_schedules = {
         let mut i = serial_inst.clone();
-        availability::generate_arena_with_block(&cfg, &mut i, 0)
+        availability::generate_with_block(&cfg, &mut i, 0)
     };
-    let arena = availability::generate_arena_with_block(&cfg, &mut inst, shard::INSTANCE_BLOCK);
+    let schedules = availability::generate(&cfg, &mut inst);
     assert_eq!(
-        shard::digest_arena(&serial_arena),
-        shard::digest_arena(&arena)
+        digest_schedules(&serial_schedules),
+        digest_schedules(&schedules)
     );
 
     let serial_toots = toots::generate_with_block(&cfg, &serial_users, 24, 1.0, 0);
