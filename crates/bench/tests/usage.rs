@@ -6,6 +6,7 @@ use fediscope_core::report::render_verdicts;
 use fediscope_core::{verdicts, Observatory, Report};
 use fediscope_worldgen::{Generator, WorldConfig};
 use std::process::Command;
+use std::sync::OnceLock;
 
 fn assert_usage_error(exe: &str, args: &[&str]) {
     let out = Command::new(exe).args(args).output().expect("binary runs");
@@ -59,34 +60,67 @@ fn bench_wire_runs() {
     assert!(record.contains(r#""peak_rss_mb":"#), "{record}");
 }
 
+/// One run of `repro --scale tiny --fast`, with the figure block and the
+/// verdict block of the report it should have computed; the two tests that
+/// read it share the run.
+struct ReproRun {
+    code: Option<i32>,
+    stdout: String,
+    stderr: String,
+    figures: String,
+    verdicts: String,
+}
+
+impl ReproRun {
+    fn get() -> &'static ReproRun {
+        static RUN: OnceLock<ReproRun> = OnceLock::new();
+        RUN.get_or_init(|| {
+            let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+                .args(["--scale", "tiny", "--fast"])
+                .output()
+                .expect("binary runs");
+            let obs = Observatory::new(Generator::generate_world(WorldConfig::tiny(42)));
+            let report = Report::compute(&obs, true);
+            ReproRun {
+                code: out.status.code(),
+                stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
+                stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
+                figures: report.render(),
+                verdicts: render_verdicts(&verdicts::evaluate(&report)),
+            }
+        })
+    }
+
+    /// Title banner, figure block, verdict banner, verdicts: stdout cut at
+    /// its four rules.
+    fn blocks(&self) -> Vec<&str> {
+        assert_eq!(self.code, Some(0), "{}", self.stderr);
+        let rule = format!("{}\n", "=".repeat(62));
+        let parts: Vec<&str> = self.stdout.split(rule.as_str()).collect();
+        assert_eq!(parts.len(), 5, "{}", self.stdout);
+        parts
+    }
+}
+
 #[test]
 fn repro_prints_the_computed_report() {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--scale", "tiny", "--fast"])
-        .output()
-        .expect("binary runs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
-    // title banner, figure block, verdict banner, verdicts: the figure
-    // block sits between the second and third rules, the verdicts after
-    // the fourth
-    let rule = format!("{}\n", "=".repeat(62));
-    let parts: Vec<&str> = stdout.split(rule.as_str()).collect();
-    assert_eq!(parts.len(), 5, "{stdout}");
-    let obs = Observatory::new(Generator::generate_world(WorldConfig::tiny(42)));
-    let report = Report::compute(&obs, true);
-    assert_eq!(parts[2], format!("\n{}", report.render()));
-    assert_eq!(
-        parts[4],
-        format!(
-            "{}\n19 checks, 0 failed\n",
-            render_verdicts(&verdicts::evaluate(&report))
-        )
-    );
-    let peak = stderr.lines().last().unwrap_or_default();
+    let run = ReproRun::get();
+    assert_eq!(run.blocks()[2], format!("\n{}", run.figures));
+    let peak = run.stderr.lines().last().unwrap_or_default();
     assert!(
         peak.starts_with("peak RSS ") && peak.ends_with(" MB"),
-        "{stderr}"
+        "{}",
+        run.stderr
+    );
+}
+
+/// `repro`, fediscope's analysis, judges the report it computed: after the
+/// verdict banner comes that report's verdict block, then the count line.
+#[test]
+fn fediscope_analyze_judges_the_computed_report() {
+    let run = ReproRun::get();
+    assert_eq!(
+        run.blocks()[4],
+        format!("{}\n19 checks, 0 failed\n", run.verdicts)
     );
 }
